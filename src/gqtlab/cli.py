@@ -25,7 +25,14 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import serialization as ser
 from .encodings import dilate_general, dilate_hermitian
-from .phases import reconstruct_P, solve_phases
+from .phases import (
+    DEFAULT_MARGIN,
+    ROUND_TRIP_TOL,
+    PhaseSynthesisError,
+    rescale_to_margin,
+    round_trip_error,
+    solve_phases,
+)
 from .polynomials import (
     ApproxSpec,
     ApproximationError,
@@ -266,18 +273,14 @@ def cmd_bounds(args) -> int:
 def cmd_phases(args) -> int:
     cfg = _load_config(args)
     c = _load_poly(cfg)
-    margin = float(cfg.get("margin", 1e-4))
-    mc = max_abs_circle(c)
-    if mc > 1.0 - margin:
-        c = c.scaled((1.0 - 2 * margin) / mc)
-        print(f"rescaled by {(1.0 - 2 * margin) / mc:.6g} to fit the margin")
+    margin = float(cfg.get("margin", DEFAULT_MARGIN))
+    c, scale = rescale_to_margin(c, margin)
+    if scale != 1.0:
+        print(f"rescaled by {scale:.6g} to fit the margin")
     ph = solve_phases(c, margin=margin)
-    rec = reconstruct_P(ph).coeffs
-    ref = c.trimmed().coeffs
-    n = max(len(rec), len(ref))
-    err = float(np.max(np.abs(np.pad(rec, (0, n - len(rec)))
-                              - np.pad(ref, (0, n - len(ref))))))
-    tol = args.tol if args.tol is not None else 1e-8 * (ph.degree + 1)
+    err = round_trip_error(ph, c)
+    tol = (args.tol if args.tol is not None
+           else ROUND_TRIP_TOL * (ph.degree + 1))
     if args.out is not None:
         ser.phases_to_file(ph, args.out)
     print(f"degree={ph.degree} round_trip_error={err:.3e} tol={tol:.3e}")
@@ -312,6 +315,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except PhaseSynthesisError as exc:
+        print(f"phase synthesis failed: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
 
 
 if __name__ == "__main__":

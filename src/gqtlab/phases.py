@@ -7,7 +7,7 @@ realized as the top-left block of an interleaved product
         * A * R(theta_0, phi_0, lambda),       A = diag(z, 1),
 
 where R is the single-qubit rotation of `rotation_matrix`.  `solve_phases`
-finds the angles (spectral-factorization completion + layer stripping);
+finds the angles (FFT completion + layer stripping) and checks them;
 `reconstruct_P` multiplies the chain symbolically with polynomial-valued
 entries and is the independent round-trip oracle; `gqsp_matrix` assembles the
 explicit unitary for a given matrix argument.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from typing import Sequence
 
 import numpy as np
@@ -28,23 +27,38 @@ __all__ = [
     "PhaseFactors",
     "RotationGate",
     "NormViolationError",
-    "CompletionConditioningWarning",
+    "PhaseSynthesisError",
+    "CompletionError",
+    "DEFAULT_MARGIN",
     "rotation_matrix",
+    "rescale_to_margin",
     "solve_phases",
     "reconstruct_P",
+    "round_trip_error",
     "complementary_polynomial",
     "gqsp_matrix",
 ]
 
 DEFAULT_MARGIN = 1e-4
+# What solve_phases accepts: completion defect, and round trip per
+# coefficient of P (the `gqtlab phases` default).
+DEFECT_TOL = 1e-9
+ROUND_TRIP_TOL = 1e-8
+# complementary_polynomial's target for its dropped tail and its defect.
+_COMPLETION_TARGET = 1e-12
+_MAX_GRID = 1 << 20
 
 
 class NormViolationError(ValueError):
     """|P| exceeds the admissible circle norm."""
 
 
-class CompletionConditioningWarning(UserWarning):
-    """Completion roots close to the unit circle; angles may lose accuracy."""
+class PhaseSynthesisError(RuntimeError):
+    """Synthesized angles fail their own completion or round-trip check."""
+
+
+class CompletionError(PhaseSynthesisError):
+    """No complementary polynomial meets the target within the grid cap."""
 
 
 def _canonical(angle):
@@ -138,114 +152,88 @@ def reconstruct_P(ph: PhaseFactors) -> PolyCoeffs:
     return PolyCoeffs(P)
 
 
+def _on_circle(a: np.ndarray, n: int) -> np.ndarray:
+    """sum_k a_k z^k at the n-th roots of unity exp(2 pi i j / n)."""
+    return np.fft.ifft(a, n) * n
+
+
+def _completion_defect(p: np.ndarray, q: np.ndarray) -> float:
+    """max | |P|^2 + |Q|^2 - 1 | over max(4096, 8 (d + 1)) circle points."""
+    n = 1 << (max(4096, 8 * max(len(p), len(q))) - 1).bit_length()
+    return float(np.max(np.abs(np.abs(_on_circle(p, n)) ** 2
+                               + np.abs(_on_circle(q, n)) ** 2 - 1.0)))
+
+
 def complementary_polynomial(c: PolyCoeffs | Sequence[complex]) -> PolyCoeffs:
     """Q of degree <= d with |P|^2 + |Q|^2 = 1 on the unit circle.
 
-    Spectral factorization of 1 - |P|^2: the Laurent coefficients give a
-    polynomial G(z) = z^d (1 - P(z) conj(P)(1/z)) whose roots come in
-    conjugate-reciprocal pairs; Q collects one root per pair (the one inside
-    the unit disk, located via a companion matrix) plus a positive scale
-    fitted on the circle.
+    FFT completion (Berntson & Sunderhauf, arXiv:2406.04246).  On an N-point
+    circle grid, s = 1/2 log(1 - |P|^2) is the log-modulus Q must have.  The
+    analytic part h = c_0 + 2 sum_{n>0} c_n z^n of its Fourier series (one
+    FFT) has Re h = s, so G = exp(h) is the outer polynomial with
+    |G|^2 = 1 - |P|^2 and no root inside the disk; a second FFT gives its
+    coefficients, and those beyond degree d (aliasing) are dropped.  Q is
+    the reversed conjugate z^d conj(G(1/conj z)): same modulus, roots inside
+    the disk, the orientation layer stripping needs to reproduce P.
+
+    N starts at the power of two >= 16 (d + 1) and doubles while the dropped
+    tail or the completion defect exceeds 1e-12.  Raises CompletionError when
+    |P| reaches 1 on the grid or N passes 2^20 short of that target.
     """
     a = c.coeffs if isinstance(c, PolyCoeffs) else np.asarray(c, dtype=complex)
     d = len(a) - 1
-    # Laurent coefficients of 1 - P(z) conj(P)(1/z); index j <-> power j - d.
-    g = -np.convolve(a, np.conj(a)[::-1])
-    g[d] += 1.0
-    if d == 0:
-        q0 = math.sqrt(max(float(g[0].real), 0.0))
-        return PolyCoeffs(np.array([q0], dtype=complex))
-
-    scale = np.max(np.abs(g))
-    if scale == 0.0:
-        return PolyCoeffs(np.zeros(d + 1, dtype=complex))
-    # Strip exact-zero ends: low-end zeros are roots at z = 0 and may be
-    # assigned to Q freely since |z^k Q| = |Q| on the circle.
-    lo = 0
-    while lo < 2 * d and abs(g[lo]) <= 1e-14 * scale:
-        lo += 1
-    hi = 2 * d
-    while hi > lo and abs(g[hi]) <= 1e-14 * scale:
-        hi -= 1
-    core = g[lo:hi + 1]
-    if len(core) > 1:
-        roots = np.roots(core[::-1])
-        # Companion-matrix roots of high-degree products limit the identity
-        # |P|^2 + |Q|^2 = 1 to ~1e-8; a few Newton steps on the stripped
-        # polynomial restore each root to near machine precision.
-        cr = core[::-1]
-        dcr = cr[:-1] * np.arange(len(cr) - 1, 0, -1)
-        for _ in range(3):
-            fv = np.polyval(cr, roots)
-            fp = np.polyval(dcr, roots)
-            step = np.where(np.abs(fp) > 0, fv / np.where(fp == 0, 1, fp), 0)
-            nxt = roots - step
-            ok = np.abs(np.polyval(cr, nxt)) <= np.abs(fv)
-            roots = np.where(ok, nxt, roots)
-        order = np.argsort(np.abs(roots))
-        inside = roots[order[: roots.size // 2]]
-        if np.min(np.abs(np.abs(roots) - 1.0)) < 1e-7:
-            warnings.warn(
-                "completion roots cluster on the unit circle; phase factors "
-                "may be ill-conditioned", CompletionConditioningWarning,
-                stacklevel=2)
-    else:
-        inside = np.array([], dtype=complex)
-
-    q = np.ones(1, dtype=complex)
-    for r in inside:
-        q = np.convolve(q, np.array([-r, 1.0]))
-    q = np.concatenate((np.zeros(lo, dtype=complex), q))
-    if len(q) < d + 1:
-        q = np.concatenate((q, np.zeros(d + 1 - len(q), dtype=complex)))
-
-    # Positive scale from |Q|^2 = 1 - |P|^2 on a circle sample (median is
-    # robust to points where both sides nearly vanish).
-    theta = 2.0 * math.pi * (np.arange(4 * (d + 1)) + 0.37) / (4 * (d + 1))
-    z = np.exp(1j * theta)
-    target = 1.0 - np.abs(np.polyval(a[::-1], z)) ** 2
-    got = np.abs(np.polyval(q[::-1], z)) ** 2
-    ratio = np.median(np.maximum(target, 0.0) / np.maximum(got, 1e-300))
-    q = q * math.sqrt(max(float(ratio), 0.0))
-    return PolyCoeffs(_refine_completion(g, q))
+    n = 1 << (16 * (d + 1) - 1).bit_length()
+    while n <= _MAX_GRID:
+        absp = np.abs(_on_circle(a, n))
+        if np.max(absp) >= 1.0:
+            raise CompletionError(
+                "max |P| reaches 1 on the circle; no complementary polynomial "
+                "with a finite log-modulus (use a positive margin)")
+        h = np.fft.fft(0.5 * np.log1p(-absp ** 2)) / n
+        h[1:n // 2] *= 2.0
+        h[n // 2 + 1:] = 0.0
+        g = np.fft.fft(np.exp(_on_circle(h, n))) / n
+        q = np.conj(g[d::-1])
+        tail = np.max(np.abs(g[d + 1:]))  # aliasing: exact G has degree d
+        if max(tail, _completion_defect(a, q)) <= _COMPLETION_TARGET:
+            return PolyCoeffs(q)
+        n *= 2
+    raise CompletionError(f"completion misses {_COMPLETION_TARGET:g} on "
+                          f"{_MAX_GRID} circle points; max |P| is too near 1")
 
 
-def _refine_completion(g: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Coefficient-space Newton polish of conv(q, rev(conj q)) = g.
+def rescale_to_margin(c: PolyCoeffs, margin: float = DEFAULT_MARGIN,
+                      ) -> tuple[PolyCoeffs, float]:
+    """Scale P to max |P| = 1 - 2 margin if above 1 - margin; (P, scale)."""
+    maxP = max_abs_circle(c)
+    if maxP > 1.0 - margin:
+        scale = (1.0 - 2.0 * margin) / maxP
+        return c.scaled(scale), scale
+    return c, 1.0
 
-    Expanding the selected roots into coefficients loses ~1e-8 at degree 64;
-    a couple of Newton steps on the quadratic coefficient equation restore
-    the completion identity to near machine precision.  The global phase of
-    q is the one-dimensional null direction, handled by least squares.
-    """
-    m = len(q)
-    for _ in range(3):
-        r = np.convolve(q, np.conj(q)[::-1]) - g
-        if np.max(np.abs(r)) < 1e-13:
-            break
-        cols = []
-        for k in range(m):
-            e = np.zeros(m, dtype=complex)
-            e[k] = 1.0
-            cols.append(np.convolve(e, np.conj(q)[::-1])
-                        + np.convolve(q, np.conj(e)[::-1]))
-            e[k] = 1j
-            cols.append(np.convolve(e, np.conj(q)[::-1])
-                        + np.convolve(q, np.conj(e)[::-1]))
-        J = np.array(cols).T
-        Jr = np.vstack([J.real, J.imag])
-        rr = np.concatenate([r.real, r.imag])
-        sol, *_ = np.linalg.lstsq(Jr, -rr, rcond=None)
-        q = q + sol[0::2] + 1j * sol[1::2]
-    return q
+
+def round_trip_error(ph: PhaseFactors, c: PolyCoeffs) -> float:
+    """Largest coefficient gap between reconstruct_P(ph) and trimmed P."""
+    rec, ref = reconstruct_P(ph).coeffs, c.trimmed().coeffs
+    n = max(len(rec), len(ref))
+    return float(np.max(np.abs(np.pad(rec, (0, n - len(rec)))
+                               - np.pad(ref, (0, n - len(ref))))))
 
 
 def solve_phases(c: PolyCoeffs | Sequence[complex],
                  margin: float = DEFAULT_MARGIN) -> PhaseFactors:
-    """Angles realizing P(z); verified by the reconstruct_P round trip.
+    """Angles realizing P(z), checked against P before they are returned.
 
     Trailing zero coefficients are trimmed first, so the returned degree is
-    the effective degree of P.  Requires max |P| <= 1 - margin on the circle.
+    the effective degree of P.  Requires max |P| <= 1 - margin on the circle
+    (NormViolationError otherwise).  Q comes from `complementary_polynomial`;
+    layer stripping then peels R(theta_k, phi_k, 0) diag(z, 1) off (P, Q)
+    one degree at a time (Motlagh & Wiebe, arXiv:2308.01501).
+
+    Raises PhaseSynthesisError when the completion defect of (P, Q) exceeds
+    DEFECT_TOL or the reconstruct_P round trip exceeds
+    ROUND_TRIP_TOL * (d + 1); CompletionError (a PhaseSynthesisError) when
+    no completion is found.
     """
     c = c if isinstance(c, PolyCoeffs) else PolyCoeffs(np.asarray(c))
     c = c.trimmed()
@@ -256,6 +244,10 @@ def solve_phases(c: PolyCoeffs | Sequence[complex],
     d = c.degree
     P = c.coeffs.astype(complex).copy()
     Q = complementary_polynomial(PolyCoeffs(P)).coeffs.copy()
+    defect = _completion_defect(P, Q)
+    if not defect <= DEFECT_TOL:
+        raise PhaseSynthesisError(
+            f"completion defect {defect:.3e} exceeds {DEFECT_TOL:g}")
 
     thetas = np.zeros(d + 1)
     phis = np.zeros(d + 1)
@@ -288,7 +280,13 @@ def solve_phases(c: PolyCoeffs | Sequence[complex],
         lam = 0.0
     if abs(p0) > 1e-14:
         phis[0] = math.atan2(p0.imag, p0.real) - lam
-    return PhaseFactors(thetas, phis, lam)
+    ph = PhaseFactors(thetas, phis, lam)
+    err = round_trip_error(ph, c)
+    if not err <= ROUND_TRIP_TOL * (d + 1):
+        raise PhaseSynthesisError(
+            f"round trip error {err:.3e} exceeds "
+            f"{ROUND_TRIP_TOL * (d + 1):.3e} at degree {d}")
+    return ph
 
 
 def gqsp_matrix(ph: PhaseFactors, U: np.ndarray) -> np.ndarray:

@@ -23,13 +23,20 @@ from .encodings import (
     multiply,
     walk_operator,
 )
-from .phases import PhaseFactors, RotationGate, rotation_matrix, solve_phases, gqsp_matrix
+from .phases import (
+    DEFAULT_MARGIN,
+    PhaseFactors,
+    RotationGate,
+    gqsp_matrix,
+    rescale_to_margin,
+    rotation_matrix,
+    solve_phases,
+)
 from .polynomials import (
     ParityError,
     PolyCoeffs,
     classify_parity,
     eval_cheb,
-    max_abs_circle,
     sqrt_substitute_even,
     sqrt_substitute_odd,
 )
@@ -49,8 +56,6 @@ __all__ = [
     "simulate_postselect",
     "qsvt_equivalence_check",
 ]
-
-DEFAULT_MARGIN = 1e-4
 
 
 class ZeroProbabilityError(RuntimeError):
@@ -103,15 +108,6 @@ class PostselectOutcome:
     stage_probs: tuple
 
 
-def _rescaled(c: PolyCoeffs, margin: float) -> tuple[PolyCoeffs, float]:
-    """Scale |P| safely under 1 - margin when it exceeds the cap."""
-    maxP = max_abs_circle(c)
-    if maxP > 1.0 - margin:
-        scale = (1.0 - 2.0 * margin) / maxP
-        return c.scaled(scale), scale
-    return c, 1.0
-
-
 def _ancilla_zero(iso: np.ndarray) -> np.ndarray:
     """|0> on a fresh leading qubit tensored with the given isometry."""
     return np.vstack([iso, np.zeros_like(iso)])
@@ -126,7 +122,7 @@ def gqet(e: HermitianEncoding, c: PolyCoeffs,
     max |P| > 1 - margin are scaled down first (scale recorded in metadata).
     """
     c = c if isinstance(c, PolyCoeffs) else PolyCoeffs(np.asarray(c))
-    c, scale = _rescaled(c, margin)
+    c, scale = rescale_to_margin(c, margin)
     ph = solve_phases(c, margin=0.0 if scale != 1.0 else margin)
     W = walk_operator(e)
     mat = gqsp_matrix(ph, W)
@@ -285,7 +281,7 @@ def gqsvt_multiplication(e: ProjectedUnitaryEncoding, c: PolyCoeffs,
     prod = multiply(e_dag, e)
     he = HermitianEncoding(prod.U, prod.Pi_L, prod.Pi_R, prod.alpha)
 
-    q, scale = _rescaled(q, margin)
+    q, scale = rescale_to_margin(q, margin)
     cp_q = gqet(he, q, margin=margin)
     dq = cp_q.degree
     K = cp_q.extraction["default"][0]

@@ -32,6 +32,7 @@ from gqtlab.transforms import (
     gqsvt_multiplication,
     qsvt_equivalence_check,
     simulate_postselect,
+    svt_oracle,
 )
 
 
@@ -316,3 +317,45 @@ def test_criterion_9_bound_suite():
             f"violations={rep.violations}+{rep4.violations}, "
             f"mod4 beta={beta4:.3f}, bernstein_ok={bern_ok}, "
             f"g1={g1_constant():.4f}")
+
+
+def coeff_gap(c, ph):
+    rec, ref = reconstruct_P(ph).coeffs, c.trimmed().coeffs
+    n = max(len(rec), len(ref))
+    return float(np.max(np.abs(np.pad(rec, (0, n - len(rec)))
+                               - np.pad(ref, (0, n - len(ref))))))
+
+
+def test_criterion_10_phase_synthesis_at_paper_degrees(inverse_design):
+    theta = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
+    worst = 0.0
+    defect = 0.0
+    for kappa in (40, 100):
+        c = inverse_design(kappa).poly
+        budget = 1e-8 * (c.degree + 1)
+        worst = max(worst, coeff_gap(c, solve_phases(c)) / budget)
+        q = complementary_polynomial(c)
+        total = (np.abs(eval_circle(c, theta)) ** 2
+                 + np.abs(eval_circle(q, theta)) ** 2)
+        defect = max(defect, float(np.max(np.abs(total - 1.0))))
+    # kappa = 40 singular-value inversion of an 8 x 6 matrix whose singular
+    # values span [1/kappa, 1].
+    rng = np.random.default_rng(110)
+    W, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    V, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    A = (W[:, :6] * np.linspace(1 / 40, 1.0, 6)) @ V.conj().T
+    c40 = inverse_design(40).poly
+    cp = gqsvt_hermitianization(dilate_general(A, 1.0), c40)
+    block = float(np.linalg.norm(extract_svt(cp, "odd")
+                                 - svt_oracle(A, 1.0, cp.poly, "odd"), 2))
+    block /= 1e-8 * cp.degree
+    c = scaled_random_poly(rng, 1024)
+    t0 = time.time()
+    ph = solve_phases(c)
+    elapsed = time.time() - t0
+    worst = max(worst, coeff_gap(c, ph) / (1e-8 * 1025))
+    verdict(10, "phase synthesis at the paper's degrees",
+            worst <= 1.0 and defect <= 1e-9 and block <= 1.0 and elapsed < 1.0,
+            f"worst round trip {worst:.2e} of budget, completion defect "
+            f"{defect:.2e}, kappa=40 gqsvt block {block:.2e} of budget, "
+            f"d=1024 in {elapsed:.2f}s")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gqtlab import phases
 from gqtlab.cli import EXIT_INPUT, EXIT_OK, EXIT_TOLERANCE, main
 from gqtlab.polynomials import PolyCoeffs
 from gqtlab.serialization import matrix_to_json, phases_from_file
@@ -189,6 +190,22 @@ class TestPhasesCommand:
             "poly": PolyCoeffs([0, 2.0]).to_json_dict()})
         assert main(["phases", "--config", cfg]) == EXIT_OK
         assert "rescaled" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("failure", ["defect", "completion"])
+    def test_synthesis_failure_exits_tolerance(self, tmp_path, capsys,
+                                               monkeypatch, failure):
+        real = phases.complementary_polynomial
+
+        def broken(c):
+            if failure == "completion":
+                raise phases.CompletionError("forced")
+            return real(c).scaled(1.001)
+
+        monkeypatch.setattr(phases, "complementary_polynomial", broken)
+        cfg = write_config(tmp_path, "p.json", {
+            "poly": PolyCoeffs([0, 0, 0.7]).to_json_dict()})
+        assert main(["phases", "--config", cfg]) == EXIT_TOLERANCE
+        assert "phase synthesis failed" in capsys.readouterr().err
 
 
 class TestScalingTableCommand:

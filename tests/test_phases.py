@@ -1,12 +1,16 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gqtlab import phases
 from gqtlab.phases import (
+    CompletionError,
     NormViolationError,
     PhaseFactors,
+    PhaseSynthesisError,
     RotationGate,
     complementary_polynomial,
     gqsp_matrix,
@@ -22,6 +26,8 @@ from gqtlab.polynomials import (
     max_abs_circle,
 )
 
+CIRCLE_4096 = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
+
 
 def scaled_random_poly(rng, d, target=0.9):
     a = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
@@ -34,6 +40,12 @@ def coeff_error(a: PolyCoeffs, b: PolyCoeffs) -> float:
     pa = np.pad(a.coeffs, (0, n - len(a.coeffs)))
     pb = np.pad(b.coeffs, (0, n - len(b.coeffs)))
     return float(np.max(np.abs(pa - pb)))
+
+
+def completion_defect(c: PolyCoeffs, q: PolyCoeffs) -> float:
+    total = (np.abs(eval_circle(c, CIRCLE_4096)) ** 2
+             + np.abs(eval_circle(q, CIRCLE_4096)) ** 2)
+    return float(np.max(np.abs(total - 1)))
 
 
 class TestRotationMatrix:
@@ -97,6 +109,55 @@ class TestSolvePhases:
             c = scaled_random_poly(rng, d)
             ph = solve_phases(c)
             assert coeff_error(reconstruct_P(ph), c.trimmed()) <= 1e-8 * (d + 1)
+
+
+class TestPaperDegrees:
+    """Phase synthesis at the degrees of the paper's inversion table."""
+
+    @pytest.mark.parametrize("kappa, degree", [(40, 221), (100, 553)])
+    def test_inversion_polynomial(self, inverse_design, kappa, degree):
+        c = inverse_design(kappa).poly
+        assert c.degree == degree
+        ph = solve_phases(c)
+        budget = 1e-8 * (degree + 1)
+        assert coeff_error(reconstruct_P(ph), c.trimmed()) <= budget
+        assert completion_defect(c, complementary_polynomial(c)) <= 1e-9
+
+    def test_random_degree_1024_under_a_second(self):
+        c = scaled_random_poly(np.random.default_rng(26), 1024)
+        t0 = time.perf_counter()
+        ph = solve_phases(c)
+        elapsed = time.perf_counter() - t0
+        assert coeff_error(reconstruct_P(ph), c.trimmed()) <= 1e-8 * 1025
+        assert completion_defect(c, complementary_polynomial(c)) <= 1e-9
+        assert elapsed < 1.0
+
+
+class TestSelfCheck:
+    @pytest.mark.parametrize("bad_q", [
+        # |P|^2 + |Q|^2 = 1 broken: caught by the completion defect.
+        lambda q: q.scaled(1.001),
+        # Same modulus on the circle, roots outside the disk: the identity
+        # holds but stripping loses P, caught by the round trip.
+        lambda q: PolyCoeffs(np.conj(q.coeffs[::-1])),
+    ], ids=["defect", "round-trip"])
+    def test_perturbed_completion_raises(self, monkeypatch, bad_q):
+        real = phases.complementary_polynomial
+        monkeypatch.setattr(phases, "complementary_polynomial",
+                            lambda c: bad_q(real(c)))
+        c = scaled_random_poly(np.random.default_rng(27), 100)
+        with pytest.raises(PhaseSynthesisError):
+            solve_phases(c)
+
+    def test_unit_modulus_has_no_completion(self):
+        with pytest.raises(CompletionError):
+            solve_phases(PolyCoeffs([1.0]), margin=0.0)
+
+    def test_grid_cap(self):
+        # 1 - |P|^2 vanishes 3e-6 off the circle: no grid up to the cap
+        # resolves its logarithm.
+        with pytest.raises(CompletionError):
+            complementary_polynomial(PolyCoeffs([0.5, 0.5]).scaled(1 - 1e-12))
 
 
 class TestReconstructP:
@@ -180,7 +241,7 @@ class TestGqspMatrix:
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 16), st.integers(0, 2 ** 31 - 1))
+@given(st.integers(0, 256), st.integers(0, 2 ** 31 - 1))
 def test_round_trip_property(d, seed):
     rng = np.random.default_rng(seed)
     c = scaled_random_poly(rng, d)
