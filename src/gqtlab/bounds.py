@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .polynomials import PolyCoeffs, max_abs_circle, max_abs_interval
+from .polynomials import PolyCoeffs, max_abs_circle
 
 __all__ = [
     "BoundParams",
@@ -202,11 +202,11 @@ def verify_beta_bound(sampler: Callable[[np.random.Generator], PolyCoeffs],
     return BoundReport(tuple(rows), violations)
 
 
-def bernstein_check(c: PolyCoeffs, samples: int = 4096) -> bool:
+def bernstein_check(c: PolyCoeffs) -> bool:
     """||f'||_inf <= N ||f||_inf for f(theta) = P(e^{i theta})."""
     c = c.trimmed()
     N = max(c.degree, 1)
     deriv = PolyCoeffs(np.arange(len(c.coeffs)) * c.coeffs)
-    lhs = max_abs_circle(deriv, samples=samples)
-    rhs = N * max_abs_circle(c, samples=samples)
+    lhs = max_abs_circle(deriv)
+    rhs = N * max_abs_circle(c)
     return lhs <= rhs * (1.0 + 1e-9) + 1e-12

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -149,7 +150,7 @@ def cmd_scaling_table(args) -> int:
     return EXIT_TOLERANCE if flagged else EXIT_OK
 
 
-def _hermitian_encoding_from_config(cfg, rng):
+def _hermitian_encoding_from_config(cfg):
     A = _load_matrix(cfg)
     if A.shape[0] != A.shape[1] or np.linalg.norm(A - A.conj().T) > 1e-10:
         raise InputError("gqet needs a square Hermitian matrix")
@@ -159,8 +160,7 @@ def _hermitian_encoding_from_config(cfg, rng):
 
 def cmd_gqet(args) -> int:
     cfg = _load_config(args)
-    rng = np.random.default_rng(args.seed)
-    A, enc = _hermitian_encoding_from_config(cfg, rng)
+    A, enc = _hermitian_encoding_from_config(cfg)
     c = _load_poly(cfg)
     cp = gqet(enc, c)
     oracle = eigen_oracle(A, enc.alpha, cp.poly)
@@ -287,28 +287,28 @@ def cmd_phases(args) -> int:
     return EXIT_OK if err <= tol else EXIT_TOLERANCE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: a build costs over a
+    millisecond, and parse_args leaves the parser unchanged."""
     p = argparse.ArgumentParser(prog="gqtlab", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, fn in [("scaling-table", cmd_scaling_table),
-                     ("gqet", cmd_gqet),
-                     ("gqsvt", cmd_gqsvt),
-                     ("bounds", cmd_bounds),
-                     ("phases", cmd_phases)]:
+    for name in ("scaling-table", "gqet", "gqsvt", "bounds", "phases"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--tol", type=float, default=None)
-        sp.set_defaults(func=fn)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up per call, so a rebound cmd_* handler is the one that runs.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

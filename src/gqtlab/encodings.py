@@ -15,6 +15,8 @@ import warnings
 
 import numpy as np
 
+from .serialization import matrix_to_json
+
 __all__ = [
     "ProjectedUnitaryEncoding",
     "HermitianEncoding",
@@ -125,7 +127,6 @@ class ProjectedUnitaryEncoding:
         return self.Pi_R.shape[1]
 
     def to_json_dict(self) -> dict:
-        from .serialization import matrix_to_json
         return {
             "U": matrix_to_json(self.U),
             "Pi_L": matrix_to_json(self.Pi_L),

@@ -176,78 +176,92 @@ def eval_circle(c: PolyCoeffs | Sequence[complex], theta):
     return _poly.polyval(z, c.coeffs)
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float,
-                xtol: float = 1e-9) -> float:
-    """Maximum of a unimodal-on-[lo,hi] function by golden-section search."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1, f2 = f(c1), f(c2)
-    while (b - a) > xtol:
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = f(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = f(c1)
-    return max(f1, f2, f(0.5 * (a + b)))
+# Both sup norms are max |Q(e^{i theta})| for one polynomial Q of degree D:
+# Q = P on the circle (D = d), and on the interval the palindromic
+# Q = (a_d, .., a_1, 2 a_0, a_1, .., a_d) / 2 (D = 2d), as
+# Q(e^{i theta}) = e^{i d theta} p(cos theta).  One FFT samples Q at
+# N >= 32 (D + 1) points.  g = |Q|^2 is a trigonometric polynomial of degree
+# D, so by Bernstein's inequality its maximum exceeds the grid maximum by at
+# most a relative (D pi / N)^2 / 2.  All grid peaks in that band are refined
+# together by Newton steps on g' = 0, and the largest |Q| evaluated, a value
+# Q attains, is returned.
+_GRID_PER_DEGREE = 32
+_NEWTON_EVALS = 3  # parabolic start, then two Newton steps
+_CHUNK = 1024  # grid peaks refined together (a few MB at D ~ 10^4)
 
 
-# Uniform sampling is capped so very high degrees stay tractable; the
-# refinement step recovers anything the grid clips.
-_SAMPLES_PER_DEGREE = 4096
-_SAMPLES_CAP = 1 << 20
-_REFINE_TOP = 8
+def _sup_abs(c: np.ndarray, mirrored: bool) -> float:
+    """max |sum_k c_k e^{i k theta}|; over theta in [-pi, 0] if `mirrored`."""
+    D = len(c) - 1
+    n = 1 << (_GRID_PER_DEGREE * (D + 1) - 1).bit_length()
+    g = np.abs(np.fft.fft(c, n)) ** 2  # at theta_j = -2 pi j / n
+    gmax = float(g.max())
+    lo, hi = np.roll(g, 1), np.roll(g, -1)
+    # A peak must rise above FFT rounding (about 64 eps per FFT stage), so
+    # |z^d| and constants have none.
+    peak = ((g >= lo) & (g >= hi)
+            & (g >= gmax * (1.0 - 0.5 * (D * math.pi / n) ** 2))
+            & (g - np.minimum(lo, hi) > 1.5e-14 * math.log2(n) * gmax))
+    js = np.flatnonzero(peak[: n // 2 + 1] if mirrored else peak)
+    best = gmax
+    for s in range(0, len(js), _CHUNK):
+        best = max(best, _newton_peaks(c, js[s:s + _CHUNK], lo, g, hi, n))
+    return math.sqrt(best)
 
 
-def _sample_count(degree: int, samples: int | None) -> int:
-    if samples is not None:
-        return max(int(samples), 4 * (degree + 1))
-    return min(_SAMPLES_PER_DEGREE * (degree + 1), _SAMPLES_CAP)
+def _newton_peaks(c: np.ndarray, j: np.ndarray, lo: np.ndarray,
+                  g: np.ndarray, hi: np.ndarray, n: int) -> float:
+    """Largest |Q|^2 met by Newton steps from the grid peaks j.
 
-
-def _refined_max(values: np.ndarray, grid: np.ndarray,
-                 f: Callable[[float], float], periodic: bool) -> float:
-    best = float(np.max(values))
-    n = len(grid)
-    top = np.argsort(values)[-_REFINE_TOP:]
-    step = grid[1] - grid[0]
-    for i in top:
-        if periodic:
-            lo, hi = grid[i] - step, grid[i] + step
-        else:
-            lo = max(grid[0], grid[i] - step)
-            hi = max(lo + 1e-15, min(grid[-1], grid[i] + step))
-        best = max(best, _golden_max(f, lo, hi))
+    Baby-step giant-step: for k = B k1 + k0, e^{i k theta} is the product of
+    e^{i B k1 theta} and e^{i k0 theta}.  Each is its grid part, from the
+    exact residue (k j) mod n, times a power below sqrt(D) + 1 of the offset
+    rotation, so no array has len(j) * len(c) entries.
+    """
+    h = 2.0 * math.pi / n
+    B = math.isqrt(len(c) - 1) + 1
+    m = -(-len(c) // B)
+    k = np.arange(m * B)
+    coef = np.zeros((3, m * B), dtype=complex)
+    coef[:, :len(c)] = c
+    coef = (coef * np.stack([k ** 0, k, k * k])).reshape(3 * m, B).T
+    grid = [np.exp((-2j * math.pi / n) * ((e * j[:, None]) % n))
+            for e in (k[:B], B * k[:m])]
+    # Start at the vertex of the parabola through three grid values (theta
+    # falls as the index rises); stay within one grid step of theta_j.
+    delta = -0.5 * h * (lo[j] - hi[j]) / (lo[j] - 2.0 * g[j] + hi[j])
+    best = 0.0
+    for _ in range(_NEWTON_EVALS):
+        baby = grid[0] * _powers(np.exp(1j * delta), B)
+        giant = grid[1] * _powers(np.exp(1j * B * delta), m)
+        t = (baby @ coef).reshape(len(j), 3, m)
+        s0, s1, s2 = np.matmul(t, giant[:, :, None])[:, :, 0].T
+        best = max(best, float(np.max(np.abs(s0) ** 2)))
+        # theta-derivatives of g = |Q|^2, with Q' = i s1 and Q'' = -s2.
+        g1 = -2.0 * np.imag(np.conj(s0) * s1)
+        g2 = 2.0 * (np.abs(s1) ** 2 - np.real(np.conj(s0) * s2))
+        step = np.where(g2 < 0, -g1 / np.where(g2 < 0, g2, -1.0),
+                        np.sign(g1) * h)
+        delta = np.clip(delta + np.clip(step, -h, h), -h, h)
     return best
 
 
-def max_abs_interval(c: PolyCoeffs | Sequence[complex],
-                     samples: int | None = None) -> float:
-    """max over [-1, 1] of |p(x)|, dense sampling plus local refinement."""
-    c = _as_poly(c)
-    n = _sample_count(c.degree, samples)
-    # Sample in theta: p(cos theta) covers [-1,1] with extra density at the
-    # endpoints, where Chebyshev sums peak most often.
-    theta = np.linspace(0.0, math.pi, n)
-    vals = np.abs(_cheb.chebval(np.cos(theta), c.coeffs))
-    f = lambda t: abs(_cheb.chebval(math.cos(t), c.coeffs))
-    return _refined_max(vals, theta, f, periodic=False)
+def _powers(u: np.ndarray, count: int) -> np.ndarray:
+    """Rows u^0 .. u^(count - 1), by repeated multiplication."""
+    ones = np.ones((len(u), 1), dtype=complex)
+    return np.cumprod(np.hstack([ones, np.tile(u[:, None], count - 1)]), 1)
 
 
-def max_abs_circle(c: PolyCoeffs | Sequence[complex],
-                   samples: int | None = None) -> float:
-    """max over theta of |P(e^{i theta})|, FFT sampling plus refinement."""
-    c = _as_poly(c)
-    n = _sample_count(c.degree, samples)
-    # FFT evaluates P at all n-th roots of unity at once.
-    vals = np.abs(np.fft.fft(c.coeffs, n))
-    theta = -2.0 * math.pi * np.arange(n) / n  # fft convention e^{-2pi i kj/n}
-    f = lambda t: abs(_poly.polyval(np.exp(1j * t), c.coeffs))
-    return _refined_max(vals, theta, f, periodic=True)
+def max_abs_interval(c: PolyCoeffs | Sequence[complex]) -> float:
+    """max over [-1, 1] of |p(x)|, by the FFT peak search above."""
+    a = _as_poly(c).coeffs
+    half = a[:0:-1] / 2.0
+    return _sup_abs(np.concatenate((half, a[:1], half[::-1])), True)
+
+
+def max_abs_circle(c: PolyCoeffs | Sequence[complex]) -> float:
+    """max over theta of |P(e^{i theta})|, by the FFT peak search above."""
+    return _sup_abs(_as_poly(c).coeffs, False)
 
 
 def scaling_factor(c: PolyCoeffs | Sequence[complex]) -> float:
@@ -302,32 +316,25 @@ def _check_parity(c: PolyCoeffs, want: str, tol: float = 1e-10):
         raise ParityError(f"coefficients are not {want} within tolerance")
 
 
-def _cheb_shifted_tn(n_max: int) -> list[np.ndarray]:
-    """Chebyshev(x) coefficients of T_n(2x - 1) for n = 0..n_max.
+def _substitute(w: np.ndarray, first: list[float]) -> PolyCoeffs:
+    """sum_n w_n c_n(x) for c_0 = 1, c_1 = first, c_n = 2u c_{n-1} - c_{n-2}.
 
-    Uses the three-term recurrence with u(x) = 2x - 1 = -T_0 + 2 T_1.
+    u = 2x - 1 = -T_0 + 2 T_1; everything is in the Chebyshev basis.
     """
     u = np.array([-1.0, 2.0])
-    out = [np.array([1.0])]
-    if n_max >= 1:
-        out.append(u.copy())
-    for _ in range(2, n_max + 1):
-        out.append(_cheb.chebsub(2.0 * _cheb.chebmul(u, out[-1]), out[-2]))
-    return out
+    q = np.zeros(max(len(w), 1), dtype=complex)
+    prev, cur = np.array([1.0]), np.array(first)
+    for n, wn in enumerate(w):
+        q[: n + 1] += wn * prev
+        prev, cur = cur, _cheb.chebsub(2.0 * _cheb.chebmul(u, cur), prev)
+    return PolyCoeffs(q)
 
 
 def sqrt_substitute_even(c_even: PolyCoeffs | Sequence[complex]) -> PolyCoeffs:
     """q with q(y^2) = p_even(y); via T_{2n}(y) = T_n(2y^2 - 1)."""
     c = _as_poly(c_even)
     _check_parity(c, "even")
-    m = c.degree // 2
-    basis = _cheb_shifted_tn(m)
-    q = np.zeros(m + 1, dtype=complex)
-    for n in range(m + 1):
-        k = 2 * n
-        if k <= c.degree:
-            q[: n + 1] += c.coeffs[k] * basis[n]
-    return PolyCoeffs(q)
+    return _substitute(c.coeffs[0::2], [-1.0, 2.0])
 
 
 def sqrt_substitute_odd(c_odd: PolyCoeffs | Sequence[complex]) -> PolyCoeffs:
@@ -338,19 +345,7 @@ def sqrt_substitute_odd(c_odd: PolyCoeffs | Sequence[complex]) -> PolyCoeffs:
     """
     c = _as_poly(c_odd)
     _check_parity(c, "odd")
-    m = (c.degree - 1) // 2 if c.degree >= 1 else 0
-    u = np.array([-1.0, 2.0])  # 2x - 1 in the Chebyshev basis
-    fams = [np.array([1.0])]
-    if m >= 1:
-        fams.append(_cheb.chebsub(2.0 * u, np.array([1.0])))
-    for _ in range(2, m + 1):
-        fams.append(_cheb.chebsub(2.0 * _cheb.chebmul(u, fams[-1]), fams[-2]))
-    q = np.zeros(m + 1, dtype=complex)
-    for n in range(m + 1):
-        k = 2 * n + 1
-        if k <= c.degree:
-            q[: n + 1] += c.coeffs[k] * fams[n]
-    return PolyCoeffs(q)
+    return _substitute(c.coeffs[1::2], [-3.0, 4.0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .encodings import ProjectedUnitaryEncoding
 from .phases import PhaseFactors
 from .polynomials import PolyCoeffs
 
@@ -29,7 +28,6 @@ __all__ = [
     "phases_to_file",
     "matrix_from_file",
     "matrix_to_file",
-    "encoding_from_json",
 ]
 
 
@@ -82,11 +80,3 @@ def matrix_from_file(path: str | Path) -> np.ndarray:
 def matrix_to_file(m: np.ndarray, path: str | Path):
     save_json(matrix_to_json(m), path)
 
-
-def encoding_from_json(d: dict) -> ProjectedUnitaryEncoding:
-    return ProjectedUnitaryEncoding(
-        matrix_from_json(d["U"]),
-        matrix_from_json(d["Pi_L"]),
-        matrix_from_json(d["Pi_R"]),
-        float(d["alpha"]),
-    )

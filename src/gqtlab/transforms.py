@@ -18,7 +18,6 @@ import numpy as np
 from .encodings import (
     HermitianEncoding,
     ProjectedUnitaryEncoding,
-    encoded_matrix,
     hermitianize,
     multiply,
     walk_operator,
@@ -281,7 +280,6 @@ def gqsvt_multiplication(e: ProjectedUnitaryEncoding, c: PolyCoeffs,
     prod = multiply(e_dag, e)
     he = HermitianEncoding(prod.U, prod.Pi_L, prod.Pi_R, prod.alpha)
 
-    q, scale = rescale_to_margin(q, margin)
     cp_q = gqet(he, q, margin=margin)
     dq = cp_q.degree
     K = cp_q.extraction["default"][0]
@@ -290,7 +288,7 @@ def gqsvt_multiplication(e: ProjectedUnitaryEncoding, c: PolyCoeffs,
         cp = CircuitProduct(
             matrix=cp_q.matrix, queries_U=dq, queries_U_dagger=dq,
             degree=d, route="gqsvt-multiplication",
-            scale_applied=scale * cp_q.scale_applied,
+            scale_applied=cp_q.scale_applied,
             extraction={"default": (K, K)}, encoding=e, poly=c,
             phases=cp_q.phases, stages=((cp_q.matrix, K, K),))
         out = simulate_postselect(cp, schedule="end-only")
@@ -308,7 +306,7 @@ def gqsvt_multiplication(e: ProjectedUnitaryEncoding, c: PolyCoeffs,
     cp = CircuitProduct(
         matrix=final.U, queries_U=dq + 1, queries_U_dagger=dq,
         degree=d, route="gqsvt-multiplication",
-        scale_applied=scale * cp_q.scale_applied,
+        scale_applied=cp_q.scale_applied,
         extraction={"default": (final.Pi_L, final.Pi_R)}, encoding=e,
         poly=c, phases=cp_q.phases, stages=stages)
     out = simulate_postselect(cp, schedule="measure-early")

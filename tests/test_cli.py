@@ -232,3 +232,12 @@ class TestScalingTableCommand:
         kappas = [float(line.split(",")[1])
                   for line in out.read_text().splitlines()[1:]]
         assert kappas == sorted(kappas)
+
+
+def test_main_runs_the_handler_bound_at_call_time(monkeypatch):
+    # The parser is built once per process; rebinding a cmd_* handler, as
+    # per-module tracing does, must still change what main runs.
+    from gqtlab import cli
+    assert main(["phases", "--config", "missing.json"]) == EXIT_INPUT
+    monkeypatch.setattr(cli, "cmd_phases", lambda args: 7)
+    assert main(["phases"]) == 7

@@ -1,8 +1,13 @@
 import math
+import time
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import chebyshev as npcheb
+from numpy.polynomial import polynomial as npmono
 
 from gqtlab.polynomials import (
     ApproxSpec,
@@ -96,6 +101,148 @@ class TestMaxAbs:
                 np.polynomial.chebyshev.chebval(x, c.coeffs)))
             assert max_abs_circle(c) == pytest.approx(grid_circle, rel=1e-6)
             assert max_abs_interval(c) == pytest.approx(grid_interval, rel=1e-6)
+
+
+def sup_oracle(a, interval):
+    """max |p| on [-1, 1] (interval) or max |P| on the circle, without gqtlab.
+
+    Every local maximum of |f|^2 on a dense FFT grid that Bernstein's
+    inequality cannot rule out is polished by Newton steps in theta, using
+    numpy's polynomial evaluation; the best few points are then evaluated in
+    mpmath at 30 digits.
+    """
+    a = np.asarray(a, dtype=complex)
+    d = len(a) - 1
+    D = 2 * d if interval else d  # degree of |f|^2 in theta
+    M = 1 << (256 * (D + 1)).bit_length()
+    F = np.fft.fft(a, M)  # F[j] = P(e^{-i theta_j}), theta_j = 2 pi j / M
+    if interval:
+        vals, t = 0.5 * (F + np.roll(F[::-1], 1)), 2 * np.pi * np.arange(M) / M
+    else:
+        vals, t = F, -2 * np.pi * np.arange(M) / M
+    g = np.abs(vals) ** 2
+    peaks = ((g >= np.roll(g, 1)) & (g >= np.roll(g, -1))
+             & (g >= g.max() * (1 - 0.5 * (D * np.pi / M) ** 2)))
+    if interval:
+        peaks[M // 2 + 1:] = False  # p(cos theta) is even in theta
+    t = t[peaks]
+    assert 0 < t.size < 10 ** 4
+    if interval:
+        da, dda = npcheb.chebder(a), npcheb.chebder(a, 2)
+    else:
+        da, dda = npmono.polyder(a), npmono.polyder(a, 2)
+    for _ in range(6):
+        if interval:
+            x, s = np.cos(t), np.sin(t)
+            f, f1 = npcheb.chebval(x, a), -s * npcheb.chebval(x, da)
+            f2 = s * s * npcheb.chebval(x, dda) - x * npcheb.chebval(x, da)
+        else:
+            z = np.exp(1j * t)
+            f, p1 = npmono.polyval(z, a), npmono.polyval(z, da)
+            f1 = 1j * z * p1
+            f2 = -(z * p1 + z * z * npmono.polyval(z, dda))
+        g1 = 2 * np.real(np.conj(f) * f1)
+        g2 = 2 * (np.abs(f1) ** 2 + np.real(np.conj(f) * f2))
+        t = t - np.where(g2 < 0, g1 / np.where(g2 < 0, g2, -1.0), 0.0)
+    with mpmath.workdps(30):
+        coeffs = [mpmath.mpc(c.real, c.imag) for c in a]
+        best = mpmath.mpf(0)
+        for ti in t[np.argsort(np.abs(f))[-3:]]:
+            if interval:
+                x = mpmath.cos(mpmath.mpf(float(ti)))
+                b1 = b2 = mpmath.mpf(0)
+                for c in coeffs[:0:-1]:  # Clenshaw
+                    b1, b2 = 2 * x * b1 - b2 + c, b1
+                v = coeffs[0] + x * b1 - b2
+            else:
+                v = mpmath.polyval(coeffs[::-1], mpmath.expj(float(ti)))
+            best = max(best, abs(v))
+        return float(best)
+
+
+def tie_family(d):
+    """(coefficients, exact circle max or None, exact interval max or None).
+
+    z^d (= T_d), whose modulus is flat on the circle; 1 + z^d; and T_d plus a
+    1e-4 bump centred at x = 0.3, a near-tie among about d peaks.
+    """
+    e = np.zeros(d + 1, dtype=complex)
+    e[d] = 1.0
+    one = e.copy()
+    one[0] += 1.0
+    bump = npcheb.chebinterpolate(
+        lambda x: 1e-4 * np.exp(-((x - 0.3) / 0.2) ** 2), 40)
+    bumped = e.copy()
+    bumped[:min(41, d + 1)] += bump[:d + 1]
+    return [(e, 1.0, 1.0), (one, 2.0, 2.0), (bumped, None, None)]
+
+
+class TestSupNorm:
+    """The FFT peak search behind max_abs_circle and max_abs_interval."""
+
+    @pytest.mark.parametrize("d", [1, 7, 55, 553])
+    def test_off_grid_circle_peak(self, d):
+        # |1 + e^{i sqrt 2} z^d| = 2 where d theta + sqrt 2 = 0 mod 2 pi.
+        a = np.zeros(d + 1, dtype=complex)
+        a[0], a[d] = 1.0, np.exp(1j * math.sqrt(2))
+        assert max_abs_circle(a) == pytest.approx(2.0, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("k", [1, 5, 55, 276])
+    def test_off_grid_interval_peak(self, k):
+        # q(y) = 2 - (y - y0)^2 peaks at y0 = 1/sqrt 3 with |q| <= 2 on
+        # [-1, 1]; p = e^{i sqrt 2} q(T_k) peaks wherever T_k(x) = y0, and
+        # q(T_k) has Chebyshev coefficients q_m at index m k.
+        y0 = 1 / math.sqrt(3)
+        q = [1.5 - y0 * y0, 2 * y0, -0.5]
+        a = np.zeros(2 * k + 1, dtype=complex)
+        a[::k] = np.exp(1j * math.sqrt(2)) * np.array(q)
+        assert max_abs_interval(a) == pytest.approx(2.0, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("d", [1, 2, 55, 553, 2349])
+    def test_tie_family(self, d):
+        for a, circle, interval in tie_family(d):
+            for f, exact, on_interval in ((max_abs_circle, circle, False),
+                                          (max_abs_interval, interval, True)):
+                want = exact if exact is not None else sup_oracle(a, on_interval)
+                assert f(a) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_kappa_100_design(self, inverse_design):
+        c = inverse_design(100).poly
+        assert c.degree == 553
+        assert max_abs_circle(c) == pytest.approx(
+            sup_oracle(c.coeffs, False), rel=1e-12, abs=0)
+        assert max_abs_interval(c) == pytest.approx(
+            sup_oracle(c.coeffs, True), rel=1e-12, abs=0)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 512), st.booleans(), st.integers(0, 2 ** 31 - 1))
+    def test_random_against_oracle(self, d, real, seed):
+        a = random_poly(np.random.default_rng(seed), d, real=real).coeffs
+        assert max_abs_circle(a) == pytest.approx(
+            sup_oracle(a, False), rel=1e-12, abs=0)
+        assert max_abs_interval(a) == pytest.approx(
+            sup_oracle(a, True), rel=1e-12, abs=0)
+
+    def test_degree_2349_time(self):
+        # kappa = 300 inversion polynomials have degree 2349.
+        a = random_poly(np.random.default_rng(20), 2349)
+        t0 = time.perf_counter()
+        max_abs_circle(a), max_abs_interval(a)
+        assert time.perf_counter() - t0 < 0.25
+        for a, _, _ in tie_family(2349):
+            t0 = time.perf_counter()
+            max_abs_circle(a), max_abs_interval(a)
+            assert time.perf_counter() - t0 < 0.5
+
+    def test_degree_2349_memory(self):
+        a = tie_family(2349)[2][0]
+        tracemalloc.start()
+        try:
+            max_abs_circle(a), max_abs_interval(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestScalingFactor:
