@@ -52,7 +52,6 @@ from .transforms import (
     PostselectOutcome,
     eigen_oracle,
     extract_svt,
-    extracted_block,
     gqet,
     gqet_absorbed_matrix,
     gqsvt_hermitianization,

@@ -43,9 +43,8 @@ from .polynomials import (
     max_abs_interval,
 )
 from .transforms import (
-    extract_svt,
-    extracted_block,
     eigen_oracle,
+    extract_svt,
     gqet,
     gqsvt_hermitianization,
     gqsvt_multiplication,
@@ -164,7 +163,7 @@ def cmd_gqet(args) -> int:
     c = _load_poly(cfg)
     cp = gqet(enc, c)
     oracle = eigen_oracle(A, enc.alpha, cp.poly)
-    residual = float(np.linalg.norm(extracted_block(cp) - oracle, 2))
+    residual = float(np.linalg.norm(extract_svt(cp) - oracle, 2))
     tol = args.tol if args.tol is not None else 1e-8 * max(cp.degree, 1)
     report = {
         "residual": residual, "tol": tol, **cp.metadata(),
@@ -182,6 +181,9 @@ def cmd_gqsvt(args) -> int:
     enc = dilate_general(A, alpha)
     c = _load_poly(cfg)
     route = cfg.get("route", "both")
+    if route not in ("hermitianization", "multiplication", "both"):
+        raise InputError(f"unknown gqsvt route {route!r}; have "
+                         "'hermitianization', 'multiplication', 'both'")
     parity = cfg.get("parity")
     if parity not in ("even", "odd"):
         raise InputError("gqsvt config needs parity 'even' or 'odd'")
@@ -202,7 +204,7 @@ def cmd_gqsvt(args) -> int:
         d = cp.degree
     if route in ("multiplication", "both"):
         cp, outcome = gqsvt_multiplication(enc, c, parity)
-        blk = extracted_block(cp)
+        blk = extract_svt(cp)
         oracle = svt_oracle(A, alpha, c.scaled(cp.scale_applied), parity)
         r = float(np.linalg.norm(blk - oracle, 2))
         worst = max(worst, r / max(cp.scale_applied, 1e-300))

@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 
+from .phases import _is_unitary
 from .serialization import matrix_to_json
 
 __all__ = [
@@ -68,7 +69,7 @@ def _validate_core(U, Pi_L, Pi_R, alpha, hermitian: bool) -> list[str]:
     if U.shape != (M, M):
         problems.append(f"U is {U.shape}, not square")
         return problems
-    if np.linalg.norm(U.conj().T @ U - np.eye(M)) > VALIDATION_TOL * max(M, 1):
+    if not _is_unitary(U, VALIDATION_TOL * max(M, 1)):
         problems.append("U is not unitary to 1e-10")
     if hermitian and np.linalg.norm(U - U.conj().T) > VALIDATION_TOL * max(M, 1):
         problems.append("U is not Hermitian to 1e-10")
@@ -340,18 +341,28 @@ def hermitianize(e: ProjectedUnitaryEncoding) -> HermitianEncoding:
     return HermitianEncoding(U_bar, Pi_bar, Pi_bar, e.alpha)
 
 
-def _pad_encoding(e: ProjectedUnitaryEncoding, M: int) -> ProjectedUnitaryEncoding:
-    """Extend the unitary by an identity direct summand up to dimension M."""
-    extra = M - e.M
-    if extra == 0:
-        return e
-    U = np.block([
-        [e.U, np.zeros((e.M, extra))],
-        [np.zeros((extra, e.M)), np.eye(extra)],
-    ])
-    Pi_L = np.vstack([e.Pi_L, np.zeros((extra, e.N_L))])
-    Pi_R = np.vstack([e.Pi_R, np.zeros((extra, e.N_R))])
-    return ProjectedUnitaryEncoding(U, Pi_L, Pi_R, e.alpha)
+def _block_product(U1, Pi1_L, Pi1_R, U2, Pi2_L, Pi2_R):
+    """(U_bar, Pi_L, Pi_R) of `multiply`, block by block and unchecked.
+
+    With X = U1 U2, a = U1 Pi_{1,R}, b = U1 Pi_{2,L}, c = Pi_{2,L}^dag U2 and
+    f = Pi_{1,R}^dag U2, U_bar = [[a c, X - a f], [X - b c, b f]]: one product
+    plus rank-N corrections.  The smaller unitary, padded by an identity
+    summand, is applied to its own rows or columns only.
+    """
+    m1, m2 = len(U1), len(U2)
+    M = max(m1, m2)
+    P1R, P2L = (np.pad(P, ((0, M - len(P)), (0, 0))) for P in (Pi1_R, Pi2_L))
+    X = np.pad(U2, (0, M - m2)) + np.diag(np.arange(M) >= m2)
+    ab = np.hstack([P1R, P2L])          # [a, b] = (U1 (+) I) [P1R, P2L]
+    cf = np.hstack([P2L, P1R]).conj().T  # [c; f] = [P2L, P1R]^dag (U2 (+) I)
+    X[:m1], ab[:m1] = U1 @ X[:m1], U1 @ ab[:m1]
+    cf[:, :m2] = cf[:, :m2] @ U2
+    (a, b), (c, f) = np.hsplit(ab, 2), np.vsplit(cf, 2)
+    U_bar = np.vstack([a, -b]) @ np.hstack([c, -f])
+    U_bar[:M, M:] += X
+    U_bar[M:, :M] += X
+    return (U_bar, np.pad(Pi1_L, ((0, 2 * M - m1), (0, 0))),
+            np.pad(Pi2_R, ((0, 2 * M - m2), (0, 0))))
 
 
 def multiply(e1: ProjectedUnitaryEncoding,
@@ -370,21 +381,16 @@ def multiply(e1: ProjectedUnitaryEncoding,
     When Pi_{1,R} = Pi_{2,L} this reduces to the projector-controlled-NOT
     form I2 (x) P + X (x) (I - P).  Extraction: Pi_bar = |0> (x) Pi_{1,L} /
     |0> (x) Pi_{2,R}.  Unitary dimension is 2*max(M1, M2): the smaller
-    encoding is padded by an identity direct summand first.
+    encoding is padded by an identity direct summand first.  When e1 is the
+    adjoint of e2, U_bar is Hermitian and a HermitianEncoding is returned.
     """
     if e1.N_R != e2.N_L:
         raise ValueError(
             f"inner dimensions differ: {e1.N_R} (right of first) vs "
             f"{e2.N_L} (left of second)")
-    M = max(e1.M, e2.M)
-    e1 = _pad_encoding(e1, M)
-    e2 = _pad_encoding(e2, M)
-    V = e1.Pi_R @ e2.Pi_L.conj().T
-    P1 = e1.Pi_R @ e1.Pi_R.conj().T
-    P2 = e2.Pi_L @ e2.Pi_L.conj().T
-    eye = np.eye(M)
-    Omega = np.block([[V, eye - P1], [eye - P2, V.conj().T]])
-    U_bar = np.kron(np.eye(2), e1.U) @ Omega @ np.kron(np.eye(2), e2.U)
-    Pi_L = np.vstack([e1.Pi_L, np.zeros((M, e1.N_L))])
-    Pi_R = np.vstack([e2.Pi_R, np.zeros((M, e2.N_R))])
-    return ProjectedUnitaryEncoding(U_bar, Pi_L, Pi_R, e1.alpha * e2.alpha)
+    adjoint = (e1.M == e2.M and np.array_equal(e1.Pi_L, e2.Pi_R)
+               and np.array_equal(e1.Pi_R, e2.Pi_L)
+               and np.array_equal(e1.U, e2.U.conj().T))
+    cls = HermitianEncoding if adjoint else ProjectedUnitaryEncoding
+    return cls(*_block_product(e1.U, e1.Pi_L, e1.Pi_R, e2.U, e2.Pi_L, e2.Pi_R),
+               e1.alpha * e2.alpha)

@@ -289,22 +289,33 @@ def solve_phases(c: PolyCoeffs | Sequence[complex],
     return ph
 
 
+def _is_unitary(U: np.ndarray, tol: float) -> bool:
+    """U is square with ||U^dag U - I||_F <= tol: the one unitarity check."""
+    return (U.ndim == 2 and U.shape[0] == U.shape[1]
+            and bool(np.linalg.norm(U.conj().T @ U - np.eye(len(U))) <= tol))
+
+
 def gqsp_matrix(ph: PhaseFactors, U: np.ndarray) -> np.ndarray:
     """Explicit 2M x 2M circuit matrix; top-left block applies P to U.
 
     The ancilla is the slow tensor factor: diag(z, 1) becomes
-    block_diag(U, I), i.e. U is applied when the ancilla is |0>.
+    block_diag(U, I), i.e. U is applied when the ancilla is |0>.  Built in
+    place as two M-row halves: U multiplies the top half (2 M^3 per layer),
+    and each rotation mixes the halves entry-wise; no (2M)^3 product is formed.
     """
     U = np.asarray(U, dtype=complex)
-    M = U.shape[0]
-    if U.shape != (M, M) or np.linalg.norm(U.conj().T @ U - np.eye(M)) > 1e-10:
+    if not _is_unitary(U, 1e-10):
         raise ValueError("U must be unitary to 1e-10")
-    eyeM = np.eye(M)
-    A = np.block([[U, np.zeros((M, M))], [np.zeros((M, M)), eyeM]])
-    out = np.kron(rotation_matrix(RotationGate(ph.thetas[0], ph.phis[0],
-                                               ph.lam)), eyeM)
+    M = len(U)
+    r = rotation_matrix(RotationGate(ph.thetas[0], ph.phis[0], ph.lam))
+    out = np.kron(r, np.eye(M))
+    top, bot = out[:M], out[M:]
+    Utop, tmp = np.empty_like(top), np.empty_like(top)
     for k in range(1, ph.degree + 1):
-        out = A @ out
-        out = np.kron(rotation_matrix(RotationGate(ph.thetas[k], ph.phis[k],
-                                                   0.0)), eyeM) @ out
+        np.matmul(U, top, out=Utop)
+        r = rotation_matrix(RotationGate(ph.thetas[k], ph.phis[k], 0.0))
+        np.multiply(Utop, r[0, 0], out=top)
+        top += np.multiply(bot, r[0, 1], out=tmp)
+        bot *= r[1, 1]
+        bot += np.multiply(Utop, r[1, 0], out=tmp)
     return out

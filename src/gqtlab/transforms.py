@@ -16,8 +16,11 @@ import math
 import numpy as np
 
 from .encodings import (
+    VALIDATION_TOL,
     HermitianEncoding,
     ProjectedUnitaryEncoding,
+    _block_product,
+    _freeze,
     hermitianize,
     multiply,
     walk_operator,
@@ -25,10 +28,9 @@ from .encodings import (
 from .phases import (
     DEFAULT_MARGIN,
     PhaseFactors,
-    RotationGate,
+    _is_unitary,
     gqsp_matrix,
     rescale_to_margin,
-    rotation_matrix,
     solve_phases,
 )
 from .polynomials import (
@@ -51,7 +53,6 @@ __all__ = [
     "gqsvt_hermitianization",
     "extract_svt",
     "gqsvt_multiplication",
-    "extracted_block",
     "simulate_postselect",
     "qsvt_equivalence_check",
 ]
@@ -69,7 +70,7 @@ class CircuitProduct:
     circuit space; ``stages`` (when present) declare the mid-circuit
     measurement decomposition as (unitary, in_isometry, out_isometry)
     triples whose unnormalized composition equals the default extraction of
-    ``matrix``.
+    ``matrix``, which is checked unitary to 1e-10 * dimension and frozen.
     """
 
     matrix: np.ndarray
@@ -85,10 +86,10 @@ class CircuitProduct:
     stages: tuple | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        n = m.shape[0]
-        if np.linalg.norm(m.conj().T @ m - np.eye(n)) > 1e-9 * max(n, 1):
-            raise ValueError("circuit matrix is not unitary to 1e-9")
+        m = _freeze(self.matrix)
+        if not _is_unitary(m, VALIDATION_TOL * max(len(m), 1)):
+            raise ValueError("circuit matrix is not unitary to 1e-10")
+        object.__setattr__(self, "matrix", m)
 
     def metadata(self) -> dict:
         return {
@@ -105,6 +106,14 @@ class PostselectOutcome:
     conditioned: np.ndarray
     success_prob: float
     stage_probs: tuple
+
+
+def _relabeled(cp: CircuitProduct, **fields) -> CircuitProduct:
+    """cp with bookkeeping fields replaced, keeping its matrix: that matrix
+    is frozen, so the check it passed when cp was built still holds."""
+    out = object.__new__(CircuitProduct)
+    vars(out).update(vars(cp), **fields)
+    return out
 
 
 def _ancilla_zero(iso: np.ndarray) -> np.ndarray:
@@ -140,25 +149,12 @@ def gqet_absorbed_matrix(e: HermitianEncoding,
     Each anti-controlled walk factor splits as
     (I - 2|0><0| (x) Pi Pi^dag) * (-Z (x) I) * anti-controlled-U, and the
     -Z on the ancilla is absorbed into the rotation to its right by the
-    shift phi -> phi + pi (every rotation except the last one).
+    shift phi -> phi + pi (every rotation except the last one).  What is
+    left of a layer is block_diag((I - 2 Pi Pi^dag) U, I) = block_diag(-W, I).
     """
-    M = e.M
-    eyeM = np.eye(M)
-    zer = np.zeros((M, M))
-    anti_U = np.block([[e.U, zer], [zer, eyeM]])
-    P = e.Pi @ e.Pi.conj().T
-    G = np.eye(2 * M) - 2.0 * np.block([[P, zer], [zer, zer]])
-    # phi -> phi + pi only on rotations followed by a walk factor; at d = 0
-    # there is none and the single rotation stands alone.
-    shift0 = math.pi if ph.degree > 0 else 0.0
-    out = np.kron(rotation_matrix(RotationGate(
-        ph.thetas[0], ph.phis[0] + shift0, ph.lam)), eyeM)
-    for k in range(1, ph.degree + 1):
-        out = G @ anti_U @ out
-        phi = ph.phis[k] + (math.pi if k < ph.degree else 0.0)
-        out = np.kron(rotation_matrix(RotationGate(ph.thetas[k], phi, 0.0)),
-                      eyeM) @ out
-    return out
+    shift = np.where(np.arange(ph.degree + 1) < ph.degree, math.pi, 0.0)
+    return gqsp_matrix(PhaseFactors(ph.thetas, ph.phis + shift, ph.lam),
+                       -walk_operator(e))
 
 
 def eigen_oracle(A: np.ndarray, alpha: float, c: PolyCoeffs) -> np.ndarray:
@@ -209,34 +205,26 @@ def gqsvt_hermitianization(e: ProjectedUnitaryEncoding, c: PolyCoeffs,
     """
     h = hermitianize(e)
     cp = gqet(h, c, margin=margin)
-    E = cp.extraction["default"][0]
     # Named sub-extractions into the Hermitianized block structure.
     M, N_L, N_R = e.M, e.N_L, e.N_R
     top = _ancilla_zero(np.vstack([e.Pi_L, np.zeros((M, N_L))]))
     bot = _ancilla_zero(np.vstack([np.zeros((M, N_R)), e.Pi_R]))
-    extraction = {
-        "default": (E, E),
-        "odd": (top, bot),
-        "even": (bot, bot),
-        "upper_left": (top, top),
-    }
+    extraction = dict(cp.extraction, odd=(top, bot), even=(bot, bot),
+                      upper_left=(top, top))
     if N_L == N_R:
         sym = (top + bot) / math.sqrt(2.0)
         extraction["hermitian_full"] = (sym, sym)
-    return CircuitProduct(
-        matrix=cp.matrix, queries_U=cp.degree, queries_U_dagger=cp.degree,
-        degree=cp.degree, route="gqsvt-hermitianization",
-        scale_applied=cp.scale_applied, extraction=extraction,
-        encoding=e, poly=cp.poly, phases=cp.phases,
-        stages=((cp.matrix, E, E),))
+    return _relabeled(cp, queries_U_dagger=cp.degree,
+                      route="gqsvt-hermitianization", extraction=extraction,
+                      encoding=e)
 
 
-def extract_svt(cp: CircuitProduct, which: str) -> np.ndarray:
-    """Apply the named left/right isometries of a Hermitianization circuit.
-
-    which='odd' gives the odd-part block p_odd(A/alpha); 'even' the
-    right-singular even block; 'hermitian_full' the symmetrized isometry that
-    returns the full p(A/alpha) for Hermitian A (square encodings only).
+def extract_svt(cp: CircuitProduct, which: str = "default") -> np.ndarray:
+    """Apply the named left/right isometries of a circuit ('default': the
+    route's own).  For Hermitianization, which='odd' gives the odd-part block
+    p_odd(A/alpha); 'even' the right-singular even block; 'hermitian_full' the
+    symmetrized isometry that returns the full p(A/alpha) for Hermitian A
+    (square encodings only).
     """
     if which not in cp.extraction:
         if which == "hermitian_full":
@@ -244,11 +232,6 @@ def extract_svt(cp: CircuitProduct, which: str) -> np.ndarray:
                 "hermitian_full extraction needs N_L == N_R")
         raise ValueError(f"unknown extraction {which!r}; "
                          f"have {sorted(cp.extraction)}")
-    E_L, E_R = cp.extraction[which]
-    return E_L.conj().T @ cp.matrix @ E_R
-
-
-def extracted_block(cp: CircuitProduct, which: str = "default") -> np.ndarray:
     E_L, E_R = cp.extraction[which]
     return E_L.conj().T @ cp.matrix @ E_R
 
@@ -277,37 +260,28 @@ def gqsvt_multiplication(e: ProjectedUnitaryEncoding, c: PolyCoeffs,
     q = sqrt_substitute_even(c) if parity == "even" else sqrt_substitute_odd(c)
 
     e_dag = ProjectedUnitaryEncoding(e.U.conj().T, e.Pi_R, e.Pi_L, e.alpha)
-    prod = multiply(e_dag, e)
-    he = HermitianEncoding(prod.U, prod.Pi_L, prod.Pi_R, prod.alpha)
+    he = multiply(e_dag, e)  # a HermitianEncoding of A^dag A / alpha^2
 
     cp_q = gqet(he, q, margin=margin)
     dq = cp_q.degree
     K = cp_q.extraction["default"][0]
 
     if parity == "even":
-        cp = CircuitProduct(
-            matrix=cp_q.matrix, queries_U=dq, queries_U_dagger=dq,
-            degree=d, route="gqsvt-multiplication",
-            scale_applied=cp_q.scale_applied,
-            extraction={"default": (K, K)}, encoding=e, poly=c,
-            phases=cp_q.phases, stages=((cp_q.matrix, K, K),))
+        cp = _relabeled(cp_q, queries_U_dagger=dq, degree=d,
+                        route="gqsvt-multiplication", encoding=e, poly=c)
         out = simulate_postselect(cp, schedule="end-only")
         return cp, out
 
     # Odd: left-multiply by A/alpha.  The end-only circuit is the product
     # encoding of (original e) with the transformation circuit viewed as an
     # encoding; the staged form measures the flags before the final U.
-    eq = ProjectedUnitaryEncoding(cp_q.matrix, K, K, 1.0)
-    final = multiply(e, eq)
-    stages = (
-        (cp_q.matrix, K, K),
-        (e.U, e.Pi_R, e.Pi_L),
-    )
+    final, Pi_L, Pi_R = _block_product(e.U, e.Pi_L, e.Pi_R, cp_q.matrix, K, K)
+    stages = ((cp_q.matrix, K, K), (e.U, e.Pi_R, e.Pi_L))
     cp = CircuitProduct(
-        matrix=final.U, queries_U=dq + 1, queries_U_dagger=dq,
+        matrix=final, queries_U=dq + 1, queries_U_dagger=dq,
         degree=d, route="gqsvt-multiplication",
         scale_applied=cp_q.scale_applied,
-        extraction={"default": (final.Pi_L, final.Pi_R)}, encoding=e,
+        extraction={"default": (Pi_L, Pi_R)}, encoding=e,
         poly=c, phases=cp_q.phases, stages=stages)
     out = simulate_postselect(cp, schedule="measure-early")
     return cp, out

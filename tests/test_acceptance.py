@@ -26,7 +26,6 @@ from gqtlab.polynomials import (
 from gqtlab.transforms import (
     eigen_oracle,
     extract_svt,
-    extracted_block,
     gqet,
     gqsvt_hermitianization,
     gqsvt_multiplication,
@@ -85,7 +84,7 @@ def test_criterion_1_gqet_oracle_equivalence():
         c = scaled_random_poly(rng, d)
         cp = gqet(e, c)
         res = np.linalg.norm(
-            extracted_block(cp) - eigen_oracle(A, alpha, cp.poly), 2)
+            extract_svt(cp) - eigen_oracle(A, alpha, cp.poly), 2)
         worst = max(worst, res / (1e-8 * d))
     elapsed = time.time() - t0
     verdict(1, "gqet oracle equivalence", worst <= 1.0 and elapsed < 60,
@@ -125,7 +124,7 @@ def test_criterion_2_gqsvt_block_identity():
             [(W * dl) @ W.conj().T, W @ od @ Vh],
             [lower_left, (V * dr) @ V.conj().T],
         ])
-        blk = extracted_block(cp)
+        blk = extract_svt(cp)
         res = np.linalg.norm(blk - full_oracle, 2)
         worst = max(worst, res / (1e-8 * d))
     elapsed = time.time() - t0
@@ -152,7 +151,7 @@ def test_criterion_3_route_agreement_and_queries():
         cp_h = gqsvt_hermitianization(e, c)
         cp_m, _ = gqsvt_multiplication(e, c, parity)
         blk_h = extract_svt(cp_h, parity) / cp_h.scale_applied
-        blk_m = extracted_block(cp_m) / cp_m.scale_applied
+        blk_m = extract_svt(cp_m) / cp_m.scale_applied
         res = np.linalg.norm(blk_h - blk_m, 2)
         worst = max(worst, res / (1e-7 * d))
         counts_ok &= (cp_h.queries_U == d and cp_h.queries_U_dagger == d)

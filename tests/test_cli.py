@@ -112,6 +112,57 @@ class TestGqsvtCommand:
         })
         assert main(["gqsvt", "--config", cfg]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("tol", [None, "1e-7"])
+    def test_unknown_route(self, tmp_path, capsys, tol):
+        cfg = write_config(tmp_path, "c.json", {
+            "matrix": matrix_to_json(np.array([[0.6]])),
+            "poly": PolyCoeffs([0, 0.5]).to_json_dict(),
+            "parity": "odd",
+            "route": "bogus",
+        })
+        out = tmp_path / "report.txt"
+        argv = ["gqsvt", "--config", cfg, "--out", str(out)]
+        assert main(argv + (["--tol", tol] if tol else [])) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "'bogus'" in err
+        for route in ("hermitianization", "multiplication", "both"):
+            assert route in err
+        assert not out.exists()
+
+    def test_odd_both_checks_each_matrix_once(self, tmp_path, capsys,
+                                              monkeypatch):
+        # Every unitarity check goes through phases._is_unitary; count the
+        # matrices it sees by content over one odd --route both op.
+        import hashlib
+        from gqtlab import encodings, transforms
+        checked = []
+        original = phases._is_unitary
+
+        def counting(U, tol):
+            checked.append((U.shape[0], hashlib.sha256(
+                np.ascontiguousarray(U).tobytes()).hexdigest()))
+            return original(U, tol)
+
+        for mod in (phases, encodings, transforms):
+            monkeypatch.setattr(mod, "_is_unitary", counting)
+        rng = np.random.default_rng(10)
+        A = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        a = np.zeros(6, dtype=complex)
+        a[1::2] = [0.3, -0.2, 0.1]
+        cfg = write_config(tmp_path, "c.json", {
+            "matrix": matrix_to_json(A / (1.5 * np.linalg.norm(A, 2))),
+            "poly": PolyCoeffs(a).to_json_dict(),
+            "alpha": 1.0,
+            "parity": "odd",
+            "route": "both",
+        })
+        assert main(["gqsvt", "--config", cfg]) == EXIT_OK
+        dims = sorted(dim for dim, _ in checked)
+        # U and U^dag (10), Hermitianized U, the product U and both walk
+        # operators (20), both eigenvalue circuits (40), the final product (80)
+        assert dims == [10, 10, 20, 20, 20, 20, 40, 40, 80]
+        assert len(set(checked)) == len(checked)
+
     def test_pseudo_inversion_demo(self, tmp_path, capsys):
         from gqtlab.polynomials import ApproxSpec, approx_inverse
         res = approx_inverse(ApproxSpec(kappa=10, eps=1e-3))

@@ -314,6 +314,68 @@ class TestMultiply:
             multiply(e1, e2)
 
 
+def dense_product(e1, e2):
+    """Reference: kron(I2, U1) @ Omega @ kron(I2, U2) with both encodings
+    padded to M = max(M1, M2) by an identity direct summand."""
+    M = max(e1.M, e2.M)
+
+    def pad(e):
+        extra = M - e.M
+        U = np.block([[e.U, np.zeros((e.M, extra))],
+                      [np.zeros((extra, e.M)), np.eye(extra)]])
+        return (U, np.vstack([e.Pi_L, np.zeros((extra, e.N_L))]),
+                np.vstack([e.Pi_R, np.zeros((extra, e.N_R))]))
+
+    (U1, P1L, P1R), (U2, P2L, P2R) = pad(e1), pad(e2)
+    V = P1R @ P2L.conj().T
+    eye = np.eye(M)
+    Omega = np.block([[V, eye - P1R @ P1R.conj().T],
+                      [eye - P2L @ P2L.conj().T, V.conj().T]])
+    U_bar = np.kron(np.eye(2), U1) @ Omega @ np.kron(np.eye(2), U2)
+    return (U_bar, np.vstack([P1L, np.zeros((M, e1.N_L))]),
+            np.vstack([P2R, np.zeros((M, e2.N_R))]))
+
+
+def random_encoding(rng, M, N_L, N_R):
+    X = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
+    U, _ = np.linalg.qr(X)
+    return ProjectedUnitaryEncoding(U, random_isometry(rng, M, N_L),
+                                    random_isometry(rng, M, N_R), 1.0)
+
+
+class TestMultiplyAgainstDenseProduct:
+    @pytest.mark.parametrize("M1,M2,N", [
+        (6, 6, 3),    # equal dimensions, Pi_{1,R} != Pi_{2,L}
+        (4, 9, 2),    # first encoding padded
+        (9, 4, 2),    # second encoding padded
+        (1, 5, 1),
+        (8, 3, 3),
+    ])
+    def test_random_isometries(self, M1, M2, N):
+        rng = np.random.default_rng(60 + M1 + 10 * M2)
+        e1 = random_encoding(rng, M1, 2 if M1 > 1 else 1, N)
+        e2 = random_encoding(rng, M2, N, 1)
+        assert not np.allclose(e1.Pi_R[:min(M1, M2)], e2.Pi_L[:min(M1, M2)])
+        prod = multiply(e1, e2)
+        U_bar, Pi_L, Pi_R = dense_product(e1, e2)
+        assert type(prod) is ProjectedUnitaryEncoding
+        assert np.max(np.abs(prod.U - U_bar)) <= 1e-12
+        assert np.array_equal(prod.Pi_L, Pi_L)
+        assert np.array_equal(prod.Pi_R, Pi_R)
+
+    def test_adjoint_pair_is_hermitian(self):
+        rng = np.random.default_rng(66)
+        A = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        e = dilate_general(A, 1.2 * np.linalg.norm(A, 2))
+        e_dag = ProjectedUnitaryEncoding(e.U.conj().T, e.Pi_R, e.Pi_L, e.alpha)
+        prod = multiply(e_dag, e)
+        U_bar, Pi_L, Pi_R = dense_product(e_dag, e)
+        assert isinstance(prod, HermitianEncoding)
+        assert np.max(np.abs(prod.U - U_bar)) <= 1e-12
+        assert np.allclose(encoded_matrix(prod),
+                           A.conj().T @ A / e.alpha ** 2, atol=1e-12)
+
+
 class TestHermitianEncodingType:
     def test_requires_equal_isometries(self):
         rng = np.random.default_rng(47)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gqtlab import phases
+from gqtlab.encodings import HermitianEncoding
 from gqtlab.phases import (
     CompletionError,
     NormViolationError,
@@ -25,6 +26,7 @@ from gqtlab.polynomials import (
     eval_circle,
     max_abs_circle,
 )
+from gqtlab.transforms import gqet_absorbed_matrix
 
 CIRCLE_4096 = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
 
@@ -238,6 +240,56 @@ class TestGqspMatrix:
         ph = solve_phases(PolyCoeffs([0.5]))
         with pytest.raises(ValueError):
             gqsp_matrix(ph, np.ones((2, 2)))
+
+
+def dense_chain(ph: PhaseFactors, V: np.ndarray) -> np.ndarray:
+    """Reference: the chain as full 2M x 2M products, kron(R, I) and
+    block_diag(V, I) in every layer, independent of the half-block kernel."""
+    M = V.shape[0]
+    eyeM = np.eye(M)
+    A = np.block([[V, np.zeros((M, M))], [np.zeros((M, M)), eyeM]])
+    out = np.kron(rotation_matrix(RotationGate(ph.thetas[0], ph.phis[0],
+                                               ph.lam)), eyeM)
+    for k in range(1, ph.degree + 1):
+        out = A @ out
+        out = np.kron(rotation_matrix(RotationGate(ph.thetas[k], ph.phis[k],
+                                                   0.0)), eyeM) @ out
+    return out
+
+
+def random_angles(rng, d):
+    return PhaseFactors(rng.uniform(-np.pi, np.pi, d + 1),
+                        rng.uniform(-np.pi, np.pi, d + 1),
+                        rng.uniform(-np.pi, np.pi))
+
+
+class TestKernelAgainstDenseChain:
+    SIZES = [(1, 0), (3, 1), (4, 7), (16, 40)]
+
+    @pytest.mark.parametrize("M,d", SIZES)
+    def test_gqsp_matrix(self, M, d):
+        rng = np.random.default_rng(100 + 7 * M + d)
+        X = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
+        U, _ = np.linalg.qr(X)
+        assert M == 1 or np.linalg.norm(U - U.conj().T) > 0.1  # non-Hermitian
+        ph = random_angles(rng, d)
+        assert np.max(np.abs(gqsp_matrix(ph, U) - dense_chain(ph, U))) <= 1e-12
+
+    @pytest.mark.parametrize("M,d", SIZES)
+    def test_gqet_absorbed_matrix(self, M, d):
+        # A Hermitian unitary (a reflection) with a random isometry Pi; the
+        # walk form is the dense chain on W = (2 Pi Pi^dag - I) U.
+        rng = np.random.default_rng(200 + 7 * M + d)
+        v = rng.normal(size=(M, 1)) + 1j * rng.normal(size=(M, 1))
+        U = np.eye(M) - 2.0 * (v @ v.conj().T) / float(np.vdot(v, v).real)
+        N = max(M // 2, 1)
+        X = rng.normal(size=(M, N)) + 1j * rng.normal(size=(M, N))
+        Pi = np.linalg.qr(X)[0][:, :N]
+        e = HermitianEncoding(U, Pi, Pi, 1.0)
+        ph = random_angles(rng, d)
+        W = (2.0 * Pi @ Pi.conj().T - np.eye(M)) @ U
+        absorbed = gqet_absorbed_matrix(e, ph)
+        assert np.max(np.abs(absorbed - dense_chain(ph, W))) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)

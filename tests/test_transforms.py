@@ -9,10 +9,10 @@ from gqtlab.encodings import (
 )
 from gqtlab.polynomials import ApproxSpec, ParityError, PolyCoeffs, approx_inverse
 from gqtlab.transforms import (
+    CircuitProduct,
     ZeroProbabilityError,
     eigen_oracle,
     extract_svt,
-    extracted_block,
     gqet,
     gqet_absorbed_matrix,
     gqsvt_hermitianization,
@@ -55,7 +55,7 @@ class TestGqet:
     def test_t1_scalar(self):
         e = dilate_hermitian(np.array([[0.5]]), 1.0)
         cp = gqet(e, PolyCoeffs([0, 0.9]))
-        blk = extracted_block(cp)
+        blk = extract_svt(cp)
         assert blk[0, 0] == pytest.approx(0.45, abs=1e-12)
         assert cp.queries_U == 1 and cp.queries_U_dagger == 0
 
@@ -64,7 +64,7 @@ class TestGqet:
         A = random_hermitian(rng, 4)
         e = dilate_hermitian(A, 1.0)
         cp = gqet(e, PolyCoeffs([0, 0, 0.8]))
-        blk = extracted_block(cp)
+        blk = extract_svt(cp)
         assert np.linalg.norm(blk - 0.8 * (2 * A @ A - np.eye(4)), 2) < 1e-10
 
     def test_mixed_degree9_vs_eigen_oracle(self):
@@ -74,13 +74,13 @@ class TestGqet:
         c = scaled_random_poly(rng, 9)
         cp = gqet(e, c)
         ref = eigen_oracle(A, 1.0, cp.poly)
-        assert np.linalg.norm(extracted_block(cp) - ref, 2) <= 1e-8 * 10
+        assert np.linalg.norm(extract_svt(cp) - ref, 2) <= 1e-8 * 10
 
     def test_auto_rescale(self):
         e = dilate_hermitian(np.array([[0.5]]), 1.0)
         cp = gqet(e, PolyCoeffs([0, 1.0]))  # |P| = 1 on the circle
         assert cp.scale_applied < 1.0
-        assert extracted_block(cp)[0, 0] == pytest.approx(
+        assert extract_svt(cp)[0, 0] == pytest.approx(
             cp.scale_applied * 0.5, abs=1e-10)
 
     def test_subnormalized(self):
@@ -90,7 +90,7 @@ class TestGqet:
         c = scaled_random_poly(rng, 6)
         cp = gqet(e, c)
         ref = eigen_oracle(A, 2.5, cp.poly)
-        assert np.linalg.norm(extracted_block(cp) - ref, 2) <= 1e-8 * 7
+        assert np.linalg.norm(extract_svt(cp) - ref, 2) <= 1e-8 * 7
 
 
 class TestAbsorbedForm:
@@ -108,6 +108,43 @@ class TestAbsorbedForm:
         cp = gqet(e, PolyCoeffs([0.25]))
         absorbed = gqet_absorbed_matrix(e, cp.phases)
         assert np.linalg.norm(absorbed - cp.matrix, 2) < 1e-12
+
+
+class TestCircuitProductCheck:
+    def make(self, matrix):
+        e = dilate_hermitian(np.array([[0.5]]), 1.0)
+        E = np.eye(len(matrix))[:, :1]
+        return CircuitProduct(
+            matrix=matrix, queries_U=0, queries_U_dagger=0, degree=0,
+            route="test", scale_applied=1.0, extraction={"default": (E, E)},
+            encoding=e, poly=PolyCoeffs([1.0]))
+
+    def test_non_unitary_raises(self):
+        with pytest.raises(ValueError):
+            self.make(np.ones((4, 4)))
+
+    def test_tolerance_is_1e_10_per_dimension(self):
+        # ||(1 + t)^2 I_4 - I_4||_F = 2 t (2 + t) against 1e-10 * 4: t = 5e-12
+        # passes; t = 5e-10 (defect 2e-9, within 1e-9 * 4) is rejected.
+        self.make(np.eye(4) * (1 + 0.5e-11))
+        with pytest.raises(ValueError):
+            self.make(np.eye(4) * (1 + 0.5e-9))
+
+    def test_matrix_is_read_only(self):
+        m = np.eye(4, dtype=complex)
+        cp = self.make(m)
+        with pytest.raises(ValueError):
+            cp.matrix[0, 0] = 2.0
+        m[0, 0] = 2.0  # the caller's array is not the frozen one
+        assert cp.matrix[0, 0] == 1.0
+
+    def test_route_products_are_read_only(self):
+        e = dilate_general(np.array([[0.4, 0.2], [0.1, 0.3]]), 1.0)
+        for cp in (gqsvt_hermitianization(e, PolyCoeffs([0, 0.5])),
+                   gqsvt_multiplication(e, PolyCoeffs([0, 0.5]), "odd")[0],
+                   gqsvt_multiplication(e, PolyCoeffs([0.2, 0, 0.5]),
+                                        "even")[0]):
+            assert not cp.matrix.flags.writeable
 
 
 class TestOracles:
@@ -190,7 +227,7 @@ class TestMultiplicationRoute:
     def test_t2_scalar(self):
         e = dilate_general(np.array([[0.6]]), 1.0)
         cp, out = gqsvt_multiplication(e, PolyCoeffs([0, 0, 0.3]), "even")
-        blk = extracted_block(cp)
+        blk = extract_svt(cp)
         # 0.3 * T2(0.6) = 0.3 * (2*0.36 - 1)
         assert blk[0, 0] == pytest.approx(-0.084, abs=1e-10)
         assert out.success_prob == pytest.approx(0.084 ** 2, abs=1e-10)
@@ -200,7 +237,7 @@ class TestMultiplicationRoute:
         A = random_contraction(rng, 2, 3)
         e = dilate_general(A, 1.0)
         cp, _ = gqsvt_multiplication(e, PolyCoeffs([0, 0.8]), "odd")
-        blk = extracted_block(cp) / cp.scale_applied
+        blk = extract_svt(cp) / cp.scale_applied
         assert np.linalg.norm(blk - 0.8 * A, 2) < 1e-9
 
     def test_query_counts(self):
@@ -229,7 +266,7 @@ class TestMultiplicationRoute:
         c = PolyCoeffs(a).scaled(0.5)
         cp_m, _ = gqsvt_multiplication(e, c, "odd")
         cp_h = gqsvt_hermitianization(e, c)
-        blk_m = extracted_block(cp_m) / cp_m.scale_applied
+        blk_m = extract_svt(cp_m) / cp_m.scale_applied
         blk_h = extract_svt(cp_h, "odd") / cp_h.scale_applied
         assert np.linalg.norm(blk_m - blk_h, 2) <= 1e-7 * 8
 
