@@ -352,16 +352,27 @@ def sqrt_substitute_odd(c_odd: PolyCoeffs | Sequence[complex]) -> PolyCoeffs:
 # Minimax approximation of 1/(4 kappa x) on [1/kappa, 1] by odd polynomials.
 # ---------------------------------------------------------------------------
 
+def _cheb_grid(coef: np.ndarray, n: int) -> np.ndarray:
+    """sum_k coef_k T_k(u) at u = cos(pi j / n), j = n .. 0 (u ascending).
+
+    On Chebyshev points of the second kind this is sum_k coef_k
+    cos(pi k j / n), one DCT-I, taken here as the real part of an rfft.
+    """
+    return np.fft.rfft(coef, 2 * n).real[n::-1]
+
+
 def _remez_odd(f: Callable[[np.ndarray], np.ndarray], a: float, degree: int,
                grid_size: int = 0, max_iter: int = 60) -> tuple[np.ndarray, float]:
     """Minimax odd approximation of f on [a, 1] by weighted Remez exchange.
 
     An odd polynomial of degree d is x * s(x^2) with deg s = (d-1)/2, so the
     problem is solved as a weighted (weight sqrt(y)) approximation of
-    f(sqrt(y))/sqrt(y) by s over y in [a^2, 1], in a Chebyshev basis adapted
-    to that interval; this stays well-conditioned at degrees where the global
-    odd-Chebyshev design matrix degenerates.  Returns the full coefficient
-    vector (length degree+1, even entries zero) and the achieved sup error.
+    f(sqrt(y))/sqrt(y) by s over y in [a^2, 1], in the Chebyshev basis of
+    that interval; this stays well-conditioned at degrees where the global
+    odd-Chebyshev design matrix degenerates.  The exchange grid is the
+    Chebyshev points of the second kind on [a^2, 1], where s is one FFT
+    (`_cheb_grid`).  Returns the coefficients of s in that basis
+    (`_odd_cheb` converts them) and the achieved sup error on the grid.
     """
     m = (degree + 1) // 2  # free coefficients c_0..c_{m-1} of s
     npts = m + 1
@@ -383,12 +394,11 @@ def _remez_odd(f: Callable[[np.ndarray], np.ndarray], a: float, degree: int,
     ref.sort()
     if grid_size <= 0:
         grid_size = max(20 * degree, 2000)
-    grid = mid + half * np.cos(np.linspace(0.0, math.pi, grid_size))
-    grid = np.unique(grid)
+    n = grid_size - 1
+    # Ascending in y, the order in which `_cheb_grid` returns values.
+    grid = mid + half * np.cos(np.linspace(0.0, math.pi, grid_size))[::-1]
     gg, wg = g(grid), w(grid)
 
-    coef = np.zeros(m)
-    h = 0.0
     for _ in range(max_iter):
         A = np.empty((npts, m + 1))
         A[:, :m] = design(ref)
@@ -396,7 +406,8 @@ def _remez_odd(f: Callable[[np.ndarray], np.ndarray], a: float, degree: int,
         sol = np.linalg.solve(A, g(ref))
         coef, h = sol[:m], sol[m]
 
-        err = wg * (design(grid) @ coef - gg)
+        err = wg * (_cheb_grid(coef, n) - gg)
+        max_err = float(np.max(np.abs(err)))
         # Local extrema of the error (plus the endpoints).
         sign_change = np.diff(np.sign(np.diff(err)))
         interior = np.nonzero(sign_change != 0)[0] + 1
@@ -418,32 +429,33 @@ def _remez_odd(f: Callable[[np.ndarray], np.ndarray], a: float, degree: int,
                 vals.pop(drop)
         if len(pts) < npts:
             break  # degenerate alternation; current solution is near-optimal
-        new_ref = grid[np.array(pts)]
-        max_err = float(np.max(np.abs(err)))
         if max_err - abs(h) <= 1e-6 * max(abs(h), 1e-300) + 1e-15:
-            ref = new_ref
             break
-        ref = new_ref
+        ref = grid[np.array(pts)]
+    return coef, max_err
 
-    err = wg * (design(grid) @ coef - gg)
 
-    # Convert x * s(x^2) to global Chebyshev coefficients on [-1, 1]:
-    # with u(x^2) = (x^2 - mid)/half and x^2 = (T_2 + 1)/2,
-    # u = ((1 - 2 mid) T_0 + T_2) / (2 half) as a Chebyshev vector.
+def _odd_cheb(coef: np.ndarray, a: float, degree: int) -> np.ndarray:
+    """Global Chebyshev coefficients on [-1, 1] of x * s(x^2).
+
+    s = sum_k coef_k T_k(u) with u = (y - mid) / half on [a^2, 1]; with
+    x^2 = (T_2 + 1)/2, u(x^2) = ((1 - 2 mid) T_0 + T_2) / (2 half).
+    """
+    mid, half = 0.5 * (1.0 + a * a), 0.5 * (1.0 - a * a)
     u_cheb = np.array([(0.5 - mid) / half, 0.0, 0.5 / half])
     t_prev = np.array([1.0])
     acc = coef[0] * t_prev
-    if m > 1:
+    if len(coef) > 1:
         t_cur = u_cheb.copy()
         acc = _cheb.chebadd(acc, coef[1] * t_cur)
-        for kk in range(2, m):
+        for kk in range(2, len(coef)):
             t_next = _cheb.chebsub(2.0 * _cheb.chebmul(u_cheb, t_cur), t_prev)
             t_prev, t_cur = t_cur, t_next
             acc = _cheb.chebadd(acc, coef[kk] * t_cur)
     full_c = _cheb.chebmul(np.array([0.0, 1.0]), acc)
     full = np.zeros(degree + 1)
     full[:len(full_c)] = full_c
-    return full, float(np.max(np.abs(err)))
+    return full
 
 
 def approx_inverse(spec: ApproxSpec, mode: str = "remez",
@@ -451,11 +463,18 @@ def approx_inverse(spec: ApproxSpec, mode: str = "remez",
                    degree_cap: int = 4001) -> InverseApproxResult:
     """Odd real polynomial approximating 1/(4 kappa x) on [1/kappa, 1].
 
-    ``mode='remez'`` (reference) runs a Remez exchange on [1/kappa, 1] with an
-    odd-Chebyshev basis; oddness makes the error on [-1, -1/kappa] identical.
-    ``mode='projection'`` Chebyshev-projects a smoothed inverse as a cheaper
-    baseline.  When ``degree`` is None the minimal odd degree achieving eps is
-    located by bracketing plus bisection.
+    ``mode='remez'`` (reference) writes the polynomial as x * s(x^2) and runs
+    a weighted Remez exchange for s on y = x^2 in [1/kappa^2, 1], in the
+    Chebyshev basis of that interval (`_remez_odd`); oddness makes the error
+    on [-1, -1/kappa] identical.  ``mode='projection'`` Chebyshev-projects a
+    smoothed inverse as a cheaper baseline.  When ``degree`` is None the
+    minimal odd degree d <= ``degree_cap`` with error <= eps is found from
+    the predicted error decay C rho^(-(d-1)/2), rho = (1 + a)/(1 - a) with
+    a = 1/kappa (the Bernstein ellipse of 1/y on [a^2, 1] passes through the
+    pole y = 0): a probe at d = kappa fixes C, each later probe is placed at
+    the degree its predecessor predicts, and the answer is confirmed by a
+    miss at d - 2.  Degree 1 is never tried; ApproximationError is raised
+    when the largest odd degree <= ``degree_cap`` misses eps.
     """
     kappa, eps = spec.kappa, spec.eps
     a = 1.0 / kappa
@@ -466,55 +485,39 @@ def approx_inverse(spec: ApproxSpec, mode: str = "remez",
     if mode != "remez":
         raise ValueError(f"unknown mode {mode!r}")
 
-    def err_at(d: int) -> tuple[np.ndarray, float]:
-        return _remez_odd(f, a, d)
+    def result(d: int, coef: np.ndarray, e: float) -> InverseApproxResult:
+        return InverseApproxResult(PolyCoeffs(_odd_cheb(coef, a, d)), d, e,
+                                   kappa, eps, mode)
 
     if degree is not None:
         d = degree if degree % 2 == 1 else degree + 1
-        coeffs, e = err_at(d)
+        coef, e = _remez_odd(f, a, d)
         if e > eps:
             raise ApproximationError(
                 f"degree {d} reaches error {e:.3e} > eps {eps:.3e} "
                 f"(kappa={kappa})")
-        return InverseApproxResult(PolyCoeffs(coeffs), d, e, kappa, eps, mode)
+        return result(d, coef, e)
 
-    # Bracket the minimal degree, then bisect over odd degrees.
-    lo, hi = 1, None
-    d = max(3, int(kappa))
-    if d % 2 == 0:
-        d += 1
-    last = None
-    while d <= degree_cap:
-        coeffs, e = err_at(d)
-        last = (d, coeffs, e)
+    log_rho = math.log((1.0 + a) / (1.0 - a))
+    top = degree_cap if degree_cap % 2 == 1 else degree_cap - 1
+    # lo: largest degree known to miss eps (1 by convention); hi: smallest
+    # degree known to meet it.
+    lo, hi, best, lo_err = 1, None, None, math.nan
+    d = max(3, int(kappa)) | 1
+    while hi is None or hi - lo > 2:
+        d = max(lo + 2, min(d, top if hi is None else hi - 2))
+        if d > top:
+            detail = (f" (best error {lo_err:.3e} at degree {lo})"
+                      if lo > 1 else "")
+            raise ApproximationError(
+                f"eps {eps:.3e} unreachable below degree {degree_cap}{detail}")
+        coef, e = _remez_odd(f, a, d)
         if e <= eps:
-            hi = d
-            break
-        lo = d
-        d = 2 * d + 1
-    if hi is None:
-        raise ApproximationError(
-            f"eps {eps:.3e} unreachable below degree {degree_cap} "
-            f"(best error {last[2]:.3e} at degree {last[0]})")
-    best = last
-    while hi - lo > 2:
-        mid = (lo + hi) // 2
-        if mid % 2 == 0:
-            mid += 1
-        if mid >= hi:
-            mid = hi - 2
-        if mid <= lo:
-            break
-        coeffs, e = err_at(mid)
-        if e <= eps:
-            hi, best = mid, (mid, coeffs, e)
+            hi, best = d, (coef, e)
         else:
-            lo = mid
-    if best[0] != hi:
-        coeffs, e = err_at(hi)
-        best = (hi, coeffs, e)
-    d, coeffs, e = best
-    return InverseApproxResult(PolyCoeffs(coeffs), d, e, kappa, eps, mode)
+            lo, lo_err = d, e
+        d += 2 * math.ceil(math.log(e / eps) / log_rho)
+    return result(hi, *best)
 
 
 def _projection_inverse(spec: ApproxSpec, degree: int | None,

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
+from gqtlab import bounds
 from gqtlab.bounds import (
     BoundParams,
     bernstein_check,
@@ -157,6 +159,66 @@ class TestVerifyBetaBound:
             return PolyCoeffs(np.array([1.0, 1j]))
         with pytest.raises(ValueError):
             verify_beta_bound(bad, 2)
+
+
+def full_circle_max(coeffs):
+    """Reference for `_batched_circle_max`: one complex FFT of every row on
+    the whole 4096-point circle, the parabola wrapping around its ends."""
+    vals = np.fft.fft(coeffs.astype(complex), 4096, axis=1)
+
+    def peak(y):
+        i = np.argmax(y, axis=1)
+        rows = np.arange(y.shape[0])
+        ym, y0, yp = (y[rows, (i + s) % y.shape[1]] for s in (-1, 0, 1))
+        denom = ym - 2 * y0 + yp
+        with np.errstate(divide="ignore", invalid="ignore"):
+            top = y0 - 0.125 * (yp - ym) ** 2 / np.where(denom == 0, 1.0, denom)
+        return np.where(denom < 0, np.maximum(top, y0), y0)
+
+    return peak(np.abs(vals)), peak(np.abs(vals.real))
+
+
+class TestHalfCircleSweep:
+    @pytest.mark.parametrize("rows,dmax", [(3, 1), (300, 64), (700, 300)])
+    def test_against_full_circle(self, rows, dmax):
+        rng = np.random.default_rng(rows)
+        batch = np.zeros((rows, dmax + 1))
+        degrees = rng.integers(0, dmax + 1, size=rows)
+        degrees[:2] = (0, 1)
+        for i, d in enumerate(degrees):
+            batch[i, :d + 1] = rng.normal(size=d + 1)
+            if i % 5 == 4:  # a single Chebyshev monomial: |P| is flat
+                batch[i, :d] = 0.0
+        got = bounds._batched_circle_max(batch)
+        want = full_circle_max(batch)
+        for g, w in zip(got, want):
+            assert g.shape == (rows,)
+            assert np.max(np.abs(g - w) / w) <= 1e-12
+
+    def test_peak_at_either_end_of_the_half_circle(self):
+        # Maxima at t = 0 (all ones) and t = pi (alternating signs), where
+        # the parabola needs the mirrored neighbour.
+        batch = np.zeros((4, 9))
+        batch[0], batch[1] = 1.0, (-1.0) ** np.arange(9)
+        batch[2, :3], batch[3, :3] = (0.3, 1.0, 0.2), (0.3, -1.0, 0.2)
+        got = bounds._batched_circle_max(batch)
+        want = full_circle_max(batch)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w) / w) <= 1e-12
+        assert got[0] == pytest.approx([9.0, 9.0, 1.5, 1.5], rel=1e-12)
+
+
+    def test_memory_of_the_benchmark_sweep(self):
+        # 4000 rows of degree 256: a single FFT of the whole batch would
+        # hold over 100 MB.
+        batch = np.random.default_rng(9).normal(size=(4000, 257))
+        tracemalloc.start()
+        try:
+            bounds._batched_circle_max(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestBernstein:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -283,6 +284,19 @@ class TestScalingTableCommand:
         kappas = [float(line.split(",")[1])
                   for line in out.read_text().splitlines()[1:]]
         assert kappas == sorted(kappas)
+
+    def test_high_degree_grid_in_seconds(self, tmp_path, capsys):
+        # The paper's scaling table up to kappa = 300, eps = 1e-4.
+        cfg = write_config(tmp_path, "s.json", {"include_high_degree": True})
+        out = tmp_path / "table.csv"
+        t0 = time.perf_counter()
+        assert main(["scaling-table", "--config", cfg,
+                     "--out", str(out)]) == EXIT_OK
+        elapsed = time.perf_counter() - t0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [55, 79, 221, 553, 783, 1565, 2349]
+        assert all(float(r[5]) < 1.75 for r in rows)
+        assert elapsed < 15.0
 
 
 def test_main_runs_the_handler_bound_at_call_time(monkeypatch):

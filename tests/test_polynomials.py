@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as npmono
 
+from gqtlab import polynomials
 from gqtlab.polynomials import (
     ApproxSpec,
+    ApproximationError,
     DegeneratePolynomialError,
     DomainError,
     ParityError,
@@ -355,6 +357,86 @@ class TestApproxInverse:
         xs = np.linspace(0.25, 1.0, 10 ** 4)
         err = np.max(np.abs(eval_cheb(res.poly, xs).real - 1 / (16 * xs)))
         assert err <= 1e-2
+
+
+# The minimal odd degrees of the paper's scaling table (and the benchmark's).
+MINIMAL_DEGREES = [(10, 1e-3, 55), (10, 1e-4, 79), (40, 1e-3, 221),
+                   (100, 1e-3, 553)]
+
+
+def inverse_target(kappa):
+    return lambda x: 1.0 / (4.0 * kappa * x)
+
+
+class TestApproxInverseDegree:
+    @pytest.mark.parametrize("kappa,eps,d", MINIMAL_DEGREES)
+    def test_minimal(self, inverse_design, kappa, eps, d):
+        res = inverse_design(kappa, eps)
+        assert res.degree == d
+        assert res.max_error <= eps
+        _, below = polynomials._remez_odd(inverse_target(kappa), 1 / kappa, d - 2)
+        assert below > eps
+
+    @pytest.mark.parametrize("kappa,eps,d", MINIMAL_DEGREES)
+    def test_at_most_four_remez_runs(self, monkeypatch, kappa, eps, d):
+        runs = []
+        remez = polynomials._remez_odd
+
+        def counted(f, a, degree, *args, **kwargs):
+            runs.append(degree)
+            return remez(f, a, degree, *args, **kwargs)
+
+        monkeypatch.setattr(polynomials, "_remez_odd", counted)
+        assert approx_inverse(ApproxSpec(kappa, eps)).degree == d
+        assert len(runs) <= 4, runs
+        assert d - 2 in runs  # the degree is confirmed by a miss below it
+
+    def test_cap_below_minimal_degree(self):
+        for cap in (53, 54):
+            with pytest.raises(ApproximationError, match="unreachable"):
+                approx_inverse(ApproxSpec(10, 1e-3), degree_cap=cap)
+        assert approx_inverse(ApproxSpec(10, 1e-3), degree_cap=55).degree == 55
+
+    def test_cap_below_first_probe(self):
+        # The first probe would be d = 41; the cap alone decides.
+        with pytest.raises(ApproximationError, match="unreachable"):
+            approx_inverse(ApproxSpec(40, 1e-3), degree_cap=21)
+        with pytest.raises(ApproximationError, match="unreachable"):
+            approx_inverse(ApproxSpec(40, 1e-3), degree_cap=2)
+
+    def test_given_degree_misses_eps(self):
+        with pytest.raises(ApproximationError, match="degree 53"):
+            approx_inverse(ApproxSpec(10, 1e-3), degree=53)
+        # An even degree is rounded up to the next odd one.
+        assert approx_inverse(ApproxSpec(10, 1e-3), degree=54).degree == 55
+
+
+def dense_cheb_grid(coef, n):
+    """Reference for `_cheb_grid`: a dense (n + 1) x m cosine matrix."""
+    theta = np.linspace(0.0, np.pi, n + 1)[::-1]
+    return np.cos(np.outer(theta, np.arange(len(coef)))) @ coef
+
+
+class TestRemezGridAgainstDense:
+    @pytest.mark.parametrize("d", [11, 221, 553])
+    def test_grid_values(self, d):
+        rng = np.random.default_rng(d)
+        coef = rng.normal(size=(d + 1) // 2)
+        n = max(20 * d, 2000) - 1
+        got = polynomials._cheb_grid(coef, n)
+        assert got.shape == (n + 1,)
+        scale = np.sum(np.abs(coef))
+        assert np.max(np.abs(got - dense_cheb_grid(coef, n))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("d", [11, 221, 553])
+    def test_remez(self, monkeypatch, d):
+        kappa = 100
+        fast = polynomials._remez_odd(inverse_target(kappa), 1 / kappa, d)
+        monkeypatch.setattr(polynomials, "_cheb_grid", dense_cheb_grid)
+        dense = polynomials._remez_odd(inverse_target(kappa), 1 / kappa, d)
+        scale = np.max(np.abs(dense[0]))
+        assert np.max(np.abs(fast[0] - dense[0])) <= 1e-12 * scale
+        assert fast[1] == pytest.approx(dense[1], rel=1e-12)
 
 
 class TestApproxTargetSqrt:
