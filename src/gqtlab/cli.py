@@ -8,7 +8,8 @@ Subcommands
     phases          solve phase factors for a polynomial file, round-trip check
 
 All subcommands take --config <json>, --seed <u64>, --out <path>,
---tol <float>.  Exit codes: 0 success, 1 tolerance failure, 2 input error.
+--tol <float>.  Exit codes: 0 success, 1 tolerance failure (including a
+failed phase synthesis or postselection), 2 input error.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .polynomials import (
     max_abs_interval,
 )
 from .transforms import (
+    ZeroProbabilityError,
     eigen_oracle,
     extract_svt,
     gqet,
@@ -319,6 +321,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except PhaseSynthesisError as exc:
         print(f"phase synthesis failed: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
+    except ZeroProbabilityError as exc:
+        print(f"postselection failed: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
 
 

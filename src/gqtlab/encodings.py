@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .phases import _is_unitary
+from .phases import _unitary_defect
 from .serialization import matrix_to_json
 
 __all__ = [
@@ -69,7 +69,7 @@ def _validate_core(U, Pi_L, Pi_R, alpha, hermitian: bool) -> list[str]:
     if U.shape != (M, M):
         problems.append(f"U is {U.shape}, not square")
         return problems
-    if not _is_unitary(U, VALIDATION_TOL * max(M, 1)):
+    if not _unitary_defect(U) <= VALIDATION_TOL * max(M, 1):
         problems.append("U is not unitary to 1e-10")
     if hermitian and np.linalg.norm(U - U.conj().T) > VALIDATION_TOL * max(M, 1):
         problems.append("U is not Hermitian to 1e-10")
@@ -341,27 +341,42 @@ def hermitianize(e: ProjectedUnitaryEncoding) -> HermitianEncoding:
     return HermitianEncoding(U_bar, Pi_bar, Pi_bar, e.alpha)
 
 
-def _block_product(U1, Pi1_L, Pi1_R, U2, Pi2_L, Pi2_R):
-    """(U_bar, Pi_L, Pi_R) of `multiply`, block by block and unchecked.
+def _padded(U, x: np.ndarray) -> np.ndarray:
+    """(U (+) I) x: U acts on the leading rows only.  A stack that is zero
+    there is returned as it is, so an operator never pushes zeros."""
+    m = U.shape[0]
+    if not x[:m].any():
+        return x
+    return np.vstack([U @ x[:m], x[m:]])
 
-    With X = U1 U2, a = U1 Pi_{1,R}, b = U1 Pi_{2,L}, c = Pi_{2,L}^dag U2 and
-    f = Pi_{1,R}^dag U2, U_bar = [[a c, X - a f], [X - b c, b f]]: one product
-    plus rank-N corrections.  The smaller unitary, padded by an identity
-    summand, is applied to its own rows or columns only.
+
+def _block_product(U1, Pi1_L, Pi1_R, U2, Pi2_L, Pi2_R):
+    """(apply, Pi_L, Pi_R) of `multiply`, unchecked: apply(X) is U_bar X for
+    a column stack X, and apply() is U_bar itself.
+
+    Each U_i is padded by an identity summand to M = max(m1, m2) rows and
+    applied to its own rows only.  It may be a matrix or an operator on
+    column stacks (anything with `shape` and `@`).  For X = [x0; x1], with
+    y_i = U2 x_i and w = Pi_{2,L}^dag y0 - Pi_{1,R}^dag y1,
+
+        U_bar X = [U1 (y1 + Pi_{1,R} w); U1 (y0 - Pi_{2,L} w)],
+
+    so U_bar X needs U2 applied to X and U1 applied to one stack of the
+    same width, plus rank-N corrections.
     """
-    m1, m2 = len(U1), len(U2)
+    m1, m2 = U1.shape[0], U2.shape[0]
     M = max(m1, m2)
     P1R, P2L = (np.pad(P, ((0, M - len(P)), (0, 0))) for P in (Pi1_R, Pi2_L))
-    X = np.pad(U2, (0, M - m2)) + np.diag(np.arange(M) >= m2)
-    ab = np.hstack([P1R, P2L])          # [a, b] = (U1 (+) I) [P1R, P2L]
-    cf = np.hstack([P2L, P1R]).conj().T  # [c; f] = [P2L, P1R]^dag (U2 (+) I)
-    X[:m1], ab[:m1] = U1 @ X[:m1], U1 @ ab[:m1]
-    cf[:, :m2] = cf[:, :m2] @ U2
-    (a, b), (c, f) = np.hsplit(ab, 2), np.vsplit(cf, 2)
-    U_bar = np.vstack([a, -b]) @ np.hstack([c, -f])
-    U_bar[:M, M:] += X
-    U_bar[M:, :M] += X
-    return (U_bar, np.pad(Pi1_L, ((0, 2 * M - m1), (0, 0))),
+
+    def apply(X=None):
+        if X is None:
+            X = np.eye(2 * M, dtype=complex)
+        y0, y1 = _padded(U2, X[:M]), _padded(U2, X[M:])
+        w = P2L.conj().T @ y0 - P1R.conj().T @ y1
+        return np.vstack([_padded(U1, y1 + P1R @ w),
+                          _padded(U1, y0 - P2L @ w)])
+
+    return (apply, np.pad(Pi1_L, ((0, 2 * M - m1), (0, 0))),
             np.pad(Pi2_R, ((0, 2 * M - m2), (0, 0))))
 
 
@@ -392,5 +407,6 @@ def multiply(e1: ProjectedUnitaryEncoding,
                and np.array_equal(e1.Pi_R, e2.Pi_L)
                and np.array_equal(e1.U, e2.U.conj().T))
     cls = HermitianEncoding if adjoint else ProjectedUnitaryEncoding
-    return cls(*_block_product(e1.U, e1.Pi_L, e1.Pi_R, e2.U, e2.Pi_L, e2.Pi_R),
-               e1.alpha * e2.alpha)
+    apply, Pi_L, Pi_R = _block_product(e1.U, e1.Pi_L, e1.Pi_R,
+                                       e2.U, e2.Pi_L, e2.Pi_R)
+    return cls(apply(), Pi_L, Pi_R, e1.alpha * e2.alpha)

@@ -10,7 +10,8 @@ where R is the single-qubit rotation of `rotation_matrix`.  `solve_phases`
 finds the angles (FFT completion + layer stripping) and checks them;
 `reconstruct_P` multiplies the chain symbolically with polynomial-valued
 entries and is the independent round-trip oracle; `gqsp_matrix` assembles the
-explicit unitary for a given matrix argument.
+explicit unitary for a given matrix argument, or applies it to a stack of
+columns without forming it.
 """
 
 from __future__ import annotations
@@ -289,31 +290,60 @@ def solve_phases(c: PolyCoeffs | Sequence[complex],
     return ph
 
 
-def _is_unitary(U: np.ndarray, tol: float) -> bool:
-    """U is square with ||U^dag U - I||_F <= tol: the one unitarity check."""
-    return (U.ndim == 2 and U.shape[0] == U.shape[1]
-            and bool(np.linalg.norm(U.conj().T @ U - np.eye(len(U))) <= tol))
+def _unitary_defect(U: np.ndarray) -> float:
+    """||U^dag U - I||_F for square U, inf otherwise: the one unitarity check."""
+    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+        return math.inf
+    return float(np.linalg.norm(U.conj().T @ U - np.eye(len(U))))
 
 
-def gqsp_matrix(ph: PhaseFactors, U: np.ndarray) -> np.ndarray:
-    """Explicit 2M x 2M circuit matrix; top-left block applies P to U.
+def _column_defect(Y: np.ndarray, X: np.ndarray) -> float:
+    """||Y^dag Y - X^dag X||_F, inf on a shape mismatch: the check that a
+    unitary pushed the columns X to Y.  O(rows * k^2) for k columns."""
+    if Y.shape != X.shape:
+        return math.inf
+    return float(np.linalg.norm(Y.conj().T @ Y - X.conj().T @ X))
+
+
+def gqsp_matrix(ph: PhaseFactors, U: np.ndarray,
+                columns: np.ndarray | None = None) -> np.ndarray:
+    """The 2M x 2M circuit C whose top-left block applies P to U, or C
+    applied to a 2M x k column stack.
 
     The ancilla is the slow tensor factor: diag(z, 1) becomes
-    block_diag(U, I), i.e. U is applied when the ancilla is |0>.  Built in
-    place as two M-row halves: U multiplies the top half (2 M^3 per layer),
-    and each rotation mixes the halves entry-wise; no (2M)^3 product is formed.
+    block_diag(U, I), i.e. U is applied when the ancilla is |0>.  The stack
+    is kept as two M-row halves: U multiplies the top half (M^2 k per
+    layer), and each rotation mixes the halves entry-wise.  columns=None
+    pushes the identity, which gives C itself in 2 d M^3.
+
+    U must be unitary to 1e-10 (ValueError otherwise).  A pushed stack
+    never forms C, so the kernel certifies the product of its d checked
+    layers instead: d * ||U^dag U - I||_F <= 1e-10 * 2M, or ValueError.
     """
     U = np.asarray(U, dtype=complex)
-    if not _is_unitary(U, 1e-10):
+    defect = _unitary_defect(U)
+    if not defect <= 1e-10:
         raise ValueError("U must be unitary to 1e-10")
     M = len(U)
-    r = rotation_matrix(RotationGate(ph.thetas[0], ph.phis[0], ph.lam))
-    out = np.kron(r, np.eye(M))
+    if columns is None:
+        out = np.eye(2 * M, dtype=complex)
+    else:
+        if not ph.degree * defect <= 1e-10 * 2 * M:
+            raise ValueError(
+                f"{ph.degree} layers of unitarity defect {defect:.3e} "
+                f"exceed 1e-10 * {2 * M}")
+        out = np.array(columns, dtype=complex)
+        if out.ndim != 2 or out.shape[0] != 2 * M:
+            raise ValueError(f"columns must have {2 * M} rows")
     top, bot = out[:M], out[M:]
     Utop, tmp = np.empty_like(top), np.empty_like(top)
-    for k in range(1, ph.degree + 1):
-        np.matmul(U, top, out=Utop)
-        r = rotation_matrix(RotationGate(ph.thetas[k], ph.phis[k], 0.0))
+    for k in range(ph.degree + 1):
+        if k:
+            np.matmul(U, top, out=Utop)
+        else:
+            Utop[...] = top
+        r = rotation_matrix(RotationGate(ph.thetas[k], ph.phis[k],
+                                         0.0 if k else ph.lam))
         np.multiply(Utop, r[0, 0], out=top)
         top += np.multiply(bot, r[0, 1], out=tmp)
         bot *= r[1, 1]

@@ -23,11 +23,9 @@ __all__ = [
     "save_json",
     "load_json",
     "poly_from_file",
-    "poly_to_file",
     "phases_from_file",
     "phases_to_file",
     "matrix_from_file",
-    "matrix_to_file",
 ]
 
 
@@ -61,10 +59,6 @@ def poly_from_file(path: str | Path) -> PolyCoeffs:
     return PolyCoeffs.from_json_dict(load_json(path))
 
 
-def poly_to_file(c: PolyCoeffs, path: str | Path):
-    save_json(c.to_json_dict(), path)
-
-
 def phases_from_file(path: str | Path) -> PhaseFactors:
     return PhaseFactors.from_json_dict(load_json(path))
 
@@ -75,8 +69,3 @@ def phases_to_file(ph: PhaseFactors, path: str | Path):
 
 def matrix_from_file(path: str | Path) -> np.ndarray:
     return matrix_from_json(load_json(path))
-
-
-def matrix_to_file(m: np.ndarray, path: str | Path):
-    save_json(matrix_to_json(m), path)
-

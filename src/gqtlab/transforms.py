@@ -28,7 +28,8 @@ from .encodings import (
 from .phases import (
     DEFAULT_MARGIN,
     PhaseFactors,
-    _is_unitary,
+    _column_defect,
+    _unitary_defect,
     gqsp_matrix,
     rescale_to_margin,
     solve_phases,
@@ -62,34 +63,89 @@ class ZeroProbabilityError(RuntimeError):
     """Postselection success probability numerically zero."""
 
 
-@dataclasses.dataclass(frozen=True)
-class CircuitProduct:
-    """Assembled transformation circuit plus bookkeeping.
+def _checked_unitary(m: np.ndarray) -> np.ndarray:
+    """A frozen copy of m, unitary to 1e-10 * dimension or ValueError."""
+    m = _freeze(m)
+    if not _unitary_defect(m) <= VALIDATION_TOL * max(len(m), 1):
+        raise ValueError("circuit matrix is not unitary to 1e-10")
+    return m
 
-    ``extraction`` maps names to (left, right) isometry pairs on the full
-    circuit space; ``stages`` (when present) declare the mid-circuit
-    measurement decomposition as (unitary, in_isometry, out_isometry)
-    triples whose unnormalized composition equals the default extraction of
-    ``matrix``, which is checked unitary to 1e-10 * dimension and frozen.
+
+class _Operator:
+    """A unitary circuit C as a map on column stacks.
+
+    ``C @ X`` returns C X from ``apply(X)`` without forming C.  Each distinct
+    stack is pushed once: the result is checked to keep the Gram matrix of
+    X (||Y^dag Y - X^dag X||_F <= 1e-10 * dim), frozen and memoised by the
+    content of X, so routes that read the same columns share one push.
+    ``matrix`` is ``apply(None)``, formed on first access, checked unitary
+    to 1e-10 * dim, frozen and cached.
     """
 
-    matrix: np.ndarray
-    queries_U: int
-    queries_U_dagger: int
-    degree: int
-    route: str
-    scale_applied: float
-    extraction: dict
-    encoding: ProjectedUnitaryEncoding
-    poly: PolyCoeffs
-    phases: PhaseFactors | None = None
-    stages: tuple | None = None
+    def __init__(self, apply, dim: int, matrix: np.ndarray | None = None):
+        self._apply = apply
+        self.shape = (dim, dim)
+        self._matrix = matrix
+        self._pushed: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def __post_init__(self):
-        m = _freeze(self.matrix)
-        if not _is_unitary(m, VALIDATION_TOL * max(len(m), 1)):
-            raise ValueError("circuit matrix is not unitary to 1e-10")
-        object.__setattr__(self, "matrix", m)
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = _checked_unitary(self._apply(None))
+        return self._matrix
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X)
+        for X0, Y0 in self._pushed:
+            if X0.shape == X.shape and np.array_equal(X0, X):
+                return Y0
+        Y = np.asarray(self._apply(X), dtype=complex)
+        defect = _column_defect(Y, X)
+        if not defect <= VALIDATION_TOL * self.shape[0]:
+            raise ValueError(f"pushed columns are off isometric by "
+                             f"{defect:.3e}, above 1e-10 * {self.shape[0]}")
+        Y.flags.writeable = False
+        self._pushed.append((_freeze(X), Y))
+        return Y
+
+
+class CircuitProduct:
+    """Transformation circuit as an operator, plus bookkeeping.
+
+    ``operator`` applies the circuit to column stacks (``cp.operator @ X``);
+    ``matrix`` is the dense circuit, formed only when read, checked unitary
+    to 1e-10 * dimension and frozen.  A product built from a ``matrix`` is
+    checked at once.  ``extraction`` maps names to (left, right) isometry
+    pairs on the circuit space; ``stages`` (when present) declare the
+    mid-circuit measurement decomposition as (unitary, in_isometry,
+    out_isometry) triples, each unitary an operator or a checked matrix,
+    whose unnormalized composition equals the default extraction.
+    """
+
+    def __init__(self, matrix: np.ndarray | None = None, *,
+                 operator: _Operator | None = None, queries_U: int,
+                 queries_U_dagger: int, degree: int, route: str,
+                 scale_applied: float, extraction: dict,
+                 encoding: ProjectedUnitaryEncoding, poly: PolyCoeffs,
+                 phases: PhaseFactors | None = None,
+                 stages: tuple | None = None):
+        if (matrix is None) == (operator is None):
+            raise TypeError("give exactly one of matrix and operator")
+        if operator is None:
+            m = _checked_unitary(matrix)
+            operator = _Operator(m.__matmul__, len(m), m)
+        vars(self).update(
+            operator=operator, queries_U=queries_U,
+            queries_U_dagger=queries_U_dagger, degree=degree, route=route,
+            scale_applied=scale_applied, extraction=extraction,
+            encoding=encoding, poly=poly, phases=phases, stages=stages)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CircuitProduct is read-only: {name!r}")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.operator.matrix
 
     def metadata(self) -> dict:
         return {
@@ -109,8 +165,8 @@ class PostselectOutcome:
 
 
 def _relabeled(cp: CircuitProduct, **fields) -> CircuitProduct:
-    """cp with bookkeeping fields replaced, keeping its matrix: that matrix
-    is frozen, so the check it passed when cp was built still holds."""
+    """cp with bookkeeping fields replaced, sharing its operator, so the
+    columns it pushed and the checks they passed serve both."""
     out = object.__new__(CircuitProduct)
     vars(out).update(vars(cp), **fields)
     return out
@@ -133,13 +189,15 @@ def gqet(e: HermitianEncoding, c: PolyCoeffs,
     c, scale = rescale_to_margin(c, margin)
     ph = solve_phases(c, margin=0.0 if scale != 1.0 else margin)
     W = walk_operator(e)
-    mat = gqsp_matrix(ph, W)
     E = _ancilla_zero(e.Pi)
+    # gqsp_matrix is looked up at each push, so a rebound kernel is the one
+    # that runs.
+    op = _Operator(lambda X: gqsp_matrix(ph, W, columns=X), 2 * len(W))
     return CircuitProduct(
-        matrix=mat, queries_U=ph.degree, queries_U_dagger=0,
+        operator=op, queries_U=ph.degree, queries_U_dagger=0,
         degree=ph.degree, route="gqet", scale_applied=scale,
         extraction={"default": (E, E)}, encoding=e, poly=c, phases=ph,
-        stages=((mat, E, E),))
+        stages=((op, E, E),))
 
 
 def gqet_absorbed_matrix(e: HermitianEncoding,
@@ -233,7 +291,7 @@ def extract_svt(cp: CircuitProduct, which: str = "default") -> np.ndarray:
         raise ValueError(f"unknown extraction {which!r}; "
                          f"have {sorted(cp.extraction)}")
     E_L, E_R = cp.extraction[which]
-    return E_L.conj().T @ cp.matrix @ E_R
+    return E_L.conj().T @ (cp.operator @ E_R)
 
 
 def gqsvt_multiplication(e: ProjectedUnitaryEncoding, c: PolyCoeffs,
@@ -275,10 +333,13 @@ def gqsvt_multiplication(e: ProjectedUnitaryEncoding, c: PolyCoeffs,
     # Odd: left-multiply by A/alpha.  The end-only circuit is the product
     # encoding of (original e) with the transformation circuit viewed as an
     # encoding; the staged form measures the flags before the final U.
-    final, Pi_L, Pi_R = _block_product(e.U, e.Pi_L, e.Pi_R, cp_q.matrix, K, K)
-    stages = ((cp_q.matrix, K, K), (e.U, e.Pi_R, e.Pi_L))
+    # Either reads the transformation circuit only through K.
+    apply, Pi_L, Pi_R = _block_product(e.U, e.Pi_L, e.Pi_R, cp_q.operator,
+                                       K, K)
+    stages = ((cp_q.operator, K, K), (e.U, e.Pi_R, e.Pi_L))
     cp = CircuitProduct(
-        matrix=final, queries_U=dq + 1, queries_U_dagger=dq,
+        operator=_Operator(apply, len(Pi_R)), queries_U=dq + 1,
+        queries_U_dagger=dq,
         degree=d, route="gqsvt-multiplication",
         scale_applied=cp_q.scale_applied,
         extraction={"default": (Pi_L, Pi_R)}, encoding=e,
@@ -287,22 +348,18 @@ def gqsvt_multiplication(e: ProjectedUnitaryEncoding, c: PolyCoeffs,
     return cp, out
 
 
-def _stage_apply(U: np.ndarray, E_in: np.ndarray, E_out: np.ndarray,
-                 x: np.ndarray) -> np.ndarray:
-    return E_out.conj().T @ U @ E_in @ x
-
-
 def simulate_postselect(cp: CircuitProduct, input: np.ndarray | None = None,
                         schedule: str = "end-only") -> PostselectOutcome:
     """Project flag registers to |0>, renormalize, report success probability.
 
     ``input`` lives in the coded input space (a state vector, or a matrix /
     isometry of coded inputs processed with Frobenius-norm semantics);
-    omitted, the identity isometry is used.  end-only applies the assembled
-    circuit and projects once; measure-early walks the declared stages,
+    omitted, the identity isometry is used.  end-only runs the circuit as
+    one stage and projects once; measure-early walks the declared stages,
     projecting and renormalizing after each.  Both yield the same conditioned
     output and the same total probability because the unnormalized stage
-    composition equals the end-only extracted block.
+    composition equals the end-only extracted block.  A stage pushes only
+    its input isometry through its unitary and applies the input to that.
     """
     E_L, E_R = cp.extraction["default"]
     n_in = E_R.shape[1]
@@ -312,37 +369,34 @@ def simulate_postselect(cp: CircuitProduct, input: np.ndarray | None = None,
         x0 = np.asarray(input, dtype=complex)
         if x0.shape[0] != n_in:
             raise ValueError(f"input dimension {x0.shape[0]} != {n_in}")
-    vec = x0.ndim == 1
     norm0 = np.linalg.norm(x0)
     if norm0 < 1e-14:
         raise ZeroProbabilityError("input has zero norm")
 
     if schedule == "end-only":
-        y = E_L.conj().T @ cp.matrix @ E_R @ x0
-        p = float(np.linalg.norm(y) ** 2 / norm0 ** 2)
-        probs = (p,)
+        stages = ((cp.operator, E_R, E_L),)
     elif schedule == "measure-early":
         if cp.stages is None:
             raise ValueError("circuit declares no mid-circuit flag point")
-        y = x0
-        probs = []
-        prev = norm0
-        for U, E_in, E_out in cp.stages:
-            y = _stage_apply(U, E_in, E_out, y)
-            cur = np.linalg.norm(y)
-            probs.append(float(cur ** 2 / prev ** 2) if prev > 0 else 0.0)
-            prev = cur
-        p = float(np.prod(probs))
-        probs = tuple(probs)
+        stages = cp.stages
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
+    y = x0
+    probs = []
+    prev = norm0
+    for U, E_in, E_out in stages:
+        y = E_out.conj().T @ (U @ E_in) @ y
+        cur = np.linalg.norm(y)
+        probs.append(float(cur ** 2 / prev ** 2) if prev > 0 else 0.0)
+        prev = cur
+    p = float(np.prod(probs))
 
     if p < 1e-14:
         raise ZeroProbabilityError(
             f"success probability {p:.3e} below 1e-14")
     ny = np.linalg.norm(y)
     return PostselectOutcome(conditioned=y / ny, success_prob=p,
-                             stage_probs=probs)
+                             stage_probs=tuple(probs))
 
 
 def qsvt_equivalence_check(e: ProjectedUnitaryEncoding,

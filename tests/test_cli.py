@@ -132,20 +132,36 @@ class TestGqsvtCommand:
 
     def test_odd_both_checks_each_matrix_once(self, tmp_path, capsys,
                                               monkeypatch):
-        # Every unitarity check goes through phases._is_unitary; count the
-        # matrices it sees by content over one odd --route both op.
+        # Every unitarity check goes through phases._unitary_defect and every
+        # check of pushed columns through phases._column_defect; count what
+        # they see, by content, over one odd --route both op.
         import hashlib
         from gqtlab import encodings, transforms
-        checked = []
-        original = phases._is_unitary
 
-        def counting(U, tol):
-            checked.append((U.shape[0], hashlib.sha256(
-                np.ascontiguousarray(U).tobytes()).hexdigest()))
-            return original(U, tol)
+        def digest(a):
+            return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+        squares, columns, pushes = [], [], []
+        square_check, column_check = phases._unitary_defect, phases._column_defect
+        kernel = transforms.gqsp_matrix
+
+        def counting_square(U):
+            squares.append((U.shape[0], digest(U)))
+            return square_check(U)
+
+        def counting_columns(Y, X):
+            columns.append((X.shape, digest(X)))
+            return column_check(Y, X)
+
+        def counting_kernel(ph, U, columns=None):
+            pushes.append(columns is not None)
+            return kernel(ph, U, columns=columns)
 
         for mod in (phases, encodings, transforms):
-            monkeypatch.setattr(mod, "_is_unitary", counting)
+            monkeypatch.setattr(mod, "_unitary_defect", counting_square)
+        for mod in (phases, transforms):
+            monkeypatch.setattr(mod, "_column_defect", counting_columns)
+        monkeypatch.setattr(transforms, "gqsp_matrix", counting_kernel)
         rng = np.random.default_rng(10)
         A = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
         a = np.zeros(6, dtype=complex)
@@ -158,11 +174,43 @@ class TestGqsvtCommand:
             "route": "both",
         })
         assert main(["gqsvt", "--config", cfg]) == EXIT_OK
-        dims = sorted(dim for dim, _ in checked)
+        dims = sorted(dim for dim, _ in squares)
         # U and U^dag (10), Hermitianized U, the product U and both walk
-        # operators (20), both eigenvalue circuits (40), the final product (80)
-        assert dims == [10, 10, 20, 20, 20, 20, 40, 40, 80]
-        assert len(set(checked)) == len(checked)
+        # operators (20); no circuit is formed, so none is checked whole
+        assert dims == [10, 10, 20, 20, 20, 20]
+        assert len(set(squares)) == len(squares)
+        # Each eigenvalue circuit pushes its right isometry once (4 of 40
+        # columns), and the odd product pushes its own (4 of 80) through the
+        # memoised push of the second one: one column check per stack.
+        assert pushes == [True, True]
+        assert sorted(shape for shape, _ in columns) == [(40, 4), (40, 4),
+                                                          (80, 4)]
+        assert len(set(columns)) == len(columns)
+
+    def test_vanishing_postselection_exits_tolerance(self, tmp_path, capsys):
+        # An odd d = 33 polynomial scaled so that its square-root substitute
+        # peaks at 0.9 leaves p tiny on the spectrum: the measure-early
+        # success probability is about 2e-24, and the op must end with
+        # exit 1 and a message, not a traceback.
+        from gqtlab.polynomials import max_abs_circle, sqrt_substitute_odd
+        rng = np.random.default_rng(0)
+        A = rng.normal(size=(48, 32)) + 1j * rng.normal(size=(48, 32))
+        a = np.zeros(34, dtype=complex)
+        a[1::2] = rng.normal(size=17) + 1j * rng.normal(size=17)
+        a[33] += 1.0
+        c = PolyCoeffs(a)
+        c = c.scaled(0.9 / max(max_abs_circle(c),
+                               max_abs_circle(sqrt_substitute_odd(c))))
+        cfg = write_config(tmp_path, "c.json", {
+            "matrix": matrix_to_json(A),
+            "poly": c.to_json_dict(),
+            "parity": "odd",
+            "route": "both",
+        })
+        assert main(["gqsvt", "--config", cfg]) == EXIT_TOLERANCE
+        err = capsys.readouterr().err
+        assert err.startswith("postselection failed: success probability")
+        assert "Traceback" not in err
 
     def test_pseudo_inversion_demo(self, tmp_path, capsys):
         from gqtlab.polynomials import ApproxSpec, approx_inverse

@@ -241,6 +241,33 @@ class TestGqspMatrix:
         with pytest.raises(ValueError):
             gqsp_matrix(ph, np.ones((2, 2)))
 
+    def test_rejects_perturbed_factor_on_operator_path(self):
+        # Pushing columns forms no circuit, so nothing checks it whole; the
+        # factor's own check still rejects a walk operator off by 1e-8.
+        rng = np.random.default_rng(26)
+        X = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        W = np.linalg.qr(X)[0]
+        W[0, 0] += 1e-8
+        ph = random_angles(rng, 3)
+        E = np.eye(8)[:, :2]
+        with pytest.raises(ValueError, match="unitary"):
+            gqsp_matrix(ph, W, columns=E)
+
+    def test_operator_path_certifies_the_product(self):
+        # U = (1 + t) V has ||U^dag U - I||_F = (2t + t^2) sqrt(2) = 0.9e-10,
+        # within the factor check; d layers are certified while
+        # d * 0.9e-10 <= 1e-10 * 2M = 4e-10, so d = 4 passes and d = 5 raises.
+        rng = np.random.default_rng(27)
+        X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        t = math.sqrt(1 + 0.9e-10 / math.sqrt(2)) - 1
+        U = np.linalg.qr(X)[0] * (1 + t)
+        E = np.eye(4)[:, :1]
+        gqsp_matrix(random_angles(rng, 4), U, columns=E)
+        ph = random_angles(rng, 5)
+        with pytest.raises(ValueError, match="layers"):
+            gqsp_matrix(ph, U, columns=E)
+        gqsp_matrix(ph, U)  # the full matrix is checked where it is used
+
 
 def dense_chain(ph: PhaseFactors, V: np.ndarray) -> np.ndarray:
     """Reference: the chain as full 2M x 2M products, kron(R, I) and
@@ -273,7 +300,13 @@ class TestKernelAgainstDenseChain:
         U, _ = np.linalg.qr(X)
         assert M == 1 or np.linalg.norm(U - U.conj().T) > 0.1  # non-Hermitian
         ph = random_angles(rng, d)
-        assert np.max(np.abs(gqsp_matrix(ph, U) - dense_chain(ph, U))) <= 1e-12
+        dense = dense_chain(ph, U)
+        assert np.max(np.abs(gqsp_matrix(ph, U) - dense)) <= 1e-12
+        # a column stack goes through the same kernel
+        k = max(M // 2, 1)
+        E = np.linalg.qr(rng.normal(size=(2 * M, k))
+                         + 1j * rng.normal(size=(2 * M, k)))[0]
+        assert np.max(np.abs(gqsp_matrix(ph, U, columns=E) - dense @ E)) <= 1e-12
 
     @pytest.mark.parametrize("M,d", SIZES)
     def test_gqet_absorbed_matrix(self, M, d):

@@ -138,6 +138,19 @@ class TestCircuitProductCheck:
         m[0, 0] = 2.0  # the caller's array is not the frozen one
         assert cp.matrix[0, 0] == 1.0
 
+    def test_push_that_changes_the_gram_matrix_raises(self, monkeypatch):
+        # No circuit is formed on the operator path; the pushed columns are
+        # what is checked.
+        from gqtlab import transforms
+        kernel = transforms.gqsp_matrix
+        monkeypatch.setattr(transforms, "gqsp_matrix",
+                            lambda ph, U, columns=None:
+                            (1 + 1e-9) * kernel(ph, U, columns=columns))
+        cp = gqet(dilate_hermitian(np.array([[0.5]]), 1.0),
+                  PolyCoeffs([0, 0.9]))
+        with pytest.raises(ValueError, match="isometric"):
+            extract_svt(cp)
+
     def test_route_products_are_read_only(self):
         e = dilate_general(np.array([[0.4, 0.2], [0.1, 0.3]]), 1.0)
         for cp in (gqsvt_hermitianization(e, PolyCoeffs([0, 0.5])),
@@ -145,6 +158,88 @@ class TestCircuitProductCheck:
                    gqsvt_multiplication(e, PolyCoeffs([0.2, 0, 0.5]),
                                         "even")[0]):
             assert not cp.matrix.flags.writeable
+
+
+def _square_hermitianization(rng):
+    A = random_hermitian(rng, 3)
+    return gqsvt_hermitianization(dilate_hermitian(A, 1.0),
+                                  scaled_random_poly(rng, 7))
+
+
+def _mult(parity):
+    def build(rng):
+        A = random_contraction(rng, 3, 4)
+        a = np.zeros(8 if parity == "odd" else 7, dtype=complex)
+        a[1 if parity == "odd" else 0::2] = rng.normal(size=4)
+        c = scaled_for_mult(PolyCoeffs(a), parity)
+        return gqsvt_multiplication(dilate_general(A, 1.0), c, parity)[0]
+    return build
+
+
+class TestOperatorMatchesDense:
+    """Each route read through its operator (pushing only the extracted
+    columns) against the same route read through its dense matrix."""
+
+    EXTRACTIONS = [
+        pytest.param(lambda rng: gqet(
+            dilate_hermitian(random_hermitian(rng, 4), 1.0),
+            scaled_random_poly(rng, 9)), "default", id="gqet"),
+        *[pytest.param(_square_hermitianization, which,
+                       id=f"hermitianization-{which}")
+          for which in ("default", "odd", "even", "upper_left",
+                        "hermitian_full")],
+        pytest.param(_mult("even"), "default", id="multiplication-even"),
+        pytest.param(_mult("odd"), "default", id="multiplication-odd"),
+    ]
+
+    @pytest.mark.parametrize("build,which", EXTRACTIONS)
+    def test_extraction(self, build, which):
+        cp = build(np.random.default_rng(46))
+        pushed = extract_svt(cp, which)
+        E_L, E_R = cp.extraction[which]
+        dense = E_L.conj().T @ cp.matrix @ E_R
+        assert np.max(np.abs(pushed - dense)) <= 1e-13
+
+    @pytest.mark.parametrize("schedule", ["end-only", "measure-early"])
+    @pytest.mark.parametrize("shape", [(), (2,)], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_postselection(self, parity, shape, schedule):
+        rng = np.random.default_rng(47)
+        cp = _mult(parity)(rng)
+        x = rng.normal(size=(4, *shape)) + 1j * rng.normal(size=(4, *shape))
+        out = simulate_postselect(cp, input=x, schedule=schedule)
+        E_L, E_R = cp.extraction["default"]
+        y = E_L.conj().T @ cp.matrix @ E_R @ x
+        p = np.linalg.norm(y) ** 2 / np.linalg.norm(x) ** 2
+        assert np.max(np.abs(out.conditioned - y / np.linalg.norm(y))) <= 1e-13
+        assert out.success_prob == pytest.approx(p, rel=1e-13)
+
+
+def test_gqet_large_dimension_pushes_columns_only(monkeypatch):
+    # M = 1024: the 2048 x 2048 circuit and its unitarity check would need
+    # more than 256 MiB; the pushed 2048 x 512 stack needs about 120.
+    import tracemalloc
+    from gqtlab import transforms
+    kernel, stacks = transforms.gqsp_matrix, []
+
+    def recording(ph, U, columns=None):
+        stacks.append(None if columns is None else columns.shape)
+        return kernel(ph, U, columns=columns)
+
+    monkeypatch.setattr(transforms, "gqsp_matrix", recording)
+    rng = np.random.default_rng(48)
+    A = random_hermitian(rng, 512)
+    c = scaled_random_poly(rng, 4)
+    tracemalloc.start()
+    try:
+        cp = gqet(dilate_hermitian(A, 1.0), c)
+        blk = extract_svt(cp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stacks == [(2048, 512)]
+    assert np.linalg.norm(blk - eigen_oracle(A, 1.0, cp.poly), 2) <= 1e-8 * 4
+    assert peak < 192 * 2 ** 20
 
 
 class TestOracles:
