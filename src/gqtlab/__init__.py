@@ -11,14 +11,12 @@ from .polynomials import (
     ParityClass,
     PolyCoeffs,
     approx_inverse,
-    approx_target_sqrt,
-    cheb_to_monomial,
+    check_parity,
     classify_parity,
     eval_cheb,
     eval_circle,
     max_abs_circle,
     max_abs_interval,
-    monomial_to_cheb,
     parity_split,
     scaling_factor,
     sqrt_substitute_even,

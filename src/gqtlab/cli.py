@@ -65,13 +65,20 @@ class InputError(Exception):
     pass
 
 
+# What a malformed file or JSON value raises while it is decoded.
+_BAD_INPUT = (OSError, ValueError, KeyError, TypeError, AttributeError)
+
+
 def _load_config(args) -> dict:
     if args.config is None:
         return {}
     try:
-        return json.loads(Path(args.config).read_text())
+        cfg = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read config: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise InputError("config must be a JSON object")
+    return cfg
 
 
 def _load_poly(cfg: dict, key: str = "poly") -> PolyCoeffs:
@@ -82,7 +89,7 @@ def _load_poly(cfg: dict, key: str = "poly") -> PolyCoeffs:
         if isinstance(src, str):
             return ser.poly_from_file(src)
         return PolyCoeffs.from_json_dict(src)
-    except (OSError, ValueError, KeyError) as exc:
+    except _BAD_INPUT as exc:
         raise InputError(f"bad polynomial input: {exc}") from exc
 
 
@@ -94,7 +101,7 @@ def _load_matrix(cfg: dict, key: str = "matrix") -> np.ndarray:
         if isinstance(src, str):
             return ser.matrix_from_file(src)
         return ser.matrix_from_json(src)
-    except (OSError, ValueError, KeyError) as exc:
+    except _BAD_INPUT as exc:
         raise InputError(f"bad matrix input: {exc}") from exc
 
 
@@ -182,8 +189,9 @@ def cmd_gqsvt(args) -> int:
     alpha = float(cfg.get("alpha", 1.2 * np.linalg.norm(np.atleast_2d(A), 2)))
     enc = dilate_general(A, alpha)
     c = _load_poly(cfg)
+    routes = ("hermitianization", "multiplication")
     route = cfg.get("route", "both")
-    if route not in ("hermitianization", "multiplication", "both"):
+    if route not in routes + ("both",):
         raise InputError(f"unknown gqsvt route {route!r}; have "
                          "'hermitianization', 'multiplication', 'both'")
     parity = cfg.get("parity")
@@ -192,29 +200,20 @@ def cmd_gqsvt(args) -> int:
     lines = []
     worst = 0.0
     blocks = {}
-    if route in ("hermitianization", "both"):
-        cp = gqsvt_hermitianization(enc, c)
+    for name in routes if route == "both" else (route,):
+        if name == "hermitianization":
+            cp, outcome = gqsvt_hermitianization(enc, c), None
+        else:
+            cp, outcome = gqsvt_multiplication(enc, c, parity)
         blk = extract_svt(cp, parity)
         oracle = svt_oracle(A, alpha, cp.poly, parity)
         r = float(np.linalg.norm(blk - oracle, 2))
         worst = max(worst, r / max(cp.scale_applied, 1e-300))
-        blocks["hermitianization"] = blk / cp.scale_applied
-        lines.append(f"hermitianization: residual={r:.3e} "
-                     f"queries_U={cp.queries_U} "
-                     f"queries_U_dagger={cp.queries_U_dagger} "
-                     f"scale={cp.scale_applied:.6g}")
-        d = cp.degree
-    if route in ("multiplication", "both"):
-        cp, outcome = gqsvt_multiplication(enc, c, parity)
-        blk = extract_svt(cp)
-        oracle = svt_oracle(A, alpha, c.scaled(cp.scale_applied), parity)
-        r = float(np.linalg.norm(blk - oracle, 2))
-        worst = max(worst, r / max(cp.scale_applied, 1e-300))
-        blocks["multiplication"] = blk / cp.scale_applied
-        msg = (f"multiplication: residual={r:.3e} queries_U={cp.queries_U} "
+        blocks[name] = blk / cp.scale_applied
+        msg = (f"{name}: residual={r:.3e} queries_U={cp.queries_U} "
                f"queries_U_dagger={cp.queries_U_dagger} "
                f"scale={cp.scale_applied:.6g}")
-        if parity == "odd":
+        if outcome is not None and parity == "odd":
             msg += (f" success_prob={outcome.success_prob:.6g} "
                     f"stage_probs={tuple(round(p, 6) for p in outcome.stage_probs)}")
         lines.append(msg)
@@ -313,10 +312,7 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, ValueError, KeyError) as exc:
+    except (InputError, OSError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PhaseSynthesisError as exc:

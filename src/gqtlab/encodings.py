@@ -184,13 +184,6 @@ def encoded_matrix(e: ProjectedUnitaryEncoding) -> np.ndarray:
     return e.Pi_L.conj().T @ e.U @ e.Pi_R
 
 
-def _psd_sqrt(B: np.ndarray) -> np.ndarray:
-    """Principal square root of a Hermitian matrix, eigenvalues clamped to [0,1]."""
-    w, V = np.linalg.eigh((B + B.conj().T) / 2)
-    w = np.clip(w, 0.0, 1.0)
-    return (V * np.sqrt(w)) @ V.conj().T
-
-
 def _selector(M: int, N: int) -> np.ndarray:
     """Isometry onto the first N coordinates of dimension M."""
     Pi = np.zeros((M, N), dtype=complex)
@@ -198,21 +191,30 @@ def _selector(M: int, N: int) -> np.ndarray:
     return Pi
 
 
+def _check_alpha(alpha: float, norm: float = 0.0):
+    """SubnormalizationError unless alpha > 0 and alpha >= norm - 1e-12."""
+    if not alpha > 0:
+        raise SubnormalizationError(f"alpha={alpha} must be positive")
+    if alpha < norm - 1e-12:
+        raise SubnormalizationError(
+            f"alpha={alpha} below spectral norm {norm}")
+
+
 def dilate_hermitian(A: np.ndarray, alpha: float) -> HermitianEncoding:
     """Hermitian unitary [[A/a, S], [S, -A/a]] with S = sqrt(I - (A/a)^2).
 
     S is assembled from the eigendecomposition of A/a itself (eigenvalues
     clamped to [-1, 1]) so that (A/a)^2 + S^2 = I and [A/a, S] = 0 hold to
-    roundoff even when eigenvalues of A/a sit exactly at +-1.
+    roundoff even when eigenvalues of A/a sit exactly at +-1.  ||A|| is
+    alpha * max |w| from that same decomposition.
     """
     A = np.asarray(A, dtype=complex)
     N = A.shape[0]
     if A.shape != (N, N) or np.linalg.norm(A - A.conj().T) > 1e-10 * max(N, 1):
         raise EncodingValidationError("A must be square Hermitian to 1e-10")
-    if alpha < np.linalg.norm(A, 2) - 1e-12:
-        raise SubnormalizationError(
-            f"alpha={alpha} below spectral norm {np.linalg.norm(A, 2)}")
+    _check_alpha(alpha)
     w, V = np.linalg.eigh(A / alpha)
+    _check_alpha(alpha, alpha * np.max(np.abs(w)))
     w = np.clip(w, -1.0, 1.0)
     B = (V * w) @ V.conj().T
     S = (V * np.sqrt(1.0 - w ** 2)) @ V.conj().T
@@ -229,15 +231,15 @@ def dilate_general(A: np.ndarray, alpha: float) -> ProjectedUnitaryEncoding:
         U = [[B, W C_L W^dag], [V C_R V^dag, -V S^T W^dag]],
 
     with C = sqrt(1 - s^2) on the singular directions (1 on the padding),
-    so every block shares one factorization and U is unitary to roundoff.
+    so every block shares one factorization and U is unitary to roundoff;
+    ||A|| is alpha * s_max from it.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     N_L, N_R = A.shape
-    if alpha < np.linalg.norm(A, 2) - 1e-12:
-        raise SubnormalizationError(
-            f"alpha={alpha} below spectral norm {np.linalg.norm(A, 2)}")
+    _check_alpha(alpha)
     B = A / alpha
     W, s, Vh = np.linalg.svd(B, full_matrices=True)
+    _check_alpha(alpha, alpha * s[0])
     s = np.clip(s, 0.0, 1.0)
     c = np.sqrt(1.0 - s ** 2)
     cL = np.ones(N_L)

@@ -205,7 +205,10 @@ def complementary_polynomial(c: PolyCoeffs | Sequence[complex]) -> PolyCoeffs:
 
 def rescale_to_margin(c: PolyCoeffs, margin: float = DEFAULT_MARGIN,
                       ) -> tuple[PolyCoeffs, float]:
-    """Scale P to max |P| = 1 - 2 margin if above 1 - margin; (P, scale)."""
+    """Scale P to max |P| = 1 - 2 margin if above 1 - margin; (P, scale).
+    The one rescale rule; ValueError unless 0 <= margin < 1/2."""
+    if not 0.0 <= margin < 0.5:
+        raise ValueError(f"margin must lie in [0, 0.5), not {margin}")
     maxP = max_abs_circle(c)
     if maxP > 1.0 - margin:
         scale = (1.0 - 2.0 * margin) / maxP

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,22 +33,16 @@ __all__ = [
     "max_abs_circle",
     "scaling_factor",
     "classify_parity",
+    "check_parity",
     "parity_split",
     "sqrt_substitute_even",
     "sqrt_substitute_odd",
     "approx_inverse",
-    "approx_target_sqrt",
-    "cheb_to_monomial",
-    "monomial_to_cheb",
 ]
 
 # Relative tolerance below which a coefficient counts as zero for parity
-# classification and tail trimming.
+# classification, parity checks and tail trimming.
 ZERO_TOL = 1e-12
-
-# Degree beyond which the exact Chebyshev<->monomial basis change is
-# numerically unreliable in float64.
-MONOMIAL_DEGREE_CAP = 64
 
 
 class DomainError(ValueError):
@@ -110,7 +103,11 @@ class PolyCoeffs:
     def from_json_dict(cls, d: dict) -> "PolyCoeffs":
         if d.get("basis", "chebyshev-monomial-dual") != "chebyshev-monomial-dual":
             raise ValueError(f"unknown basis {d.get('basis')!r}")
-        return cls(np.array([complex(re, im) for re, im in d["coeffs"]]))
+        pairs = np.asarray(d["coeffs"])
+        if (pairs.dtype.kind not in "iuf" or pairs.ndim != 2
+                or pairs.shape[1] != 2):
+            raise ValueError("coeffs must be a list of [re, im] number pairs")
+        return cls(pairs.astype(float).view(complex)[:, 0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -306,14 +303,16 @@ def parity_split(c: PolyCoeffs | Sequence[complex]) -> tuple[PolyCoeffs, PolyCoe
     return PolyCoeffs(even).trimmed(tol=0.0), PolyCoeffs(odd).trimmed(tol=0.0)
 
 
-def _check_parity(c: PolyCoeffs, want: str, tol: float = 1e-10):
-    a = np.abs(c.coeffs)
-    scale = a.max()
-    if scale == 0.0:
-        return
-    bad = a[1::2] if want == "even" else a[0::2]
-    if bad.size and bad.max() > tol * scale:
-        raise ParityError(f"coefficients are not {want} within tolerance")
+def check_parity(c: PolyCoeffs | Sequence[complex], parity: str):
+    """The one parity rule: ParityError when a coefficient of the other
+    parity exceeds ZERO_TOL * max |a|.  The zero polynomial has both
+    parities; a parity other than 'even'/'odd' is a ValueError."""
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', not {parity!r}")
+    a = np.abs(_as_poly(c).coeffs)
+    other = a[1::2] if parity == "even" else a[0::2]
+    if other.size and other.max() > ZERO_TOL * a.max():
+        raise ParityError(f"coefficients are not {parity} to {ZERO_TOL:g}")
 
 
 def _substitute(w: np.ndarray, first: list[float]) -> PolyCoeffs:
@@ -333,7 +332,7 @@ def _substitute(w: np.ndarray, first: list[float]) -> PolyCoeffs:
 def sqrt_substitute_even(c_even: PolyCoeffs | Sequence[complex]) -> PolyCoeffs:
     """q with q(y^2) = p_even(y); via T_{2n}(y) = T_n(2y^2 - 1)."""
     c = _as_poly(c_even)
-    _check_parity(c, "even")
+    check_parity(c, "even")
     return _substitute(c.coeffs[0::2], [-1.0, 2.0])
 
 
@@ -344,7 +343,7 @@ def sqrt_substitute_odd(c_odd: PolyCoeffs | Sequence[complex]) -> PolyCoeffs:
     c_n = 2u c_{n-1} - c_{n-2} (from T_{a+2} = 2 T_2 T_a - T_{a-2}).
     """
     c = _as_poly(c_odd)
-    _check_parity(c, "odd")
+    check_parity(c, "odd")
     return _substitute(c.coeffs[1::2], [-3.0, 4.0])
 
 
@@ -553,30 +552,3 @@ def _projection_inverse(spec: ApproxSpec, degree: int | None,
     return InverseApproxResult(PolyCoeffs(coeffs.astype(complex)), d, e,
                                kappa, eps, "projection")
 
-
-def approx_target_sqrt(f: Callable[[np.ndarray], np.ndarray],
-                       degree: int) -> PolyCoeffs:
-    """Chebyshev interpolant of f on [-1, 1] at Chebyshev nodes."""
-    coeffs = _cheb.chebinterpolate(lambda x: np.asarray(f(x), dtype=complex),
-                                   degree)
-    return PolyCoeffs(np.atleast_1d(coeffs))
-
-
-def cheb_to_monomial(c: PolyCoeffs | Sequence[complex]) -> np.ndarray:
-    c = _as_poly(c)
-    if c.degree > MONOMIAL_DEGREE_CAP:
-        warnings.warn(
-            f"degree {c.degree} exceeds the monomial-conversion stability cap "
-            f"({MONOMIAL_DEGREE_CAP}); results may lose precision",
-            stacklevel=2)
-    return _cheb.cheb2poly(c.coeffs)
-
-
-def monomial_to_cheb(m: Sequence[complex]) -> PolyCoeffs:
-    m = np.atleast_1d(np.asarray(m, dtype=complex))
-    if len(m) - 1 > MONOMIAL_DEGREE_CAP:
-        warnings.warn(
-            f"degree {len(m) - 1} exceeds the monomial-conversion stability "
-            f"cap ({MONOMIAL_DEGREE_CAP}); results may lose precision",
-            stacklevel=2)
-    return PolyCoeffs(_cheb.poly2cheb(m))

@@ -40,11 +40,12 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 def matrix_from_json(d: dict) -> np.ndarray:
     rows, cols = int(d["rows"]), int(d["cols"])
-    data = np.array([complex(re, im) for re, im in d["data"]])
-    if data.size != rows * cols:
-        raise ValueError(
-            f"matrix data length {data.size} != rows*cols {rows * cols}")
-    return data.reshape(rows, cols)
+    data = np.asarray(d["data"])
+    if data.dtype.kind not in "iuf" or data.shape != (rows * cols, 2):
+        raise ValueError(f"matrix data must be rows*cols = {rows * cols} "
+                         f"[re, im] number pairs, got {data.dtype} "
+                         f"of shape {data.shape}")
+    return data.astype(float).view(complex).reshape(rows, cols)
 
 
 def save_json(obj: dict, path: str | Path):

@@ -26,7 +26,6 @@ from .encodings import (
     walk_operator,
 )
 from .phases import (
-    DEFAULT_MARGIN,
     PhaseFactors,
     _column_defect,
     _unitary_defect,
@@ -35,9 +34,8 @@ from .phases import (
     solve_phases,
 )
 from .polynomials import (
-    ParityError,
     PolyCoeffs,
-    classify_parity,
+    check_parity,
     eval_cheb,
     sqrt_substitute_even,
     sqrt_substitute_odd,
@@ -112,6 +110,8 @@ class _Operator:
 class CircuitProduct:
     """Transformation circuit as an operator, plus bookkeeping.
 
+    ``poly`` is the polynomial the circuit applies through its default
+    extraction: the input times ``scale_applied``, on every route.
     ``operator`` applies the circuit to column stacks (``cp.operator @ X``);
     ``matrix`` is the dense circuit, formed only when read, checked unitary
     to 1e-10 * dimension and frozen.  A product built from a ``matrix`` is
@@ -177,17 +177,16 @@ def _ancilla_zero(iso: np.ndarray) -> np.ndarray:
     return np.vstack([iso, np.zeros_like(iso)])
 
 
-def gqet(e: HermitianEncoding, c: PolyCoeffs,
-         margin: float = DEFAULT_MARGIN) -> CircuitProduct:
+def gqet(e: HermitianEncoding, c: PolyCoeffs) -> CircuitProduct:
     """Eigenvalue transformation: block-applies p(A/alpha) = sum a_n T_n(A/alpha).
 
     The circuit is the signal-processing chain run on the qubitized walk
-    operator; extraction isometry |0> (x) Pi on both sides.  Polynomials with
-    max |P| > 1 - margin are scaled down first (scale recorded in metadata).
+    operator; extraction isometry |0> (x) Pi on both sides.  Polynomials are
+    scaled by `rescale_to_margin` first (scale recorded in metadata).
     """
     c = c if isinstance(c, PolyCoeffs) else PolyCoeffs(np.asarray(c))
-    c, scale = rescale_to_margin(c, margin)
-    ph = solve_phases(c, margin=0.0 if scale != 1.0 else margin)
+    c, scale = rescale_to_margin(c)
+    ph = solve_phases(c)
     W = walk_operator(e)
     E = _ancilla_zero(e.Pi)
     # gqsp_matrix is looked up at each push, so a rebound kernel is the one
@@ -232,13 +231,7 @@ def svt_oracle(A: np.ndarray, alpha: float, c: PolyCoeffs,
     with p(0) on the padding entries.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
-    tag = classify_parity(c).tag
-    # the zero polynomial (classified even) qualifies for either parity
-    if tag != parity and not np.all(c.coeffs == 0):
-        raise ParityError(
-            f"polynomial parity {tag!r} does not match {parity!r}")
+    check_parity(c, parity)
     u, s, vh = np.linalg.svd(A / alpha, full_matrices=True)
     N_L, N_R = A.shape
     k = len(s)
@@ -253,8 +246,8 @@ def svt_oracle(A: np.ndarray, alpha: float, c: PolyCoeffs,
     return vh.conj().T @ np.diag(diag) @ vh
 
 
-def gqsvt_hermitianization(e: ProjectedUnitaryEncoding, c: PolyCoeffs,
-                           margin: float = DEFAULT_MARGIN) -> CircuitProduct:
+def gqsvt_hermitianization(e: ProjectedUnitaryEncoding,
+                           c: PolyCoeffs) -> CircuitProduct:
     """Singular-value transformation by eigen-transforming [[0, A], [A^dag, 0]].
 
     Costs d controlled applications of U and d of U^dag; the extracted
@@ -262,7 +255,7 @@ def gqsvt_hermitianization(e: ProjectedUnitaryEncoding, c: PolyCoeffs,
     even part on the diagonal.
     """
     h = hermitianize(e)
-    cp = gqet(h, c, margin=margin)
+    cp = gqet(h, c)
     # Named sub-extractions into the Hermitianized block structure.
     M, N_L, N_R = e.M, e.N_L, e.N_R
     top = _ancilla_zero(np.vstack([e.Pi_L, np.zeros((M, N_L))]))
@@ -295,7 +288,7 @@ def extract_svt(cp: CircuitProduct, which: str = "default") -> np.ndarray:
 
 
 def gqsvt_multiplication(e: ProjectedUnitaryEncoding, c: PolyCoeffs,
-                         parity: str, margin: float = DEFAULT_MARGIN,
+                         parity: str,
                          ) -> tuple[CircuitProduct, PostselectOutcome]:
     """Singular-value transformation via the A^dag A product encoding.
 
@@ -306,27 +299,26 @@ def gqsvt_multiplication(e: ProjectedUnitaryEncoding, c: PolyCoeffs,
     application of A/alpha, realized by composing with the original encoding;
     the returned stages declare the matching mid-circuit measurement point.
     Query count: 2*floor(d/2) applications of U/U^dag, plus 1 for odd.
+    q is rescaled in `gqet`, so the circuit applies c times that scale
+    (``poly``); the block is named ``parity`` as well as ``default``.
     """
     c = c if isinstance(c, PolyCoeffs) else PolyCoeffs(np.asarray(c))
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
-    tag = classify_parity(c).tag
-    if tag != parity and not np.all(c.coeffs == 0):
-        raise ParityError(
-            f"polynomial parity {tag!r} does not match {parity!r}")
+    check_parity(c, parity)
     d = c.degree
     q = sqrt_substitute_even(c) if parity == "even" else sqrt_substitute_odd(c)
 
     e_dag = ProjectedUnitaryEncoding(e.U.conj().T, e.Pi_R, e.Pi_L, e.alpha)
     he = multiply(e_dag, e)  # a HermitianEncoding of A^dag A / alpha^2
 
-    cp_q = gqet(he, q, margin=margin)
+    cp_q = gqet(he, q)
     dq = cp_q.degree
     K = cp_q.extraction["default"][0]
+    poly = c.scaled(cp_q.scale_applied)
 
     if parity == "even":
         cp = _relabeled(cp_q, queries_U_dagger=dq, degree=d,
-                        route="gqsvt-multiplication", encoding=e, poly=c)
+                        route="gqsvt-multiplication", encoding=e, poly=poly,
+                        extraction={"default": (K, K), "even": (K, K)})
         out = simulate_postselect(cp, schedule="end-only")
         return cp, out
 
@@ -342,8 +334,8 @@ def gqsvt_multiplication(e: ProjectedUnitaryEncoding, c: PolyCoeffs,
         queries_U_dagger=dq,
         degree=d, route="gqsvt-multiplication",
         scale_applied=cp_q.scale_applied,
-        extraction={"default": (Pi_L, Pi_R)}, encoding=e,
-        poly=c, phases=cp_q.phases, stages=stages)
+        extraction={"default": (Pi_L, Pi_R), "odd": (Pi_L, Pi_R)}, encoding=e,
+        poly=poly, phases=cp_q.phases, stages=stages)
     out = simulate_postselect(cp, schedule="measure-early")
     return cp, out
 

@@ -7,7 +7,8 @@ import pytest
 from gqtlab import phases
 from gqtlab.cli import EXIT_INPUT, EXIT_OK, EXIT_TOLERANCE, main
 from gqtlab.polynomials import PolyCoeffs
-from gqtlab.serialization import matrix_to_json, phases_from_file
+from gqtlab.serialization import (
+    matrix_from_json, matrix_to_json, phases_from_file)
 
 
 def write_config(tmp_path, name, cfg):
@@ -70,6 +71,39 @@ class TestGqetCommand:
         cfg = write_config(tmp_path, "c.json", {
             "matrix": matrix_to_json(np.array([[0.5]]))})
         assert main(["gqet", "--config", cfg]) == EXIT_INPUT
+
+
+_POLY = PolyCoeffs([0, 0.5]).to_json_dict()
+_NOT_PAIRS = {"coeffs": [0.0, 0.5, 0.25]}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("gqet", [1, 2]),
+    ("gqet", {"matrix": 5, "poly": _POLY}),
+    ("gqet", {"matrix": {"rows": 1, "cols": 1, "data": [[0.5, 0.0]]},
+              "poly": _NOT_PAIRS}),
+    ("phases", {"poly": _NOT_PAIRS}),
+    ("gqet", {"matrix": {"rows": 1, "cols": 2, "data": [[0.5, 0.0], [0.1]]},
+              "poly": _POLY}),
+    ("gqet", {"matrix": {"rows": 1, "cols": 1, "data": [["0.5", "0"]]},
+              "poly": _POLY}),
+], ids=["config-list", "matrix-number", "coeffs-not-pairs",
+        "phases-coeffs-not-pairs", "data-not-pairs", "data-strings"])
+def test_malformed_config_is_an_input_error(tmp_path, capsys, command, cfg):
+    # exit 2 with a message, not a traceback
+    argv = [command, "--config", write_config(tmp_path, "c.json", cfg)]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_json_decoding_is_exact():
+    rng = np.random.default_rng(11)
+    M = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    back = matrix_from_json(json.loads(json.dumps(matrix_to_json(M))))
+    assert back.shape == (3, 4) and np.array_equal(back, M)
+    c = PolyCoeffs(M[0])
+    back = PolyCoeffs.from_json_dict(json.loads(json.dumps(c.to_json_dict())))
+    assert np.array_equal(back.coeffs, c.coeffs)
 
 
 class TestGqsvtCommand:
@@ -290,6 +324,16 @@ class TestPhasesCommand:
             "poly": PolyCoeffs([0, 2.0]).to_json_dict()})
         assert main(["phases", "--config", cfg]) == EXIT_OK
         assert "rescaled" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("margin", [0.5, -0.1])
+    def test_margin_outside_range(self, tmp_path, capsys, margin):
+        # margin 0.5 would scale by 1 - 2 margin = 0 and "solve" P = 0
+        cfg = write_config(tmp_path, "p.json", {
+            "poly": PolyCoeffs([0, 2.0]).to_json_dict(), "margin": margin})
+        assert main(["phases", "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "margin" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("failure", ["defect", "completion"])
     def test_synthesis_failure_exits_tolerance(self, tmp_path, capsys,

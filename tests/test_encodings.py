@@ -97,6 +97,40 @@ class TestDilateGeneral:
         assert np.linalg.norm(encoded_matrix(e) - A / e.alpha) < 1e-10
 
 
+class TestSubnormalizationCheck:
+    """Both dilations take ||A|| from the decomposition they already run,
+    and keep the threshold alpha < ||A|| - 1e-12."""
+
+    @pytest.mark.parametrize("dilate, A", [
+        (dilate_hermitian, np.diag([2.0, -0.5])),
+        (dilate_general, np.array([[2.0, 0.0, 0.0], [0.0, 0.5, 0.0]])),
+    ])
+    def test_threshold(self, dilate, A):
+        dilate(A, 2.0 - 5e-13)
+        with pytest.raises(SubnormalizationError):
+            dilate(A, 2.0 - 2e-12)
+        for alpha in (0.0, -3.0, math.nan):
+            with pytest.raises(SubnormalizationError):
+                dilate(A, alpha)
+
+    @pytest.mark.parametrize("dilate", [dilate_hermitian, dilate_general])
+    def test_one_decomposition(self, dilate, monkeypatch):
+        calls = []
+        for name in ("eigh", "svd", "norm"):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                if _name != "norm" or args[1:] == (2,):
+                    calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        dilate(random_hermitian(np.random.default_rng(36), 4), 20.0)
+        # the one 2-norm left is the encoding's check of its own block
+        assert calls == ["eigh" if dilate is dilate_hermitian else "svd",
+                         "norm"]
+
+
 class TestReflection:
     def test_full_isometry(self):
         assert np.allclose(reflection(np.eye(3)), np.eye(3))

@@ -18,14 +18,12 @@ from gqtlab.polynomials import (
     ParityError,
     PolyCoeffs,
     approx_inverse,
-    approx_target_sqrt,
-    cheb_to_monomial,
+    check_parity,
     classify_parity,
     eval_cheb,
     eval_circle,
     max_abs_circle,
     max_abs_interval,
-    monomial_to_cheb,
     parity_split,
     scaling_factor,
     sqrt_substitute_even,
@@ -294,6 +292,30 @@ class TestParity:
                  + np.pad(odd.coeffs, (0, n - len(odd.coeffs))))
         assert np.array_equal(total, c.coeffs)
 
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_check_parity_tolerance(self, parity):
+        # ZERO_TOL = 1e-12 of max |a|: 1e-13 of the other parity passes,
+        # 1e-11 is rejected
+        a = np.zeros(6, dtype=complex)
+        start = 0 if parity == "even" else 1
+        a[start::2] = [0.5, -1.0, 0.25]
+        a[1 - start] = 1e-13
+        check_parity(PolyCoeffs(a), parity)
+        a[1 - start] = 1e-11
+        with pytest.raises(ParityError):
+            check_parity(PolyCoeffs(a), parity)
+
+    def test_check_parity_zero_polynomial(self):
+        for n in (1, 4):
+            check_parity(PolyCoeffs(np.zeros(n)), "even")
+            check_parity(PolyCoeffs(np.zeros(n)), "odd")
+
+    @pytest.mark.parametrize("parity", ["mixed", "Odd", None])
+    def test_check_parity_bad_parity(self, parity):
+        with pytest.raises(ValueError) as info:
+            check_parity(PolyCoeffs([0, 1]), parity)
+        assert not isinstance(info.value, ParityError)
+
 
 class TestSqrtSubstitute:
     def test_t2(self):
@@ -336,6 +358,14 @@ class TestSqrtSubstitute:
             sqrt_substitute_even(PolyCoeffs([0, 1, 1]))
         with pytest.raises(ParityError):
             sqrt_substitute_odd(PolyCoeffs([1, 1]))
+
+    def test_parity_error_at_zero_tol(self):
+        # The substitutes use check_parity, so 1e-11 of the other parity is
+        # rejected (the old 1e-10 rule let it through)
+        with pytest.raises(ParityError):
+            sqrt_substitute_even(PolyCoeffs([1, 1e-11, 1]))
+        with pytest.raises(ParityError):
+            sqrt_substitute_odd(PolyCoeffs([1e-11, 1, 0, 1]))
 
 
 class TestApproxInverse:
@@ -437,42 +467,6 @@ class TestRemezGridAgainstDense:
         scale = np.max(np.abs(dense[0]))
         assert np.max(np.abs(fast[0] - dense[0])) <= 1e-12 * scale
         assert fast[1] == pytest.approx(dense[1], rel=1e-12)
-
-
-class TestApproxTargetSqrt:
-    def test_identity(self):
-        c = approx_target_sqrt(lambda x: x, 1)
-        assert np.allclose(c.coeffs, [0, 1], atol=1e-14)
-
-    def test_affine(self):
-        c = approx_target_sqrt(lambda x: 2 * x - 1, 1)
-        assert np.allclose(c.coeffs, [-1, 2], atol=1e-14)
-
-    def test_smooth_offnode(self):
-        f = lambda x: np.exp(np.sin(3 * x))
-        c = approx_target_sqrt(f, 40)
-        xs = np.linspace(-1, 1, 5001)
-        assert np.max(np.abs(eval_cheb(c, xs) - f(xs))) < 1e-8
-
-
-class TestBasisChange:
-    def test_t2_to_monomial(self):
-        assert np.allclose(cheb_to_monomial(PolyCoeffs([0, 0, 1])), [-1, 0, 2])
-
-    def test_x_cubed_to_cheb(self):
-        c = monomial_to_cheb([0, 0, 0, 1])
-        assert np.allclose(c.coeffs, [0, 0.75, 0, 0.25])
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(18)
-        c = random_poly(rng, 20)
-        back = monomial_to_cheb(cheb_to_monomial(c))
-        assert np.max(np.abs(back.coeffs - c.coeffs)) < 1e-10
-
-    def test_cap_warning(self):
-        rng = np.random.default_rng(19)
-        with pytest.warns(UserWarning):
-            cheb_to_monomial(random_poly(rng, 80))
 
 
 @settings(max_examples=30, deadline=None)

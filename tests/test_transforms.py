@@ -397,6 +397,38 @@ class TestMultiplicationRoute:
             gqsvt_multiplication(e, PolyCoeffs([0, 0.5]), "mixed")
 
 
+class TestAppliedPolynomial:
+    """cp.poly is the polynomial the block applies, input times
+    scale_applied, on both singular-value routes."""
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("route", ["hermitianization", "multiplication"])
+    def test_forced_rescale(self, route, parity):
+        from gqtlab.polynomials import (
+            max_abs_circle, sqrt_substitute_even, sqrt_substitute_odd)
+        rng = np.random.default_rng(44)
+        A = random_contraction(rng, 5, 3)
+        e = dilate_general(A, 1.0)
+        d = 6 if parity == "even" else 5
+        a = np.zeros(d + 1, dtype=complex)
+        start = 0 if parity == "even" else 1
+        a[start::2] = rng.normal(size=len(a[start::2]))
+        c = PolyCoeffs(a)
+        q = (sqrt_substitute_even(c) if parity == "even"
+             else sqrt_substitute_odd(c))
+        # both p and q peak at 2 or more, so either route must scale down
+        c = c.scaled(2.0 / min(max_abs_circle(c), max_abs_circle(q)))
+        if route == "hermitianization":
+            cp = gqsvt_hermitianization(e, c)
+        else:
+            cp, _ = gqsvt_multiplication(e, c, parity)
+        assert cp.scale_applied < 0.5
+        assert np.array_equal(cp.poly.coeffs, c.scaled(cp.scale_applied).coeffs)
+        blk = extract_svt(cp, parity)
+        ref = svt_oracle(A, 1.0, cp.poly, parity)
+        assert np.linalg.norm(blk - ref, 2) <= 1e-8 * d
+
+
 class TestSimulatePostselect:
     def test_scalar_odd_stage_probs(self):
         e = dilate_general(np.array([[0.6]]), 1.0)
