@@ -32,7 +32,6 @@ from .phases import (
     ROUND_TRIP_TOL,
     PhaseSynthesisError,
     rescale_to_margin,
-    round_trip_error,
     solve_phases,
 )
 from .polynomials import (
@@ -79,6 +78,15 @@ def _load_config(args) -> dict:
     if not isinstance(cfg, dict):
         raise InputError("config must be a JSON object")
     return cfg
+
+
+def _number(value, name: str, kind=float):
+    """A scalar config field converted by `kind`; InputError if it is not a
+    number (a list or an object would otherwise raise TypeError)."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must be a number, not {value!r}") from exc
 
 
 def _load_poly(cfg: dict, key: str = "poly") -> PolyCoeffs:
@@ -130,11 +138,14 @@ def cmd_scaling_table(args) -> int:
         if cfg.get("include_high_degree", False):
             grid += [{"kappa": 100, "eps": 1e-3}, {"kappa": 100, "eps": 1e-4},
                      {"kappa": 200, "eps": 1e-4}, {"kappa": 300, "eps": 1e-4}]
+    if not isinstance(grid, list) or not all(isinstance(r, dict) for r in grid):
+        raise InputError("rows must be a list of {kappa, eps} objects")
+    grid = [(_number(r["kappa"], "kappa"), _number(r["eps"], "eps"))
+            for r in grid]
     mode = cfg.get("mode", "remez")
     rows = []
     flagged = False
-    for entry in sorted(grid, key=lambda r: (r["kappa"], -r["eps"])):
-        kappa, eps = float(entry["kappa"]), float(entry["eps"])
+    for kappa, eps in sorted(grid, key=lambda r: (r[0], -r[1])):
         try:
             res = approx_inverse(ApproxSpec(kappa=kappa, eps=eps), mode=mode)
         except ApproximationError as exc:
@@ -162,7 +173,10 @@ def _hermitian_encoding_from_config(cfg):
     A = _load_matrix(cfg)
     if A.shape[0] != A.shape[1] or np.linalg.norm(A - A.conj().T) > 1e-10:
         raise InputError("gqet needs a square Hermitian matrix")
-    alpha = float(cfg.get("alpha", 1.2 * np.linalg.norm(A, 2)))
+    if "alpha" in cfg:
+        alpha = _number(cfg["alpha"], "alpha")
+    else:  # the default costs a full SVD
+        alpha = float(1.2 * np.linalg.norm(A, 2))
     return A, dilate_hermitian(A, alpha)
 
 
@@ -186,7 +200,10 @@ def cmd_gqet(args) -> int:
 def cmd_gqsvt(args) -> int:
     cfg = _load_config(args)
     A = _load_matrix(cfg)
-    alpha = float(cfg.get("alpha", 1.2 * np.linalg.norm(np.atleast_2d(A), 2)))
+    if "alpha" in cfg:
+        alpha = _number(cfg["alpha"], "alpha")
+    else:
+        alpha = float(1.2 * np.linalg.norm(np.atleast_2d(A), 2))
     enc = dilate_general(A, alpha)
     c = _load_poly(cfg)
     routes = ("hermitianization", "multiplication")
@@ -255,14 +272,15 @@ def _cheb_monomial_sample(rng, dmax):
 
 def cmd_bounds(args) -> int:
     cfg = _load_config(args)
-    trials = int(cfg.get("trials", 1000))
+    trials = _number(cfg.get("trials", 1000), "trials", int)
     if trials <= 0:
         raise InputError("trials must be positive")
-    dmax = int(cfg.get("max_degree", 64))
+    dmax = _number(cfg.get("max_degree", 64), "max_degree", int)
     name = cfg.get("sampler", "random")
     if name not in _SAMPLERS:
         raise InputError(f"unknown sampler {name!r}; have {sorted(_SAMPLERS)}")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = (args.seed if args.seed is not None
+            else _number(cfg.get("seed", 0), "seed", int))
     report = bounds_mod.verify_beta_bound(_SAMPLERS[name](dmax), trials,
                                           seed=seed)
     _write_out(_csv(list(report.rows),
@@ -276,12 +294,12 @@ def cmd_bounds(args) -> int:
 def cmd_phases(args) -> int:
     cfg = _load_config(args)
     c = _load_poly(cfg)
-    margin = float(cfg.get("margin", DEFAULT_MARGIN))
+    margin = _number(cfg.get("margin", DEFAULT_MARGIN), "margin")
     c, scale = rescale_to_margin(c, margin)
     if scale != 1.0:
         print(f"rescaled by {scale:.6g} to fit the margin")
     ph = solve_phases(c, margin=margin)
-    err = round_trip_error(ph, c)
+    err = ph.round_trip
     tol = (args.tol if args.tol is not None
            else ROUND_TRIP_TOL * (ph.degree + 1))
     if args.out is not None:

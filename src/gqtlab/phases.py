@@ -70,11 +70,15 @@ def _canonical(angle):
 
 @dataclasses.dataclass(frozen=True)
 class PhaseFactors:
-    """Angles ({theta_i}, {phi_i}, lambda) for a degree-d polynomial."""
+    """Angles ({theta_i}, {phi_i}, lambda) for a degree-d polynomial.
+
+    `round_trip` is the reconstruct_P error that solve_phases measured on
+    these angles (None otherwise); it is neither serialised nor compared."""
 
     thetas: np.ndarray
     phis: np.ndarray
     lam: float
+    round_trip: float | None = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self):
         t = np.atleast_1d(np.asarray(self.thetas, dtype=float))
@@ -98,8 +102,8 @@ class PhaseFactors:
 
     def to_json_dict(self) -> dict:
         return {
-            "thetas": [float(x) for x in self.thetas],
-            "phis": [float(x) for x in self.phis],
+            "thetas": self.thetas.tolist(),
+            "phis": self.phis.tolist(),
             "lambda": float(self.lam),
             "degree": self.degree,
         }
@@ -129,17 +133,27 @@ def rotation_matrix(g: RotationGate) -> np.ndarray:
 
 
 def _reconstruct_PQ(ph: PhaseFactors) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient recursion induced on the chain's first column (P, Q)."""
+    """Coefficient recursion induced on the chain's first column (P, Q).
+
+    In place: zbuf[0] stays 0 and zbuf[1:k+2] holds P_k, so zbuf[:k+1] is
+    z P_{k-1}; qbuf[k] is still 0 when qbuf[:k+1] is read as Q_{k-1}
+    padded.  Each layer evaluates the recursion of `reconstruct_P` on those
+    padded arrays with the same operations, scalar on the left."""
     d = ph.degree
-    P = np.array([np.exp(1j * (ph.lam + ph.phis[0])) * math.cos(ph.thetas[0])])
-    Q = np.array([np.exp(1j * ph.lam) * math.sin(ph.thetas[0])])
+    zbuf = np.zeros(d + 2, dtype=complex)
+    qbuf = np.zeros(d + 1, dtype=complex)
+    t1, t2 = np.empty(d + 1, dtype=complex), np.empty(d + 1, dtype=complex)
+    zbuf[1] = np.exp(1j * (ph.lam + ph.phis[0])) * math.cos(ph.thetas[0])
+    qbuf[0] = np.exp(1j * ph.lam) * math.sin(ph.thetas[0])
     for k in range(1, d + 1):
         ct, st = math.cos(ph.thetas[k]), math.sin(ph.thetas[k])
-        zP = np.concatenate(([0.0], P))
-        Qp = np.concatenate((Q, [0.0]))
-        P = np.exp(1j * ph.phis[k]) * (ct * zP + st * Qp)
-        Q = st * zP - ct * Qp
-    return P, Q
+        zP, Qp = zbuf[:k + 1], qbuf[:k + 1]
+        a, b = t1[:k + 1], t2[:k + 1]
+        np.add(np.multiply(ct, zP, out=a), np.multiply(st, Qp, out=b), out=a)
+        np.subtract(np.multiply(st, zP, out=b), np.multiply(ct, Qp, out=Qp),
+                    out=Qp)
+        np.multiply(np.exp(1j * ph.phis[k]), a, out=zbuf[1:k + 2])
+    return zbuf[1:], qbuf
 
 
 def reconstruct_P(ph: PhaseFactors) -> PolyCoeffs:
@@ -224,6 +238,59 @@ def round_trip_error(ph: PhaseFactors, c: PolyCoeffs) -> float:
                                - np.pad(ref, (0, n - len(ref))))))
 
 
+def _strip_layers(P: np.ndarray, Q: np.ndarray) -> PhaseFactors:
+    """Peel R(theta_k, phi_k, 0) diag(z, 1) off (P, Q) one degree at a time
+    (Motlagh & Wiebe, arXiv:2308.01501); P and Q are overwritten."""
+    d = len(P) - 1
+    thetas = np.zeros(d + 1)
+    phis = np.zeros(d + 1)
+    # A layer has theta = 0 iff |q_lead| <= 1e-14 max(|P|, |Q|).  Every
+    # layer is a 2x2 unitary on the pairs (P_j, Q_j) and then drops an end,
+    # so that max stays below 2 ||(P, Q)||_2 (~1), and it is at least
+    # |p_lead| (halved against the rounding of abs): the exact max is
+    # computed only when q_lead falls between the two tests.
+    near_zero = 1e-14 * 2.0 * math.hypot(np.linalg.norm(P), np.linalg.norm(Q))
+    # P is a view into one of two buffers (z P_{k-1} is written to the
+    # other), Q into its own; the arithmetic is that of the out-of-place
+    # recursion, scalar on the left.
+    held, spare, tmp = P, np.empty_like(P), np.empty_like(P)
+    for k in range(d, 0, -1):
+        p_lead, q_lead = P[k], Q[k]
+        aq = abs(q_lead)
+        if aq <= near_zero and (
+                aq <= 0.5e-14 * abs(p_lead)
+                or aq <= 1e-14 * max(np.max(np.abs(P)), np.max(np.abs(Q)))):
+            # theta = 0 layer: P_k = z P_{k-1}, Q_k = -Q_{k-1}.
+            theta, phi = 0.0, 0.0
+            newP = P[1:]
+            newQ = np.negative(Q[:k], out=Q[:k])
+        else:
+            phi = math.atan2((p_lead / q_lead).imag, (p_lead / q_lead).real)
+            theta = math.atan2(abs(q_lead), abs(p_lead))
+            e = np.exp(-1j * phi)
+            ct, st = math.cos(theta), math.sin(theta)
+            # coefficients of z * P_{k-1}
+            zP = np.add(np.multiply(e * ct, P, out=spare[:k + 1]),
+                        np.multiply(st, Q, out=tmp[:k + 1]), out=spare[:k + 1])
+            # degree k-1 (leading ~0)
+            newQ = np.subtract(np.multiply(e * st, P, out=tmp[:k + 1]),
+                               np.multiply(ct, Q, out=Q), out=Q)[:k]
+            held, spare = spare, held
+            newP = zP[1:]
+        thetas[k], phis[k] = theta, phi
+        P, Q = newP, newQ
+
+    p0, q0 = P[0], Q[0]
+    thetas[0] = math.atan2(abs(q0), abs(p0))
+    if abs(q0) > 1e-14:
+        lam = math.atan2(q0.imag, q0.real)
+    else:
+        lam = 0.0
+    if abs(p0) > 1e-14:
+        phis[0] = math.atan2(p0.imag, p0.real) - lam
+    return PhaseFactors(thetas, phis, lam)
+
+
 def solve_phases(c: PolyCoeffs | Sequence[complex],
                  margin: float = DEFAULT_MARGIN) -> PhaseFactors:
     """Angles realizing P(z), checked against P before they are returned.
@@ -234,6 +301,7 @@ def solve_phases(c: PolyCoeffs | Sequence[complex],
     layer stripping then peels R(theta_k, phi_k, 0) diag(z, 1) off (P, Q)
     one degree at a time (Motlagh & Wiebe, arXiv:2308.01501).
 
+    The round trip error is recorded on the result as `round_trip`.
     Raises PhaseSynthesisError when the completion defect of (P, Q) exceeds
     DEFECT_TOL or the reconstruct_P round trip exceeds
     ROUND_TRIP_TOL * (d + 1); CompletionError (a PhaseSynthesisError) when
@@ -246,50 +314,20 @@ def solve_phases(c: PolyCoeffs | Sequence[complex],
             f"max |P| on the circle exceeds 1 - margin (margin={margin}); "
             "rescale the polynomial first")
     d = c.degree
-    P = c.coeffs.astype(complex).copy()
+    P = c.coeffs.copy()
     Q = complementary_polynomial(PolyCoeffs(P)).coeffs.copy()
     defect = _completion_defect(P, Q)
     if not defect <= DEFECT_TOL:
         raise PhaseSynthesisError(
             f"completion defect {defect:.3e} exceeds {DEFECT_TOL:g}")
 
-    thetas = np.zeros(d + 1)
-    phis = np.zeros(d + 1)
-    # Layer stripping: peel R(theta_k, phi_k, 0) * diag(z, 1) off the top.
-    for k in range(d, 0, -1):
-        p_lead, q_lead = P[k], Q[k]
-        mag = max(np.max(np.abs(P)), np.max(np.abs(Q)))
-        if abs(q_lead) <= 1e-14 * mag:
-            # theta = 0 layer: P_k = z P_{k-1}, Q_k = -Q_{k-1}.
-            theta, phi = 0.0, 0.0
-            newP = P[1:]
-            newQ = -Q[:k]
-        else:
-            phi = math.atan2((p_lead / q_lead).imag, (p_lead / q_lead).real)
-            theta = math.atan2(abs(q_lead), abs(p_lead))
-            e = np.exp(-1j * phi)
-            ct, st = math.cos(theta), math.sin(theta)
-            zP = e * ct * P + st * Q          # coefficients of z * P_{k-1}
-            newQ = e * st * P - ct * Q        # degree k-1 (leading ~0)
-            newP = zP[1:]
-            newQ = newQ[:k]
-        thetas[k], phis[k] = theta, phi
-        P, Q = newP, newQ
-
-    p0, q0 = P[0], Q[0]
-    thetas[0] = math.atan2(abs(q0), abs(p0))
-    if abs(q0) > 1e-14:
-        lam = math.atan2(q0.imag, q0.real)
-    else:
-        lam = 0.0
-    if abs(p0) > 1e-14:
-        phis[0] = math.atan2(p0.imag, p0.real) - lam
-    ph = PhaseFactors(thetas, phis, lam)
+    ph = _strip_layers(P, Q)
     err = round_trip_error(ph, c)
     if not err <= ROUND_TRIP_TOL * (d + 1):
         raise PhaseSynthesisError(
             f"round trip error {err:.3e} exceeds "
             f"{ROUND_TRIP_TOL * (d + 1):.3e} at degree {d}")
+    object.__setattr__(ph, "round_trip", err)
     return ph
 
 

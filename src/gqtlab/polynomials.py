@@ -95,7 +95,8 @@ class PolyCoeffs:
 
     def to_json_dict(self) -> dict:
         return {
-            "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
+            "coeffs": np.column_stack((self.coeffs.real,
+                                       self.coeffs.imag)).tolist(),
             "basis": "chebyshev-monomial-dual",
         }
 

@@ -34,7 +34,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {
         "rows": m.shape[0],
         "cols": m.shape[1],
-        "data": [[float(v.real), float(v.imag)] for v in m.ravel()],
+        "data": np.column_stack((m.real.ravel(), m.imag.ravel())).tolist(),
     }
 
 

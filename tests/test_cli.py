@@ -398,3 +398,101 @@ def test_main_runs_the_handler_bound_at_call_time(monkeypatch):
     assert main(["phases", "--config", "missing.json"]) == EXIT_INPUT
     monkeypatch.setattr(cli, "cmd_phases", lambda args: 7)
     assert main(["phases"]) == 7
+
+
+_ONE_BY_ONE = {"rows": 1, "cols": 1, "data": [[0.5, 0.0]]}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("phases", {"poly": _POLY, "margin": [0.1]}),
+    ("gqsvt", {"matrix": _ONE_BY_ONE, "poly": _POLY, "parity": "odd",
+               "alpha": [1]}),
+    ("gqet", {"matrix": _ONE_BY_ONE, "poly": _POLY, "alpha": None}),
+    ("bounds", {"trials": [3]}),
+    ("bounds", {"trials": 3, "seed": {"s": 1}}),
+    ("scaling-table", {"rows": [[10, 1e-3]]}),
+    ("scaling-table", {"rows": [{"kappa": "ten", "eps": 1e-3}]}),
+    ("scaling-table", {"rows": 5}),
+], ids=["phases-margin-list", "gqsvt-alpha-list", "gqet-alpha-null",
+        "bounds-trials-list", "bounds-seed-object", "scaling-row-list",
+        "scaling-kappa-string", "scaling-rows-number"])
+def test_wrong_type_scalar_is_an_input_error(tmp_path, capsys, command, cfg):
+    argv = [command, "--config", write_config(tmp_path, "c.json", cfg)]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("command", ["gqet", "gqsvt"])
+def test_given_alpha_skips_the_default_norm(tmp_path, capsys, monkeypatch,
+                                            command):
+    # The default alpha = 1.2 ||A||_2 is a full SVD of A; with alpha in the
+    # config no 2-norm of A is taken.
+    A = np.array([[0.3, 0.1], [0.1, -0.2]])
+    cfg = write_config(tmp_path, "c.json", {
+        "matrix": matrix_to_json(A), "poly": _POLY, "alpha": 2.0,
+        "parity": "odd", "route": "hermitianization"})
+    real, of_A = np.linalg.norm, []
+
+    def norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.shape(x) == A.shape and np.array_equal(x, A):
+            of_A.append(x)
+        return real(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    assert main([command, "--config", cfg]) == EXIT_OK
+    assert of_A == []
+    # without alpha the default is still computed, from A itself
+    cfg = write_config(tmp_path, "d.json", {
+        "matrix": matrix_to_json(A), "poly": _POLY,
+        "parity": "odd", "route": "hermitianization"})
+    assert main([command, "--config", cfg]) == EXIT_OK
+    assert len(of_A) == 1
+
+
+@pytest.mark.parametrize("command", ["phases", "gqet"])
+def test_one_round_trip_per_op(tmp_path, capsys, monkeypatch, command):
+    calls = []
+    real = phases._reconstruct_PQ
+    monkeypatch.setattr(phases, "_reconstruct_PQ",
+                        lambda ph: calls.append(ph) or real(ph))
+    poly = PolyCoeffs([0.1, 0.3j, 0, -0.2]).to_json_dict()
+    cfg = write_config(tmp_path, "c.json", {
+        "matrix": matrix_to_json(np.array([[0.3, 0.1], [0.1, -0.2]])),
+        "poly": poly, "alpha": 1.0})
+    assert main([command, "--config", cfg]) == EXIT_OK
+    assert len(calls) == 1
+    if command == "phases":
+        err = float(capsys.readouterr().out.split("round_trip_error=")[1]
+                    .split()[0])
+        ph = calls[0]
+        assert err == float(f"{ph.round_trip:.3e}")
+
+
+def _per_element(values):
+    return [[float(v.real), float(v.imag)] for v in values]
+
+
+def test_json_encoders_match_the_per_element_form():
+    # .tolist() on stacked (re, im) columns gives the same JSON text as
+    # converting one element at a time, signed zeros, subnormals and the
+    # ends of the float range included.
+    special = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308,
+                        1.0 / 3.0, -7.25, 2.0 ** -1074 * 3])
+    z = np.empty(len(special), dtype=complex)
+    z.real, z.imag = special, special[::-1]
+    c = PolyCoeffs(z)
+    assert (json.dumps(c.to_json_dict())
+            == json.dumps({"coeffs": _per_element(c.coeffs),
+                           "basis": "chebyshev-monomial-dual"}))
+    M = np.concatenate([z, z[::-1]]).reshape(3, 6)
+    for m in (M, M.T, special.reshape(3, 3)):
+        want = {"rows": m.shape[0], "cols": m.shape[1],
+                "data": _per_element(np.asarray(m, dtype=complex).ravel())}
+        assert json.dumps(matrix_to_json(m)) == json.dumps(want)
+    ph = phases.PhaseFactors(np.array([-0.0, 5e-324, 1.0 / 3.0]),
+                             np.array([-2.5e-310, 0.0, -7.25]), -0.0)
+    want = {"thetas": [float(x) for x in ph.thetas],
+            "phis": [float(x) for x in ph.phis],
+            "lambda": float(ph.lam), "degree": ph.degree}
+    assert json.dumps(ph.to_json_dict()) == json.dumps(want)
+    assert "-0.0" in json.dumps(c.to_json_dict())

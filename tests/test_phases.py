@@ -332,3 +332,122 @@ def test_round_trip_property(d, seed):
     c = scaled_random_poly(rng, d)
     ph = solve_phases(c)
     assert coeff_error(reconstruct_P(ph), c.trimmed()) <= 1e-8 * (d + 1)
+
+
+def reference_reconstruct_PQ(ph: PhaseFactors):
+    """Reference: the out-of-place coefficient recursion, two new arrays per
+    layer, independent of the in-place buffers of phases._reconstruct_PQ."""
+    P = np.array([np.exp(1j * (ph.lam + ph.phis[0])) * math.cos(ph.thetas[0])])
+    Q = np.array([np.exp(1j * ph.lam) * math.sin(ph.thetas[0])])
+    for k in range(1, ph.degree + 1):
+        ct, st = math.cos(ph.thetas[k]), math.sin(ph.thetas[k])
+        zP = np.concatenate(([0.0], P))
+        Qp = np.concatenate((Q, [0.0]))
+        P = np.exp(1j * ph.phis[k]) * (ct * zP + st * Qp)
+        Q = st * zP - ct * Qp
+    return P, Q
+
+
+def reference_strip(P: np.ndarray, Q: np.ndarray) -> PhaseFactors:
+    """Reference: layer stripping with the exact max of |P|, |Q| at every
+    layer and new arrays per layer, independent of the in-place buffers and
+    the theta = 0 shortcuts of phases._strip_layers."""
+    d = len(P) - 1
+    thetas, phis = np.zeros(d + 1), np.zeros(d + 1)
+    for k in range(d, 0, -1):
+        p_lead, q_lead = P[k], Q[k]
+        mag = max(np.max(np.abs(P)), np.max(np.abs(Q)))
+        if abs(q_lead) <= 1e-14 * mag:
+            theta, phi = 0.0, 0.0
+            newP, newQ = P[1:], -Q[:k]
+        else:
+            phi = math.atan2((p_lead / q_lead).imag, (p_lead / q_lead).real)
+            theta = math.atan2(abs(q_lead), abs(p_lead))
+            e = np.exp(-1j * phi)
+            ct, st = math.cos(theta), math.sin(theta)
+            zP = e * ct * P + st * Q
+            newQ = e * st * P - ct * Q
+            newP, newQ = zP[1:], newQ[:k]
+        thetas[k], phis[k] = theta, phi
+        P, Q = newP, newQ
+    p0, q0 = P[0], Q[0]
+    thetas[0] = math.atan2(abs(q0), abs(p0))
+    lam = math.atan2(q0.imag, q0.real) if abs(q0) > 1e-14 else 0.0
+    if abs(p0) > 1e-14:
+        phis[0] = math.atan2(p0.imag, p0.real) - lam
+    return PhaseFactors(thetas, phis, lam)
+
+
+class TestBitExactAgainstReference:
+    """The in-place loops give the angles and coefficients of the
+    out-of-place references bit for bit."""
+
+    @staticmethod
+    def assert_same(c: PolyCoeffs):
+        P = c.trimmed().coeffs
+        ph = solve_phases(c)
+        ref = reference_strip(P, complementary_polynomial(PolyCoeffs(P)).coeffs)
+        assert np.array_equal(ph.thetas, ref.thetas)
+        assert np.array_equal(ph.phis, ref.phis)
+        assert ph.lam == ref.lam
+        for got, want in zip(phases._reconstruct_PQ(ph),
+                             reference_reconstruct_PQ(ph)):
+            assert np.array_equal(got, want)
+        return ph
+
+    @pytest.mark.parametrize("kappa", [10, 40, 100, 300])
+    def test_inversion_designs(self, inverse_design, kappa):
+        c = inverse_design(kappa).poly
+        c, _ = phases.rescale_to_margin(c)
+        self.assert_same(c)
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 5, 33, 64, 257, 1024])
+    def test_random_complex(self, d):
+        self.assert_same(scaled_random_poly(np.random.default_rng(300 + d), d))
+
+    @pytest.mark.parametrize("a", [[0, 0, 0, 0.9],
+                                   [0, 0, 0.4, 0, 0, 0, 0, 0.3j, 0, 0, 0, 0,
+                                    -0.2]],
+                             ids=["z^3", "sparse"])
+    def test_theta_zero_layers(self, a):
+        ph = self.assert_same(PolyCoeffs(a))
+        assert np.count_nonzero(ph.thetas[1:] == 0.0) >= 2
+
+    @pytest.mark.parametrize("ratio, big_lead, theta_zero", [
+        (0.4e-14, True, True),    # below 1e-14 |p_lead|: no max needed
+        (0.9e-14, False, True),   # needs the exact max of |P|, |Q|
+        (1.1e-14, True, False),   # just above 1e-14 max: a rotation
+        (1.1e-14, False, False),
+    ])
+    def test_theta_zero_decision(self, ratio, big_lead, theta_zero):
+        # Any (P, Q) strips: each layer is unitary on the pairs.  The top
+        # layer's q_lead is set at `ratio` times the exact max of |P|, |Q|.
+        rng = np.random.default_rng(33)
+        P, Q = (rng.normal(size=13) + 1j * rng.normal(size=13)
+                for _ in range(2))
+        P[-1] = 0.6 if big_lead else 1e-3
+        Q[-1] = 0.0
+        Q[-1] = ratio * max(np.max(np.abs(P)), np.max(np.abs(Q))) * 1j
+        ref = reference_strip(P.copy(), Q.copy())
+        ph = phases._strip_layers(P.copy(), Q.copy())
+        assert (ref.thetas[-1] == 0.0) == theta_zero
+        assert np.array_equal(ph.thetas, ref.thetas)
+        assert np.array_equal(ph.phis, ref.phis)
+        assert ph.lam == ref.lam
+
+    def test_random_angles_reconstruct(self):
+        rng = np.random.default_rng(31)
+        for d in (0, 1, 7, 100):
+            ph = random_angles(rng, d)
+            for got, want in zip(phases._reconstruct_PQ(ph),
+                                 reference_reconstruct_PQ(ph)):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got.view(float)),
+                                      np.signbit(want.view(float)))
+
+    def test_round_trip_recorded_not_compared(self):
+        c = scaled_random_poly(np.random.default_rng(32), 20)
+        ph = solve_phases(c)
+        assert ph.round_trip == phases.round_trip_error(ph, c)
+        back = PhaseFactors.from_json_dict(ph.to_json_dict())
+        assert back.round_trip is None and "round_trip" not in ph.to_json_dict()
