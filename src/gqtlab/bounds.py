@@ -66,15 +66,12 @@ class BoundParams:
     N: int
     M: float
     im_p0: float = 0.0
-    delta: float | None = None
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if not self.M > 0:
             raise ValueError("M must be positive")
-        if self.delta is not None and not 0 < self.delta <= 1:
-            raise ValueError("delta must lie in (0, 1]")
         if self.im_p0 < 0:
             raise ValueError("im_p0 is an absolute value, must be >= 0")
 
@@ -173,10 +170,9 @@ def _parabolic_peak(y: np.ndarray) -> np.ndarray:
 
 
 def verify_beta_bound(sampler: Callable[[np.random.Generator], PolyCoeffs],
-                      trials: int,
-                      seed: int = 0,
-                      form: str = "real") -> BoundReport:
-    """Check max|P| <= corollary bound with M = max|Re P| over random samples.
+                      trials: int, seed: int = 0) -> BoundReport:
+    """Check max|P| <= the real-form corollary bound with M = max|Re P| over
+    random samples.
 
     The sampler must yield real-coefficient polynomials; complex polynomials
     are covered by splitting into real and imaginary parts before sampling.
@@ -199,7 +195,7 @@ def verify_beta_bound(sampler: Callable[[np.random.Generator], PolyCoeffs],
         M = float(max_re[i])
         if M <= 0:
             continue
-        bound = corollary_bound(BoundParams(N=N, M=M), form=form)
+        bound = corollary_bound(BoundParams(N=N, M=M))
         # For real coefficients p(cos t) = Re P(e^{it}), so the interval
         # maximum coincides with M and needs no separate scan.
         mi = M

@@ -113,6 +113,19 @@ def _load_matrix(cfg: dict, key: str = "matrix") -> np.ndarray:
         raise InputError(f"bad matrix input: {exc}") from exc
 
 
+def _alpha(cfg: dict, A: np.ndarray) -> float:
+    """The config's alpha, else 1.2 ||A||_2, which costs a full SVD and so
+    is computed only when the config has none."""
+    if "alpha" in cfg:
+        return _number(cfg["alpha"], "alpha")
+    return float(1.2 * np.linalg.norm(A, 2))
+
+
+def _tol(args, degree: int) -> float:
+    """--tol, else 1e-8 per unit of degree (1e-8 at degree 0)."""
+    return args.tol if args.tol is not None else 1e-8 * max(degree, 1)
+
+
 def _write_out(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
@@ -142,12 +155,11 @@ def cmd_scaling_table(args) -> int:
         raise InputError("rows must be a list of {kappa, eps} objects")
     grid = [(_number(r["kappa"], "kappa"), _number(r["eps"], "eps"))
             for r in grid]
-    mode = cfg.get("mode", "remez")
     rows = []
     flagged = False
     for kappa, eps in sorted(grid, key=lambda r: (r[0], -r[1])):
         try:
-            res = approx_inverse(ApproxSpec(kappa=kappa, eps=eps), mode=mode)
+            res = approx_inverse(ApproxSpec(kappa=kappa, eps=eps))
         except ApproximationError as exc:
             print(f"kappa={kappa} eps={eps}: FAILED: {exc}", file=sys.stderr)
             flagged = True
@@ -169,25 +181,17 @@ def cmd_scaling_table(args) -> int:
     return EXIT_TOLERANCE if flagged else EXIT_OK
 
 
-def _hermitian_encoding_from_config(cfg):
+def cmd_gqet(args) -> int:
+    cfg = _load_config(args)
     A = _load_matrix(cfg)
     if A.shape[0] != A.shape[1] or np.linalg.norm(A - A.conj().T) > 1e-10:
         raise InputError("gqet needs a square Hermitian matrix")
-    if "alpha" in cfg:
-        alpha = _number(cfg["alpha"], "alpha")
-    else:  # the default costs a full SVD
-        alpha = float(1.2 * np.linalg.norm(A, 2))
-    return A, dilate_hermitian(A, alpha)
-
-
-def cmd_gqet(args) -> int:
-    cfg = _load_config(args)
-    A, enc = _hermitian_encoding_from_config(cfg)
+    enc = dilate_hermitian(A, _alpha(cfg, A))
     c = _load_poly(cfg)
     cp = gqet(enc, c)
     oracle = eigen_oracle(A, enc.alpha, cp.poly)
     residual = float(np.linalg.norm(extract_svt(cp) - oracle, 2))
-    tol = args.tol if args.tol is not None else 1e-8 * max(cp.degree, 1)
+    tol = _tol(args, cp.degree)
     report = {
         "residual": residual, "tol": tol, **cp.metadata(),
     }
@@ -200,10 +204,7 @@ def cmd_gqet(args) -> int:
 def cmd_gqsvt(args) -> int:
     cfg = _load_config(args)
     A = _load_matrix(cfg)
-    if "alpha" in cfg:
-        alpha = _number(cfg["alpha"], "alpha")
-    else:
-        alpha = float(1.2 * np.linalg.norm(np.atleast_2d(A), 2))
+    alpha = _alpha(cfg, A)
     enc = dilate_general(A, alpha)
     c = _load_poly(cfg)
     routes = ("hermitianization", "multiplication")
@@ -240,7 +241,7 @@ def cmd_gqsvt(args) -> int:
             blocks["hermitianization"] - blocks["multiplication"], 2))
         lines.append(f"route agreement: {agree:.3e}")
         worst = max(worst, agree / 10.0)  # route tolerance is 10x looser
-    tol = args.tol if args.tol is not None else 1e-8 * max(d, 1)
+    tol = _tol(args, d)
     text = "\n".join(lines) + "\n"
     _write_out(text, args.out)
     if args.out is not None:

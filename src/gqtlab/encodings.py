@@ -16,7 +16,6 @@ import warnings
 import numpy as np
 
 from .phases import _unitary_defect
-from .serialization import matrix_to_json
 
 __all__ = [
     "ProjectedUnitaryEncoding",
@@ -126,14 +125,6 @@ class ProjectedUnitaryEncoding:
     @property
     def N_R(self) -> int:
         return self.Pi_R.shape[1]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "U": matrix_to_json(self.U),
-            "Pi_L": matrix_to_json(self.Pi_L),
-            "Pi_R": matrix_to_json(self.Pi_R),
-            "alpha": self.alpha,
-        }
 
 
 @dataclasses.dataclass(frozen=True)

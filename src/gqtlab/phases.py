@@ -100,6 +100,18 @@ class PhaseFactors:
     def degree(self) -> int:
         return len(self.thetas) - 1
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (np.array_equal(self.thetas, other.thetas)
+                and np.array_equal(self.phis, other.phis)
+                and self.lam == other.lam)
+
+    def __hash__(self):
+        # Python hashes -0.0 and 0.0 alike, as == requires.
+        return hash((tuple(self.thetas.tolist()), tuple(self.phis.tolist()),
+                     self.lam))
+
     def to_json_dict(self) -> dict:
         return {
             "thetas": self.thetas.tolist(),

@@ -93,6 +93,15 @@ class PolyCoeffs:
     def scaled(self, s: complex) -> "PolyCoeffs":
         return PolyCoeffs(self.coeffs * s)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.coeffs, other.coeffs)
+
+    def __hash__(self):
+        # Python hashes -0.0 and 0.0 alike, as == requires.
+        return hash(tuple(self.coeffs.tolist()))
+
     def to_json_dict(self) -> dict:
         return {
             "coeffs": np.column_stack((self.coeffs.real,
@@ -135,7 +144,6 @@ class ApproxSpec:
 
     kappa: float
     eps: float
-    target: str = "inverse_x"
 
     def __post_init__(self):
         if not self.kappa > 1:
@@ -151,7 +159,6 @@ class InverseApproxResult:
     max_error: float
     kappa: float
     eps: float
-    mode: str
 
 
 def _as_poly(c) -> PolyCoeffs:
@@ -272,16 +279,12 @@ def scaling_factor(c: PolyCoeffs | Sequence[complex]) -> float:
     return max_abs_circle(c) / denom
 
 
-def classify_parity(c: PolyCoeffs | Sequence[complex],
-                    tol: float = ZERO_TOL) -> ParityClass:
-    c = _as_poly(c)
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    a = np.abs(c.coeffs)
+def classify_parity(c: PolyCoeffs | Sequence[complex]) -> ParityClass:
+    a = np.abs(_as_poly(c).coeffs)
     scale = a.max()
     if scale == 0.0:
         return ParityClass("even")
-    idx = np.nonzero(a > tol * scale)[0]
+    idx = np.nonzero(a > ZERO_TOL * scale)[0]
     if np.all(idx % 2 == 0):
         return ParityClass("even")
     if np.all(idx % 2 == 1):
@@ -316,25 +319,27 @@ def check_parity(c: PolyCoeffs | Sequence[complex], parity: str):
         raise ParityError(f"coefficients are not {parity} to {ZERO_TOL:g}")
 
 
-def _substitute(w: np.ndarray, first: list[float]) -> PolyCoeffs:
+def _substitute(w: np.ndarray, u: np.ndarray, first) -> np.ndarray:
     """sum_n w_n c_n(x) for c_0 = 1, c_1 = first, c_n = 2u c_{n-1} - c_{n-2}.
 
-    u = 2x - 1 = -T_0 + 2 T_1; everything is in the Chebyshev basis.
+    u, first and the result are in the Chebyshev basis; c_n has degree
+    n deg u, and the sum has the dtype of w and u.
     """
-    u = np.array([-1.0, 2.0])
-    q = np.zeros(max(len(w), 1), dtype=complex)
-    prev, cur = np.array([1.0]), np.array(first)
-    for n, wn in enumerate(w):
-        q[: n + 1] += wn * prev
+    q = np.zeros((len(u) - 1) * max(len(w) - 1, 0) + 1,
+                 dtype=np.result_type(w, u))
+    prev, cur = np.array([1.0]), np.asarray(first)
+    for wn in w:
+        q[:len(prev)] += wn * prev
         prev, cur = cur, _cheb.chebsub(2.0 * _cheb.chebmul(u, cur), prev)
-    return PolyCoeffs(q)
+    return q
 
 
 def sqrt_substitute_even(c_even: PolyCoeffs | Sequence[complex]) -> PolyCoeffs:
     """q with q(y^2) = p_even(y); via T_{2n}(y) = T_n(2y^2 - 1)."""
     c = _as_poly(c_even)
     check_parity(c, "even")
-    return _substitute(c.coeffs[0::2], [-1.0, 2.0])
+    u = np.array([-1.0, 2.0])  # 2y^2 - 1 = -T_0 + 2 T_1 in x = y^2
+    return PolyCoeffs(_substitute(c.coeffs[0::2], u, u))
 
 
 def sqrt_substitute_odd(c_odd: PolyCoeffs | Sequence[complex]) -> PolyCoeffs:
@@ -345,7 +350,8 @@ def sqrt_substitute_odd(c_odd: PolyCoeffs | Sequence[complex]) -> PolyCoeffs:
     """
     c = _as_poly(c_odd)
     check_parity(c, "odd")
-    return _substitute(c.coeffs[1::2], [-3.0, 4.0])
+    return PolyCoeffs(_substitute(c.coeffs[1::2], np.array([-1.0, 2.0]),
+                                  [-3.0, 4.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +367,15 @@ def _cheb_grid(coef: np.ndarray, n: int) -> np.ndarray:
     return np.fft.rfft(coef, 2 * n).real[n::-1]
 
 
-def _remez_odd(f: Callable[[np.ndarray], np.ndarray], a: float, degree: int,
-               grid_size: int = 0, max_iter: int = 60) -> tuple[np.ndarray, float]:
+# Remez exchange: grid points per unit of degree (at least _REMEZ_GRID_MIN)
+# and the iteration cap.
+_REMEZ_GRID_PER_DEGREE = 20
+_REMEZ_GRID_MIN = 2000
+_REMEZ_MAX_ITER = 60
+
+
+def _remez_odd(f: Callable[[np.ndarray], np.ndarray], a: float,
+               degree: int) -> tuple[np.ndarray, float]:
     """Minimax odd approximation of f on [a, 1] by weighted Remez exchange.
 
     An odd polynomial of degree d is x * s(x^2) with deg s = (d-1)/2, so the
@@ -392,14 +405,13 @@ def _remez_odd(f: Callable[[np.ndarray], np.ndarray], a: float, degree: int,
     k = np.arange(npts)
     ref = mid + half * np.cos(math.pi * k / (npts - 1))
     ref.sort()
-    if grid_size <= 0:
-        grid_size = max(20 * degree, 2000)
+    grid_size = max(_REMEZ_GRID_PER_DEGREE * degree, _REMEZ_GRID_MIN)
     n = grid_size - 1
     # Ascending in y, the order in which `_cheb_grid` returns values.
     grid = mid + half * np.cos(np.linspace(0.0, math.pi, grid_size))[::-1]
     gg, wg = g(grid), w(grid)
 
-    for _ in range(max_iter):
+    for _ in range(_REMEZ_MAX_ITER):
         A = np.empty((npts, m + 1))
         A[:, :m] = design(ref)
         A[:, m] = (-1.0) ** np.arange(npts) / w(ref)
@@ -442,52 +454,36 @@ def _odd_cheb(coef: np.ndarray, a: float, degree: int) -> np.ndarray:
     x^2 = (T_2 + 1)/2, u(x^2) = ((1 - 2 mid) T_0 + T_2) / (2 half).
     """
     mid, half = 0.5 * (1.0 + a * a), 0.5 * (1.0 - a * a)
-    u_cheb = np.array([(0.5 - mid) / half, 0.0, 0.5 / half])
-    t_prev = np.array([1.0])
-    acc = coef[0] * t_prev
-    if len(coef) > 1:
-        t_cur = u_cheb.copy()
-        acc = _cheb.chebadd(acc, coef[1] * t_cur)
-        for kk in range(2, len(coef)):
-            t_next = _cheb.chebsub(2.0 * _cheb.chebmul(u_cheb, t_cur), t_prev)
-            t_prev, t_cur = t_cur, t_next
-            acc = _cheb.chebadd(acc, coef[kk] * t_cur)
-    full_c = _cheb.chebmul(np.array([0.0, 1.0]), acc)
+    u = np.array([(0.5 - mid) / half, 0.0, 0.5 / half])
+    full_c = _cheb.chebmul([0.0, 1.0], _substitute(coef, u, u))
     full = np.zeros(degree + 1)
     full[:len(full_c)] = full_c
     return full
 
 
-def approx_inverse(spec: ApproxSpec, mode: str = "remez",
-                   degree: int | None = None,
+def approx_inverse(spec: ApproxSpec, degree: int | None = None,
                    degree_cap: int = 4001) -> InverseApproxResult:
     """Odd real polynomial approximating 1/(4 kappa x) on [1/kappa, 1].
 
-    ``mode='remez'`` (reference) writes the polynomial as x * s(x^2) and runs
-    a weighted Remez exchange for s on y = x^2 in [1/kappa^2, 1], in the
-    Chebyshev basis of that interval (`_remez_odd`); oddness makes the error
-    on [-1, -1/kappa] identical.  ``mode='projection'`` Chebyshev-projects a
-    smoothed inverse as a cheaper baseline.  When ``degree`` is None the
-    minimal odd degree d <= ``degree_cap`` with error <= eps is found from
-    the predicted error decay C rho^(-(d-1)/2), rho = (1 + a)/(1 - a) with
-    a = 1/kappa (the Bernstein ellipse of 1/y on [a^2, 1] passes through the
-    pole y = 0): a probe at d = kappa fixes C, each later probe is placed at
-    the degree its predecessor predicts, and the answer is confirmed by a
-    miss at d - 2.  Degree 1 is never tried; ApproximationError is raised
-    when the largest odd degree <= ``degree_cap`` misses eps.
+    The polynomial is written as x * s(x^2), and a weighted Remez exchange
+    runs for s on y = x^2 in [1/kappa^2, 1], in the Chebyshev basis of that
+    interval (`_remez_odd`); oddness makes the error on [-1, -1/kappa]
+    identical.  When ``degree`` is None the minimal odd degree
+    d <= ``degree_cap`` with error <= eps is found from the predicted error
+    decay C rho^(-(d-1)/2), rho = (1 + a)/(1 - a) with a = 1/kappa (the
+    Bernstein ellipse of 1/y on [a^2, 1] passes through the pole y = 0):
+    a probe at d = kappa fixes C, each later probe is placed at the degree
+    its predecessor predicts, and the answer is confirmed by a miss at
+    d - 2.  Degree 1 is never tried; ApproximationError is raised when the
+    largest odd degree <= ``degree_cap`` misses eps.
     """
     kappa, eps = spec.kappa, spec.eps
     a = 1.0 / kappa
     f = lambda x: 1.0 / (4.0 * kappa * x)
 
-    if mode == "projection":
-        return _projection_inverse(spec, degree, degree_cap)
-    if mode != "remez":
-        raise ValueError(f"unknown mode {mode!r}")
-
     def result(d: int, coef: np.ndarray, e: float) -> InverseApproxResult:
         return InverseApproxResult(PolyCoeffs(_odd_cheb(coef, a, d)), d, e,
-                                   kappa, eps, mode)
+                                   kappa, eps)
 
     if degree is not None:
         d = degree if degree % 2 == 1 else degree + 1
@@ -518,38 +514,3 @@ def approx_inverse(spec: ApproxSpec, mode: str = "remez",
             lo, lo_err = d, e
         d += 2 * math.ceil(math.log(e / eps) / log_rho)
     return result(hi, *best)
-
-
-def _projection_inverse(spec: ApproxSpec, degree: int | None,
-                        degree_cap: int) -> InverseApproxResult:
-    """Chebyshev interpolation of the smoothed inverse (1-(1-x^2)^b)/(4 kappa x)."""
-    kappa, eps = spec.kappa, spec.eps
-    b = max(1, int(math.ceil(kappa ** 2 * math.log(kappa / eps))))
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        small = np.abs(x) < 1e-8
-        # near 0 the smoothed target tends to 0 like b*x
-        out[small] = x[small] * b / (4.0 * kappa)
-        xs = x[~small]
-        out[~small] = (1.0 - (1.0 - xs ** 2) ** b) / (4.0 * kappa * xs)
-        return out
-
-    if degree is None:
-        d = min(degree_cap, max(11, int(6 * math.sqrt(b * math.log(4 * b / eps)))))
-        if d % 2 == 0:
-            d += 1
-    else:
-        d = degree if degree % 2 == 1 else degree + 1
-    coeffs = _cheb.chebinterpolate(g, d)
-    coeffs[0::2] = 0.0  # exact odd symmetry up to roundoff
-    xs = np.linspace(1.0 / kappa, 1.0, 20000)
-    e = float(np.max(np.abs(_cheb.chebval(xs, coeffs) - 1.0 / (4 * kappa * xs))))
-    if e > eps:
-        raise ApproximationError(
-            f"projection mode reached error {e:.3e} > eps {eps:.3e}; "
-            "use mode='remez'")
-    return InverseApproxResult(PolyCoeffs(coeffs.astype(complex)), d, e,
-                               kappa, eps, "projection")
-

@@ -4,7 +4,6 @@ Schemas:
     polynomial  {"coeffs": [[re, im], ...], "basis": "chebyshev-monomial-dual"}
     phases      {"thetas": [...], "phis": [...], "lambda": x, "degree": d}
     matrix      {"rows": R, "cols": C, "data": [[re, im], ...]} row-major
-    encoding    {"U": matrix, "Pi_L": matrix, "Pi_R": matrix, "alpha": a}
 """
 
 from __future__ import annotations

@@ -61,14 +61,6 @@ class ZeroProbabilityError(RuntimeError):
     """Postselection success probability numerically zero."""
 
 
-def _checked_unitary(m: np.ndarray) -> np.ndarray:
-    """A frozen copy of m, unitary to 1e-10 * dimension or ValueError."""
-    m = _freeze(m)
-    if not _unitary_defect(m) <= VALIDATION_TOL * max(len(m), 1):
-        raise ValueError("circuit matrix is not unitary to 1e-10")
-    return m
-
-
 class _Operator:
     """A unitary circuit C as a map on column stacks.
 
@@ -80,16 +72,19 @@ class _Operator:
     to 1e-10 * dim, frozen and cached.
     """
 
-    def __init__(self, apply, dim: int, matrix: np.ndarray | None = None):
+    def __init__(self, apply, dim: int):
         self._apply = apply
         self.shape = (dim, dim)
-        self._matrix = matrix
+        self._matrix = None
         self._pushed: list[tuple[np.ndarray, np.ndarray]] = []
 
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            self._matrix = _checked_unitary(self._apply(None))
+            m = _freeze(self._apply(None))
+            if not _unitary_defect(m) <= VALIDATION_TOL * max(len(m), 1):
+                raise ValueError("circuit matrix is not unitary to 1e-10")
+            self._matrix = m
         return self._matrix
 
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
@@ -114,26 +109,19 @@ class CircuitProduct:
     extraction: the input times ``scale_applied``, on every route.
     ``operator`` applies the circuit to column stacks (``cp.operator @ X``);
     ``matrix`` is the dense circuit, formed only when read, checked unitary
-    to 1e-10 * dimension and frozen.  A product built from a ``matrix`` is
-    checked at once.  ``extraction`` maps names to (left, right) isometry
+    to 1e-10 * dimension and frozen.  ``extraction`` maps names to (left, right) isometry
     pairs on the circuit space; ``stages`` (when present) declare the
     mid-circuit measurement decomposition as (unitary, in_isometry,
     out_isometry) triples, each unitary an operator or a checked matrix,
     whose unnormalized composition equals the default extraction.
     """
 
-    def __init__(self, matrix: np.ndarray | None = None, *,
-                 operator: _Operator | None = None, queries_U: int,
+    def __init__(self, *, operator: _Operator, queries_U: int,
                  queries_U_dagger: int, degree: int, route: str,
                  scale_applied: float, extraction: dict,
                  encoding: ProjectedUnitaryEncoding, poly: PolyCoeffs,
                  phases: PhaseFactors | None = None,
                  stages: tuple | None = None):
-        if (matrix is None) == (operator is None):
-            raise TypeError("give exactly one of matrix and operator")
-        if operator is None:
-            m = _checked_unitary(matrix)
-            operator = _Operator(m.__matmul__, len(m), m)
         vars(self).update(
             operator=operator, queries_U=queries_U,
             queries_U_dagger=queries_U_dagger, degree=degree, route=route,

@@ -377,6 +377,19 @@ class TestScalingTableCommand:
                   for line in out.read_text().splitlines()[1:]]
         assert kappas == sorted(kappas)
 
+    def test_mode_key_is_ignored(self, tmp_path, capsys):
+        # There is one design path; a leftover "mode" is an unknown key.
+        rows = [{"kappa": 4, "eps": 1e-2}]
+        tables = []
+        for i, cfg in enumerate(({"rows": rows},
+                                 {"rows": rows, "mode": "projection"})):
+            out = tmp_path / f"table{i}.csv"
+            assert main(["scaling-table", "--config",
+                         write_config(tmp_path, f"s{i}.json", cfg),
+                         "--out", str(out)]) == EXIT_OK
+            tables.append(out.read_text())
+        assert tables[0] == tables[1]
+
     def test_high_degree_grid_in_seconds(self, tmp_path, capsys):
         # The paper's scaling table up to kappa = 300, eps = 1e-4.
         cfg = write_config(tmp_path, "s.json", {"include_high_degree": True})

@@ -83,6 +83,22 @@ class TestPhaseFactors:
         with pytest.raises(ValueError):
             PhaseFactors([0.1], [0.2, 0.3], 0.0)
 
+    def test_equal_and_unequal_values(self):
+        ph = PhaseFactors([0.1, 0.2], [0.3, 0.4], 0.5)
+        assert ph == PhaseFactors([0.1, 0.2], [0.3, 0.4], 0.5)
+        assert ph != PhaseFactors([0.1, 0.2], [0.3, -0.4], 0.5)
+        assert ph != PhaseFactors([0.1, 0.2], [0.3, 0.4], 0.6)
+        assert ph != PhaseFactors([0.1, 0.2, 0.0], [0.3, 0.4, 0.0], 0.5)
+        # round_trip is a measurement, not part of the value
+        assert ph == PhaseFactors(ph.thetas, ph.phis, ph.lam, round_trip=1e-16)
+
+    def test_equal_values_hash_alike(self):
+        a = PhaseFactors([0.0, 0.2], [-0.0, 0.4], 0.0)
+        b = PhaseFactors([-0.0, 0.2], [0.0, 0.4], -0.0)
+        assert a == b
+        assert len({a, b}) == 1
+        assert len({a, PhaseFactors([0.1, 0.2], [0.0, 0.4], 0.0)}) == 2
+
 
 class TestSolvePhases:
     def test_constant(self):

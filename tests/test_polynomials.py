@@ -38,6 +38,21 @@ def random_poly(rng, d, real=False):
     return PolyCoeffs(a.astype(complex))
 
 
+class TestPolyCoeffsEquality:
+    def test_equal_and_unequal_values(self):
+        assert PolyCoeffs([0.1, 0.2j, 0.3]) == PolyCoeffs([0.1, 0.2j, 0.3])
+        assert PolyCoeffs([0.1, 0.2]) != PolyCoeffs([0.1, 0.3])
+        assert PolyCoeffs([0.1, 0.2]) != PolyCoeffs([0.1, 0.2, 0.0])
+        assert PolyCoeffs([0.1, 0.2]) != (0.1, 0.2)
+
+    def test_equal_values_hash_alike(self):
+        a = PolyCoeffs([0.0, -0.0, 0.5 - 0.0j])
+        b = PolyCoeffs([-0.0, 0.0, 0.5])
+        assert a == b
+        assert len({a, b}) == 1
+        assert len({a, PolyCoeffs([0.0, 0.0, 0.25])}) == 2
+
+
 class TestEvalCheb:
     def test_t1(self):
         assert eval_cheb([0, 1], 0.5) == pytest.approx(0.5)
@@ -270,10 +285,10 @@ class TestScalingFactor:
 
 class TestParity:
     def test_classify(self):
-        assert classify_parity(PolyCoeffs([0, 1, 0, 0]), 1e-12).tag == "odd"
-        assert classify_parity(PolyCoeffs([0, 1, 0, 0]), 1e-12).mod4 == "mod4_1"
-        assert classify_parity(PolyCoeffs([1, 0, 1]), 1e-12).tag == "even"
-        assert classify_parity(PolyCoeffs([1, 1]), 1e-12).tag == "mixed"
+        assert classify_parity(PolyCoeffs([0, 1, 0, 0])).tag == "odd"
+        assert classify_parity(PolyCoeffs([0, 1, 0, 0])).mod4 == "mod4_1"
+        assert classify_parity(PolyCoeffs([1, 0, 1])).tag == "even"
+        assert classify_parity(PolyCoeffs([1, 1])).tag == "mixed"
 
     def test_split_examples(self):
         even, odd = parity_split(PolyCoeffs([1, 2, 3]))
@@ -382,12 +397,6 @@ class TestApproxInverse:
         assert classify_parity(res.poly).tag == "odd"
         assert np.max(np.abs(res.poly.coeffs.imag)) == 0.0
 
-    def test_projection_mode(self):
-        res = approx_inverse(ApproxSpec(kappa=4, eps=1e-2), mode="projection")
-        xs = np.linspace(0.25, 1.0, 10 ** 4)
-        err = np.max(np.abs(eval_cheb(res.poly, xs).real - 1 / (16 * xs)))
-        assert err <= 1e-2
-
 
 # The minimal odd degrees of the paper's scaling table (and the benchmark's).
 MINIMAL_DEGREES = [(10, 1e-3, 55), (10, 1e-4, 79), (40, 1e-3, 221),
@@ -467,6 +476,65 @@ class TestRemezGridAgainstDense:
         scale = np.max(np.abs(dense[0]))
         assert np.max(np.abs(fast[0] - dense[0])) <= 1e-12 * scale
         assert fast[1] == pytest.approx(dense[1], rel=1e-12)
+
+
+# Test-only copies of the two Chebyshev-composition loops that
+# `polynomials._substitute` replaced: the q(y^2) square-root substitution
+# and the x * s(x^2) expansion of the Remez result.
+
+def reference_substitute(w, first):
+    u = np.array([-1.0, 2.0])
+    q = np.zeros(max(len(w), 1), dtype=complex)
+    prev, cur = np.array([1.0]), np.array(first)
+    for n, wn in enumerate(w):
+        q[: n + 1] += wn * prev
+        prev, cur = cur, npcheb.chebsub(2.0 * npcheb.chebmul(u, cur), prev)
+    return q
+
+
+def reference_odd_cheb(coef, a, degree):
+    mid, half = 0.5 * (1.0 + a * a), 0.5 * (1.0 - a * a)
+    u_cheb = np.array([(0.5 - mid) / half, 0.0, 0.5 / half])
+    t_prev = np.array([1.0])
+    acc = coef[0] * t_prev
+    if len(coef) > 1:
+        t_cur = u_cheb.copy()
+        acc = npcheb.chebadd(acc, coef[1] * t_cur)
+        for kk in range(2, len(coef)):
+            t_next = npcheb.chebsub(2.0 * npcheb.chebmul(u_cheb, t_cur), t_prev)
+            t_prev, t_cur = t_cur, t_next
+            acc = npcheb.chebadd(acc, coef[kk] * t_cur)
+    full_c = npcheb.chebmul(np.array([0.0, 1.0]), acc)
+    full = np.zeros(degree + 1)
+    full[:len(full_c)] = full_c
+    return full
+
+
+class TestBitExactAgainstReference:
+    @pytest.mark.parametrize("kappa,eps", [(10, 1e-3), (40, 1e-3),
+                                           (100, 1e-3), (300, 1e-4)])
+    def test_approx_inverse(self, inverse_design, kappa, eps):
+        res = inverse_design(kappa, eps)
+        coef, _ = polynomials._remez_odd(inverse_target(kappa), 1 / kappa,
+                                         res.degree)
+        want = reference_odd_cheb(coef, 1 / kappa, res.degree)
+        assert np.array_equal(res.poly.coeffs, want)
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 5, 12, 13, 33, 64])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_sqrt_substitute(self, d, parity):
+        rng = np.random.default_rng(100 * d + (parity == "odd"))
+        a = np.zeros(d + 1, dtype=complex)
+        start = 0 if parity == "even" else 1
+        n = len(a[start::2])
+        a[start::2] = rng.normal(size=n) + 1j * rng.normal(size=n)
+        if parity == "even":
+            got = sqrt_substitute_even(PolyCoeffs(a))
+            want = reference_substitute(a[0::2], [-1.0, 2.0])
+        else:
+            got = sqrt_substitute_odd(PolyCoeffs(a))
+            want = reference_substitute(a[1::2], [-3.0, 4.0])
+        assert np.array_equal(got.coeffs, want)
 
 
 @settings(max_examples=30, deadline=None)

@@ -20,6 +20,7 @@ from gqtlab.transforms import (
     qsvt_equivalence_check,
     simulate_postselect,
     svt_oracle,
+    _Operator,
 )
 
 
@@ -112,23 +113,27 @@ class TestAbsorbedForm:
 
 class TestCircuitProductCheck:
     def make(self, matrix):
+        """A product whose operator applies `matrix` (None: the whole of it)."""
         e = dilate_hermitian(np.array([[0.5]]), 1.0)
         E = np.eye(len(matrix))[:, :1]
+        op = _Operator(lambda X: matrix if X is None else matrix @ X,
+                       len(matrix))
         return CircuitProduct(
-            matrix=matrix, queries_U=0, queries_U_dagger=0, degree=0,
+            operator=op, queries_U=0, queries_U_dagger=0, degree=0,
             route="test", scale_applied=1.0, extraction={"default": (E, E)},
             encoding=e, poly=PolyCoeffs([1.0]))
 
     def test_non_unitary_raises(self):
-        with pytest.raises(ValueError):
-            self.make(np.ones((4, 4)))
+        cp = self.make(np.ones((4, 4)))
+        with pytest.raises(ValueError, match="not unitary"):
+            cp.matrix
 
     def test_tolerance_is_1e_10_per_dimension(self):
         # ||(1 + t)^2 I_4 - I_4||_F = 2 t (2 + t) against 1e-10 * 4: t = 5e-12
         # passes; t = 5e-10 (defect 2e-9, within 1e-9 * 4) is rejected.
-        self.make(np.eye(4) * (1 + 0.5e-11))
-        with pytest.raises(ValueError):
-            self.make(np.eye(4) * (1 + 0.5e-9))
+        self.make(np.eye(4) * (1 + 0.5e-11)).matrix
+        with pytest.raises(ValueError, match="not unitary"):
+            self.make(np.eye(4) * (1 + 0.5e-9)).matrix
 
     def test_matrix_is_read_only(self):
         m = np.eye(4, dtype=complex)
