@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .polynomials import PolyCoeffs, max_abs_circle
+from .polynomials import ZERO_TOL, PolyCoeffs, max_abs_circle
 
 __all__ = [
     "BoundParams",
@@ -132,37 +132,44 @@ class BoundReport:
         return max((r[5] for r in self.rows), default=0.0)
 
 
-# Sweep sampling: 4096 circle points per polynomial, then a vectorized
-# parabolic refinement of the peak.  The coefficients are real, so
-# P(e^{-it}) = conj P(e^{it}) and the half circle t in [0, pi] (one rfft per
-# row) holds both maxima; rows go in blocks to keep the FFT small.
-# The corollary bound exceeds the true maximum by a large factor, so grid
-# resolution is not the binding accuracy constraint here.
+# Sweep sampling: one batched pass over all trials.  The sampled rows are
+# stacked into one flat coefficient vector, so the per-row checks (real
+# coefficients, trimmed degree) are segment reductions, and the bound is a
+# table lookup per distinct degree.  Each row gets 4096 circle points and a
+# vectorized parabolic refinement of the peak.  The coefficients are real,
+# so P(e^{-it}) = conj P(e^{it}) and the half circle t in [0, pi] (one rfft
+# per row) holds both maxima; the parabola at t = 0 and t = pi reads the
+# mirrored neighbour by index.  Rows go in blocks of 64 to keep the FFT
+# small.  The corollary bound exceeds the true maximum by a large factor, so
+# grid resolution is not the binding accuracy constraint here.
 _SWEEP_GRID = 4096
-_SWEEP_BLOCK = 256
+_SWEEP_BLOCK = 64
 
 
 def _batched_circle_max(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(max |P|, max |Re P|) on the circle for a batch of real coefficient rows."""
-    half = _SWEEP_GRID // 2
     max_abs = np.empty(len(coeffs))
     max_re = np.empty(len(coeffs))
     for s in range(0, len(coeffs), _SWEEP_BLOCK):
         vals = np.fft.rfft(coeffs[s:s + _SWEEP_BLOCK], _SWEEP_GRID, axis=1)
-        # Pad each end with its mirror image, the full circle's neighbour.
-        vals = np.concatenate((vals[:, 1:2], vals, vals[:, half - 1:half]), 1)
         max_abs[s:s + _SWEEP_BLOCK] = _parabolic_peak(np.abs(vals))
         max_re[s:s + _SWEEP_BLOCK] = _parabolic_peak(np.abs(vals.real))
     return max_abs, max_re
 
 
 def _parabolic_peak(y: np.ndarray) -> np.ndarray:
-    """Refine the per-row maximum over y[:, 1:-1] with a 3-point parabola fit."""
-    i = np.argmax(y[:, 1:-1], axis=1) + 1
+    """Refine the per-row maximum of y with a 3-point parabola fit.
+
+    Column 0 and the last column are the ends of a half circle, so the
+    neighbour outside either end is its mirror image: index |i - 1| and
+    half - |half - i - 1|.
+    """
+    half = y.shape[1] - 1
+    i = np.argmax(y, axis=1)
     rows = np.arange(y.shape[0])
-    ym = y[rows, i - 1]
+    ym = y[rows, np.abs(i - 1)]
     y0 = y[rows, i]
-    yp = y[rows, i + 1]
+    yp = y[rows, half - np.abs(half - i - 1)]
     denom = ym - 2 * y0 + yp
     with np.errstate(divide="ignore", invalid="ignore"):
         peak = y0 - 0.125 * (yp - ym) ** 2 / np.where(denom == 0, 1.0, denom)
@@ -176,34 +183,53 @@ def verify_beta_bound(sampler: Callable[[np.random.Generator], PolyCoeffs],
 
     The sampler must yield real-coefficient polynomials; complex polynomials
     are covered by splitting into real and imaginary parts before sampling.
+    Rows with M <= 0 are skipped.
     """
     rng = np.random.default_rng(seed)
-    polys = [sampler(rng) for _ in range(trials)]
-    dmax = max(p.degree for p in polys)
-    batch = np.zeros((trials, dmax + 1))
-    for i, p in enumerate(polys):
-        if np.max(np.abs(p.coeffs.imag)) > 1e-12 * max(
-                np.max(np.abs(p.coeffs)), 1e-300):
-            raise ValueError("sampler must yield real coefficients")
-        batch[i, : len(p.coeffs)] = p.coeffs.real
-    max_abs, max_re = _batched_circle_max(batch)
+    # One sampler call per trial keeps each sampler's RNG stream.  The dels
+    # free each flat-sized buffer before the next one is allocated.
+    parts = [sampler(rng).coeffs for _ in range(trials)]
+    lengths = np.fromiter(map(len, parts), dtype=np.intp, count=trials)
+    flat = np.concatenate(parts)
+    del parts
+    starts = np.zeros(trials, dtype=np.intp)
+    np.cumsum(lengths[:-1], out=starts[1:])
 
-    rows = []
-    violations = 0
-    for i, p in enumerate(polys):
-        N = max(p.trimmed().degree, 1)
-        M = float(max_re[i])
-        if M <= 0:
-            continue
-        bound = corollary_bound(BoundParams(N=N, M=M))
-        # For real coefficients p(cos t) = Re P(e^{it}), so the interval
-        # maximum coincides with M and needs no separate scan.
-        mi = M
-        beta = float(max_abs[i]) / mi if mi > 1e-14 else float("nan")
-        ratio = float(max_abs[i]) / bound
-        if max_abs[i] > bound * (1.0 + 1e-9):
-            violations += 1
-        rows.append((N, mi, float(max_abs[i]), beta, bound, ratio))
+    mag = np.abs(flat)
+    scale = np.maximum.reduceat(mag, starts)
+    if np.any(np.maximum.reduceat(np.abs(flat.imag), starts)
+              > 1e-12 * np.maximum(scale, 1e-300)):
+        raise ValueError("sampler must yield real coefficients")
+    # PolyCoeffs.trimmed().degree: the offset of the last entry of a row
+    # above ZERO_TOL * scale, or 0 when none is.
+    above = mag > np.repeat(ZERO_TOL * scale, lengths)
+    del mag
+    last = np.maximum.reduceat(np.where(above, np.arange(len(flat)), -1), starts)
+    N = np.maximum(last - starts, 1)
+
+    # The rows in row-major order, each padded with zeros.
+    batch = np.zeros((trials, int(lengths.max())))
+    batch[np.arange(batch.shape[1]) < lengths[:, None]] = flat.real
+    del flat
+    max_abs, M = _batched_circle_max(batch)
+
+    keep = ~(M <= 0)  # a NaN M is kept, and BoundParams' check rejects it
+    N, M, max_abs = N[keep], M[keep], max_abs[keep]
+    if np.any(np.isnan(M)):
+        raise ValueError("M must be positive")
+    # corollary_bound is M times a factor of N alone, and at M = 1.0 it is
+    # that factor, so M * factor[N] equals the per-row bound bit for bit.
+    degrees, inverse = np.unique(N, return_inverse=True)
+    factor = np.array([corollary_bound(BoundParams(N=int(n), M=1.0))
+                       for n in degrees])
+    bound = M * factor[inverse]
+    # For real coefficients p(cos t) = Re P(e^{it}), so the interval
+    # maximum coincides with M and needs no separate scan.
+    with np.errstate(invalid="ignore"):  # inf / inf is nan, as for floats
+        beta = np.where(M > 1e-14, max_abs / M, np.nan)
+        ratio = max_abs / bound
+    violations = int(np.count_nonzero(max_abs > bound * (1.0 + 1e-9)))
+    rows = zip(*(a.tolist() for a in (N, M, max_abs, beta, bound, ratio)))
     return BoundReport(tuple(rows), violations)
 
 

@@ -15,9 +15,7 @@ failed phase synthesis or postselection), 2 input error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from pathlib import Path
@@ -134,12 +132,12 @@ def _write_out(text: str, out: str | None):
 
 
 def _csv(rows: list, header: list[str]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([FMT % v if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+    """CSV text of int and float rows: floats as FMT, ints as str.  None of
+    these strings holds a comma or quote, so no field needs quoting."""
+    lines = [",".join(header)]
+    lines += [",".join([FMT % v if isinstance(v, float) else str(v)
+                        for v in row]) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_scaling_table(args) -> int:

@@ -63,9 +63,10 @@ class CompletionError(PhaseSynthesisError):
 
 
 def _canonical(angle):
-    """Map angles to (-pi, pi]."""
+    """Map angles to (-pi, pi]; only an angle landing exactly on -pi moves,
+    to +pi, which leaves e^{i angle} unchanged."""
     a = np.mod(np.asarray(angle, dtype=float) + math.pi, 2.0 * math.pi) - math.pi
-    return np.where(np.isclose(a, -math.pi), math.pi, a)
+    return np.where(a == -math.pi, math.pi, a)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -17,6 +17,7 @@ from gqtlab.bounds import (
     norm2_torus_derivative,
     verify_beta_bound,
 )
+from gqtlab.cli import _SAMPLERS
 from gqtlab.polynomials import PolyCoeffs
 
 
@@ -161,6 +162,115 @@ class TestVerifyBetaBound:
             verify_beta_bound(bad, 2)
 
 
+def padded_circle_max(coeffs):
+    """Reference for `_batched_circle_max`: one rfft of the whole batch, the
+    half circle padded at each end with a copy of its mirrored neighbour."""
+    half = bounds._SWEEP_GRID // 2
+    vals = np.fft.rfft(coeffs, bounds._SWEEP_GRID, axis=1)
+    vals = np.concatenate((vals[:, 1:2], vals, vals[:, half - 1:half]), 1)
+
+    def peak(y):
+        i = np.argmax(y[:, 1:-1], axis=1) + 1
+        rows = np.arange(y.shape[0])
+        ym, y0, yp = y[rows, i - 1], y[rows, i], y[rows, i + 1]
+        denom = ym - 2 * y0 + yp
+        with np.errstate(divide="ignore", invalid="ignore"):
+            top = y0 - 0.125 * (yp - ym) ** 2 / np.where(denom == 0, 1.0, denom)
+        return np.where(denom < 0, np.maximum(top, y0), y0)
+
+    return peak(np.abs(vals)), peak(np.abs(vals.real))
+
+
+def per_row_verify_beta_bound(sampler, trials, seed=0):
+    """Reference for `verify_beta_bound`: the same sweep, row by row, with a
+    PolyCoeffs, a BoundParams and a corollary_bound per row."""
+    rng = np.random.default_rng(seed)
+    polys = [sampler(rng) for _ in range(trials)]
+    dmax = max(p.degree for p in polys)
+    batch = np.zeros((trials, dmax + 1))
+    for i, p in enumerate(polys):
+        if np.max(np.abs(p.coeffs.imag)) > 1e-12 * max(
+                np.max(np.abs(p.coeffs)), 1e-300):
+            raise ValueError("sampler must yield real coefficients")
+        batch[i, : len(p.coeffs)] = p.coeffs.real
+    max_abs, max_re = padded_circle_max(batch)
+
+    rows = []
+    violations = 0
+    for i, p in enumerate(polys):
+        N = max(p.trimmed().degree, 1)
+        M = float(max_re[i])
+        if M <= 0:
+            continue
+        bound = corollary_bound(BoundParams(N=N, M=M))
+        beta = float(max_abs[i]) / M if M > 1e-14 else float("nan")
+        ratio = float(max_abs[i]) / bound
+        if max_abs[i] > bound * (1.0 + 1e-9):
+            violations += 1
+        rows.append((N, M, float(max_abs[i]), beta, bound, ratio))
+    return bounds.BoundReport(tuple(rows), violations)
+
+
+def assert_same_report(got, want):
+    """Equal rows, value for value and type for type (nan equals nan)."""
+    assert got.violations == want.violations
+    assert len(got.rows) == len(want.rows)
+    for g, w in zip(got.rows, want.rows):
+        assert [type(v) for v in g] == [type(v) for v in w]
+        assert all(a == b or (a != a and b != b) for a, b in zip(g, w)), (g, w)
+
+
+def listed_sampler(polys):
+    """A sampler yielding the given coefficient lists in turn."""
+    it = iter(polys)
+    return lambda rng: PolyCoeffs(next(it))
+
+
+class TestBatchedSweepEqualsPerRow:
+    @pytest.mark.parametrize("name", sorted(_SAMPLERS))
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_cli_samplers(self, name, seed):
+        for dmax, trials in ((64, 300), (300, 100)):
+            sampler = _SAMPLERS[name](dmax)
+            assert_same_report(verify_beta_bound(sampler, trials, seed=seed),
+                               per_row_verify_beta_bound(sampler, trials, seed))
+
+    EDGE_ROWS = [
+        [0.0],                            # zero polynomial: M = 0, skipped
+        [0.0, 0.0, 0.0],                  # the same, longer
+        [1.0, 0.5, 1e-13, 5e-14],         # tail below 1e-12 max: N = 1
+        [0.3, 0.2, 1.0, 1e-12],           # tail at exactly 1e-12 max: N = 2
+        [0.0, 0.0, 0.0, 2.0],             # single monomial
+        [1e-15, 0.0],                     # M below 1e-14: beta is nan
+        [1.0, 0.5 + 0.9e-12j, -0.25],     # imaginary part just under 1e-12
+        [-2.0],                           # constant: N = 1
+    ]
+
+    def test_edge_rows(self):
+        rows = self.EDGE_ROWS
+        got = verify_beta_bound(listed_sampler(rows), len(rows))
+        assert_same_report(got, per_row_verify_beta_bound(
+            listed_sampler(rows), len(rows)))
+        assert len(got.rows) == len(rows) - 2
+        assert [r[0] for r in got.rows] == [1, 2, 3, 1, 2, 1]
+        assert math.isnan(got.rows[3][3])
+
+    def test_imaginary_part_just_over_the_limit(self):
+        rows = [[1.0, 0.5], [1.0, 0.5 + 1.1e-12j, -0.25], [0.3]]
+        for verify in (verify_beta_bound, per_row_verify_beta_bound):
+            with pytest.raises(ValueError, match="real coefficients"):
+                verify(listed_sampler(rows), len(rows))
+
+    @pytest.mark.parametrize("coeffs", [[0.7], [0.0, 0.0], [0.1, -0.4, 0.2]])
+    def test_one_trial(self, coeffs):
+        assert_same_report(verify_beta_bound(listed_sampler([coeffs]), 1),
+                           per_row_verify_beta_bound(listed_sampler([coeffs]), 1))
+
+    def test_nan_row_raises(self):
+        with pytest.raises(ValueError, match="M must be positive"):
+            verify_beta_bound(listed_sampler([[1.0], [np.nan, 1.0]]), 2)
+
+
 def full_circle_max(coeffs):
     """Reference for `_batched_circle_max`: one complex FFT of every row on
     the whole 4096-point circle, the parabola wrapping around its ends."""
@@ -191,9 +301,10 @@ class TestHalfCircleSweep:
                 batch[i, :d] = 0.0
         got = bounds._batched_circle_max(batch)
         want = full_circle_max(batch)
-        for g, w in zip(got, want):
+        for g, w, p in zip(got, want, padded_circle_max(batch)):
             assert g.shape == (rows,)
             assert np.max(np.abs(g - w) / w) <= 1e-12
+            assert np.array_equal(g, p)
 
     def test_peak_at_either_end_of_the_half_circle(self):
         # Maxima at t = 0 (all ones) and t = pi (alternating signs), where
@@ -203,8 +314,9 @@ class TestHalfCircleSweep:
         batch[2, :3], batch[3, :3] = (0.3, 1.0, 0.2), (0.3, -1.0, 0.2)
         got = bounds._batched_circle_max(batch)
         want = full_circle_max(batch)
-        for g, w in zip(got, want):
+        for g, w, p in zip(got, want, padded_circle_max(batch)):
             assert np.max(np.abs(g - w) / w) <= 1e-12
+            assert np.array_equal(g, p)
         assert got[0] == pytest.approx([9.0, 9.0, 1.5, 1.5], rel=1e-12)
 
 
@@ -219,6 +331,19 @@ class TestHalfCircleSweep:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
+
+    def test_memory_of_the_benchmark_bound_sweep(self):
+        # The benchmark's largest op: 4000 trials of degree <= 256.  The
+        # coefficients are stacked flat (~8 MB complex); a padded complex
+        # (trials, 257) batch would add 16 MB on top of the real one.
+        sampler = _SAMPLERS["random"](256)
+        tracemalloc.start()
+        try:
+            verify_beta_bound(sampler, 4000, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 28e6
 
 
 class TestBernstein:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import time
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 from gqtlab import phases
-from gqtlab.cli import EXIT_INPUT, EXIT_OK, EXIT_TOLERANCE, main
+from gqtlab.cli import EXIT_INPUT, EXIT_OK, EXIT_TOLERANCE, FMT, _csv, main
 from gqtlab.polynomials import PolyCoeffs
 from gqtlab.serialization import (
     matrix_from_json, matrix_to_json, phases_from_file)
@@ -55,6 +57,14 @@ class TestGqetCommand:
         a = rng.normal(size=10) + 1j * rng.normal(size=10)
         c = PolyCoeffs(a).scaled(0.1 / np.sum(np.abs(a)))
         cfg = hermitian_config(tmp_path, c.coeffs)
+        assert main(["gqet", "--config", cfg]) == EXIT_OK
+
+    def test_time_evolution(self, tmp_path, capsys):
+        # The Chebyshev interpolant of e^{-ixt} at t = 15, rescaled by gqet.
+        t, d = 15, 82
+        c = np.polynomial.chebyshev.chebinterpolate(
+            lambda x: np.exp(-1j * x * t), d)
+        cfg = hermitian_config(tmp_path, c, n=4)
         assert main(["gqet", "--config", cfg]) == EXIT_OK
 
     def test_non_hermitian_rejected(self, tmp_path, capsys):
@@ -509,3 +519,21 @@ def test_json_encoders_match_the_per_element_form():
             "lambda": float(ph.lam), "degree": ph.degree}
     assert json.dumps(ph.to_json_dict()) == json.dumps(want)
     assert "-0.0" in json.dumps(c.to_json_dict())
+
+
+def test_csv_matches_csv_writer():
+    # The CLI writes rows of ints and floats; for those the joined lines are
+    # csv.writer's output byte for byte, special floats included.
+    floats = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-300,
+              5e-324, -2.5e-310, 1e308, 1.0 / 3.0, -7.25, 0.1 + 0.2]
+    rows = [(i, floats[i], -i, floats[-1 - i], 2 ** 70, 3.0)
+            for i in range(len(floats))]
+    rows += [(0, 1.5, 2, 0.0, -1, float("nan"))]
+    header = ["degree", "max_interval", "max_circle", "beta", "bound", "ratio"]
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([FMT % v if isinstance(v, float) else v for v in row])
+    assert _csv(rows, header) == buf.getvalue()
+    assert _csv([], header) == ",".join(header) + "\n"

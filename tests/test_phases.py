@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 from hypothesis import given, settings, strategies as st
 
 from gqtlab import phases
@@ -16,6 +17,7 @@ from gqtlab.phases import (
     complementary_polynomial,
     gqsp_matrix,
     reconstruct_P,
+    rescale_to_margin,
     rotation_matrix,
     solve_phases,
 )
@@ -99,6 +101,17 @@ class TestPhaseFactors:
         assert len({a, b}) == 1
         assert len({a, PhaseFactors([0.1, 0.2], [0.0, 0.4], 0.0)}) == 2
 
+    def test_canonical_angles_keep_their_phase(self):
+        # Only exactly -pi moves (to +pi); angles just above -pi stay put.
+        angles = np.array([-math.pi + 10.0 ** -k for k in range(1, 17)]
+                          + [math.pi, -math.pi, 3 * math.pi, -3 * math.pi])
+        ph = PhaseFactors(angles, angles, 0.0)
+        for got in (ph.thetas, ph.phis,
+                    np.array([PhaseFactors([0.0], [0.0], a).lam
+                              for a in angles])):
+            assert np.all((-math.pi < got) & (got <= math.pi))
+            assert np.max(np.abs(np.exp(1j * got) - np.exp(1j * angles))) <= 1e-15
+
 
 class TestSolvePhases:
     def test_constant(self):
@@ -127,6 +140,21 @@ class TestSolvePhases:
             c = scaled_random_poly(rng, d)
             ph = solve_phases(c)
             assert coeff_error(reconstruct_P(ph), c.trimmed()) <= 1e-8 * (d + 1)
+
+    def test_sparse_polynomial(self):
+        # Its phi_4 lies 2.6e-5 above -pi.
+        c = PolyCoeffs([0.3, 0, 0, 0, 0, 0.2j, 0, 0, 0, -0.4])
+        ph = solve_phases(c)
+        assert coeff_error(reconstruct_P(ph), c) <= 1e-14
+
+    @pytest.mark.parametrize("t", [15, 23, 26, 48, 55, 65])
+    def test_time_evolution(self, t):
+        # Chebyshev interpolant of e^{-ixt}: complex, of indefinite parity.
+        d = int(1.5 * t) + 60
+        c, _ = rescale_to_margin(PolyCoeffs(
+            chebyshev.chebinterpolate(lambda x: np.exp(-1j * x * t), d)))
+        ph = solve_phases(c)
+        assert coeff_error(reconstruct_P(ph), c.trimmed()) <= 1e-14
 
 
 class TestPaperDegrees:
