@@ -297,7 +297,7 @@ def cmd_phases(args) -> int:
     c, scale = rescale_to_margin(c, margin)
     if scale != 1.0:
         print(f"rescaled by {scale:.6g} to fit the margin")
-    ph = solve_phases(c, margin=margin)
+    ph = solve_phases(c)
     err = ph.round_trip
     tol = (args.tol if args.tol is not None
            else ROUND_TRIP_TOL * (ph.degree + 1))

@@ -133,7 +133,7 @@ class HermitianEncoding(ProjectedUnitaryEncoding):
 
     def __post_init__(self):
         if self.Pi_L.shape != self.Pi_R.shape or \
-                not np.allclose(self.Pi_L, self.Pi_R, atol=1e-12):
+                not np.allclose(self.Pi_L, self.Pi_R, rtol=0.0, atol=1e-12):
             raise EncodingValidationError(
                 "Hermitian encoding requires Pi_L == Pi_R")
         super().__post_init__()

@@ -27,7 +27,6 @@ from .polynomials import PolyCoeffs, max_abs_circle
 __all__ = [
     "PhaseFactors",
     "RotationGate",
-    "NormViolationError",
     "PhaseSynthesisError",
     "CompletionError",
     "DEFAULT_MARGIN",
@@ -48,10 +47,6 @@ ROUND_TRIP_TOL = 1e-8
 # complementary_polynomial's target for its dropped tail and its defect.
 _COMPLETION_TARGET = 1e-12
 _MAX_GRID = 1 << 20
-
-
-class NormViolationError(ValueError):
-    """|P| exceeds the admissible circle norm."""
 
 
 class PhaseSynthesisError(RuntimeError):
@@ -216,7 +211,7 @@ def complementary_polynomial(c: PolyCoeffs | Sequence[complex]) -> PolyCoeffs:
         if np.max(absp) >= 1.0:
             raise CompletionError(
                 "max |P| reaches 1 on the circle; no complementary polynomial "
-                "with a finite log-modulus (use a positive margin)")
+                "with a finite log-modulus (scale P with rescale_to_margin)")
         h = np.fft.fft(0.5 * np.log1p(-absp ** 2)) / n
         h[1:n // 2] *= 2.0
         h[n // 2 + 1:] = 0.0
@@ -233,7 +228,8 @@ def complementary_polynomial(c: PolyCoeffs | Sequence[complex]) -> PolyCoeffs:
 def rescale_to_margin(c: PolyCoeffs, margin: float = DEFAULT_MARGIN,
                       ) -> tuple[PolyCoeffs, float]:
     """Scale P to max |P| = 1 - 2 margin if above 1 - margin; (P, scale).
-    The one rescale rule; ValueError unless 0 <= margin < 1/2."""
+    The one margin rule: no other code compares a circle norm with a
+    margin.  ValueError unless 0 <= margin < 1/2."""
     if not 0.0 <= margin < 0.5:
         raise ValueError(f"margin must lie in [0, 0.5), not {margin}")
     maxP = max_abs_circle(c)
@@ -304,28 +300,24 @@ def _strip_layers(P: np.ndarray, Q: np.ndarray) -> PhaseFactors:
     return PhaseFactors(thetas, phis, lam)
 
 
-def solve_phases(c: PolyCoeffs | Sequence[complex],
-                 margin: float = DEFAULT_MARGIN) -> PhaseFactors:
+def solve_phases(c: PolyCoeffs | Sequence[complex]) -> PhaseFactors:
     """Angles realizing P(z), checked against P before they are returned.
 
     Trailing zero coefficients are trimmed first, so the returned degree is
-    the effective degree of P.  Requires max |P| <= 1 - margin on the circle
-    (NormViolationError otherwise).  Q comes from `complementary_polynomial`;
+    the effective degree of P.  Needs max |P| < 1 on the circle and takes no
+    margin: `rescale_to_margin` is the one rule that holds P to a margin,
+    and callers apply it first.  Q comes from `complementary_polynomial`;
     layer stripping then peels R(theta_k, phi_k, 0) diag(z, 1) off (P, Q)
     one degree at a time (Motlagh & Wiebe, arXiv:2308.01501).
 
     The round trip error is recorded on the result as `round_trip`.
-    Raises PhaseSynthesisError when the completion defect of (P, Q) exceeds
-    DEFECT_TOL or the reconstruct_P round trip exceeds
-    ROUND_TRIP_TOL * (d + 1); CompletionError (a PhaseSynthesisError) when
-    no completion is found.
+    Raises CompletionError when |P| reaches 1 on the completion grid or is
+    too near 1 for its cap; PhaseSynthesisError (of which CompletionError is
+    one) when the completion defect of (P, Q) exceeds DEFECT_TOL or the
+    reconstruct_P round trip exceeds ROUND_TRIP_TOL * (d + 1).
     """
     c = c if isinstance(c, PolyCoeffs) else PolyCoeffs(np.asarray(c))
     c = c.trimmed()
-    if max_abs_circle(c) > 1.0 - margin:
-        raise NormViolationError(
-            f"max |P| on the circle exceeds 1 - margin (margin={margin}); "
-            "rescale the polynomial first")
     d = c.degree
     P = c.coeffs.copy()
     Q = complementary_polynomial(PolyCoeffs(P)).coeffs.copy()

@@ -102,6 +102,7 @@ class _Operator:
         return Y
 
 
+@dataclasses.dataclass(frozen=True, eq=False, kw_only=True)
 class CircuitProduct:
     """Transformation circuit as an operator, plus bookkeeping.
 
@@ -114,22 +115,22 @@ class CircuitProduct:
     mid-circuit measurement decomposition as (unitary, in_isometry,
     out_isometry) triples, each unitary an operator or a checked matrix,
     whose unnormalized composition equals the default extraction.
+    Products compare by identity; `dataclasses.replace` relabels one and
+    keeps its operator, so the columns it pushed and the checks they passed
+    serve both.
     """
 
-    def __init__(self, *, operator: _Operator, queries_U: int,
-                 queries_U_dagger: int, degree: int, route: str,
-                 scale_applied: float, extraction: dict,
-                 encoding: ProjectedUnitaryEncoding, poly: PolyCoeffs,
-                 phases: PhaseFactors | None = None,
-                 stages: tuple | None = None):
-        vars(self).update(
-            operator=operator, queries_U=queries_U,
-            queries_U_dagger=queries_U_dagger, degree=degree, route=route,
-            scale_applied=scale_applied, extraction=extraction,
-            encoding=encoding, poly=poly, phases=phases, stages=stages)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"CircuitProduct is read-only: {name!r}")
+    operator: _Operator
+    queries_U: int
+    queries_U_dagger: int
+    degree: int
+    route: str
+    scale_applied: float
+    extraction: dict
+    encoding: ProjectedUnitaryEncoding
+    poly: PolyCoeffs
+    phases: PhaseFactors | None = None
+    stages: tuple | None = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -150,14 +151,6 @@ class PostselectOutcome:
     conditioned: np.ndarray
     success_prob: float
     stage_probs: tuple
-
-
-def _relabeled(cp: CircuitProduct, **fields) -> CircuitProduct:
-    """cp with bookkeeping fields replaced, sharing its operator, so the
-    columns it pushed and the checks they passed serve both."""
-    out = object.__new__(CircuitProduct)
-    vars(out).update(vars(cp), **fields)
-    return out
 
 
 def _ancilla_zero(iso: np.ndarray) -> np.ndarray:
@@ -253,9 +246,9 @@ def gqsvt_hermitianization(e: ProjectedUnitaryEncoding,
     if N_L == N_R:
         sym = (top + bot) / math.sqrt(2.0)
         extraction["hermitian_full"] = (sym, sym)
-    return _relabeled(cp, queries_U_dagger=cp.degree,
-                      route="gqsvt-hermitianization", extraction=extraction,
-                      encoding=e)
+    return dataclasses.replace(
+        cp, queries_U_dagger=cp.degree, route="gqsvt-hermitianization",
+        extraction=extraction, encoding=e)
 
 
 def extract_svt(cp: CircuitProduct, which: str = "default") -> np.ndarray:
@@ -304,9 +297,10 @@ def gqsvt_multiplication(e: ProjectedUnitaryEncoding, c: PolyCoeffs,
     poly = c.scaled(cp_q.scale_applied)
 
     if parity == "even":
-        cp = _relabeled(cp_q, queries_U_dagger=dq, degree=d,
-                        route="gqsvt-multiplication", encoding=e, poly=poly,
-                        extraction={"default": (K, K), "even": (K, K)})
+        cp = dataclasses.replace(
+            cp_q, queries_U_dagger=dq, degree=d, route="gqsvt-multiplication",
+            encoding=e, poly=poly,
+            extraction={"default": (K, K), "even": (K, K)})
         out = simulate_postselect(cp, schedule="end-only")
         return cp, out
 

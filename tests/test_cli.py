@@ -491,6 +491,27 @@ def test_one_round_trip_per_op(tmp_path, capsys, monkeypatch, command):
         assert err == float(f"{ph.round_trip:.3e}")
 
 
+@pytest.mark.parametrize("command, extra, expected", [
+    ("phases", {}, 1),
+    ("gqet", {}, 1),
+    ("gqsvt", {"parity": "odd", "route": "both"}, 2),
+], ids=["phases", "gqet", "gqsvt-both"])
+def test_one_circle_norm_per_solve(tmp_path, capsys, monkeypatch, command,
+                                   extra, expected):
+    # rescale_to_margin is the one margin rule: each phase solve measures
+    # max |P| on the circle once, in it, and solve_phases not again.
+    calls = []
+    real = phases.max_abs_circle
+    monkeypatch.setattr(phases, "max_abs_circle",
+                        lambda c: calls.append(c) or real(c))
+    cfg = write_config(tmp_path, "c.json", {
+        "matrix": matrix_to_json(np.array([[0.3, 0.1], [0.1, -0.2]])),
+        "poly": PolyCoeffs([0, 0.5, 0, -0.3]).to_json_dict(), "alpha": 1.0,
+        **extra})
+    assert main([command, "--config", cfg]) == EXIT_OK
+    assert len(calls) == expected
+
+
 def _per_element(values):
     return [[float(v.real), float(v.imag)] for v in values]
 

@@ -418,6 +418,16 @@ class TestHermitianEncodingType:
         with pytest.raises(EncodingValidationError):
             HermitianEncoding(e.U, e.Pi, np.roll(e.Pi, 1, axis=0), e.alpha)
 
+    def test_isometries_agree_to_1e_12_absolutely(self):
+        # A relative tolerance would pass a phase of 1e-6 on Pi_R, and the
+        # circuit would then transform Pi_L^dag U Pi_L, not the given block.
+        rng = np.random.default_rng(49)
+        A = random_hermitian(rng, 2)
+        e = dilate_hermitian(A, 1.2 * np.linalg.norm(A, 2))
+        with pytest.raises(EncodingValidationError):
+            HermitianEncoding(e.U, e.Pi, e.Pi * np.exp(1e-6j), e.alpha)
+        HermitianEncoding(e.U, e.Pi, e.Pi * np.exp(1e-13j), e.alpha)
+
     def test_requires_hermitian_unitary(self):
         rng = np.random.default_rng(48)
         U, _ = np.linalg.qr(rng.normal(size=(4, 4))

@@ -10,7 +10,8 @@ from gqtlab import phases
 from gqtlab.encodings import HermitianEncoding
 from gqtlab.phases import (
     CompletionError,
-    NormViolationError,
+    DEFAULT_MARGIN,
+    ROUND_TRIP_TOL,
     PhaseFactors,
     PhaseSynthesisError,
     RotationGate,
@@ -130,8 +131,25 @@ class TestSolvePhases:
         assert coeff_error(reconstruct_P(ph), c.trimmed()) <= 1e-8 * 56
 
     def test_norm_violation(self):
-        with pytest.raises(NormViolationError):
+        # solve_phases holds P to no margin; |P| = 1 has no completion, and
+        # neither has a peak just above 1 that a grid point may miss.
+        with pytest.raises(CompletionError):
             solve_phases(PolyCoeffs([0, 1.0]))
+        for d in (5, 64):
+            c = scaled_random_poly(np.random.default_rng(d), d, 1 + 1e-12)
+            with pytest.raises(CompletionError):
+                solve_phases(c)
+
+    @pytest.mark.parametrize("d", [0, 5, 64])
+    def test_inside_the_margin_band(self, d):
+        # max |P| in (1 - DEFAULT_MARGIN, 1): rescale_to_margin would scale
+        # it, but solve_phases holds P to no margin and solves it as given.
+        target = 0.99995
+        assert 1 - DEFAULT_MARGIN < target < 1
+        c = scaled_random_poly(np.random.default_rng(400 + d), d, target)
+        ph = solve_phases(c)
+        assert ph.degree == d
+        assert coeff_error(reconstruct_P(ph), c) <= ROUND_TRIP_TOL * (d + 1)
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(21)
@@ -196,8 +214,10 @@ class TestSelfCheck:
             solve_phases(c)
 
     def test_unit_modulus_has_no_completion(self):
-        with pytest.raises(CompletionError):
-            solve_phases(PolyCoeffs([1.0]), margin=0.0)
+        # |P| >= 1 on the circle: no complementary polynomial, a named error.
+        for a in ([1.0], [0, 2.0], [0.5, 0.5]):
+            with pytest.raises(CompletionError):
+                solve_phases(PolyCoeffs(a))
 
     def test_grid_cap(self):
         # 1 - |P|^2 vanishes 3e-6 off the circle: no grid up to the cap

@@ -1,0 +1,28 @@
+"""Rules the source tree keeps, checked on its syntax tree."""
+
+import ast
+from pathlib import Path
+
+import gqtlab
+
+SRC = Path(gqtlab.__file__).parent
+
+
+def _called_name(call: ast.Call) -> str | None:
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return getattr(call.func, "id", None)
+
+
+def test_tolerance_calls_pass_rtol():
+    # numpy's isclose/allclose default to rtol = 1e-5, which has moved
+    # angles and accepted unequal isometries; every call names its own.
+    missing = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and _called_name(node) in ("isclose", "allclose")
+        and "rtol" not in {k.arg for k in node.keywords}
+    ]
+    assert not missing, f"isclose/allclose without rtol= at {missing}"

@@ -84,6 +84,18 @@ class TestGqet:
         assert extract_svt(cp)[0, 0] == pytest.approx(
             cp.scale_applied * 0.5, abs=1e-10)
 
+    @pytest.mark.parametrize("a", [[0, 0.5], [0, 1.0]],
+                             ids=["inside", "rescaled"])
+    def test_one_circle_norm(self, monkeypatch, a):
+        # rescale_to_margin measures max |P| once; solve_phases not again.
+        from gqtlab import phases
+        calls = []
+        real = phases.max_abs_circle
+        monkeypatch.setattr(phases, "max_abs_circle",
+                            lambda c: calls.append(c) or real(c))
+        gqet(dilate_hermitian(np.array([[0.5]]), 1.0), PolyCoeffs(a))
+        assert len(calls) == 1
+
     def test_subnormalized(self):
         rng = np.random.default_rng(33)
         A = random_hermitian(rng, 3)
@@ -155,6 +167,18 @@ class TestCircuitProductCheck:
                   PolyCoeffs([0, 0.9]))
         with pytest.raises(ValueError, match="isometric"):
             extract_svt(cp)
+
+    def test_relabelled_product_shares_its_operator(self):
+        import dataclasses
+        cp = self.make(np.eye(2, dtype=complex))
+        other = dataclasses.replace(cp, route="relabelled")
+        assert other.operator is cp.operator
+        assert other.route == "relabelled" and cp.route == "test"
+        # Products compare and hash by identity, not by field values.
+        assert other != cp and cp == cp
+        assert len({cp, other}) == 2
+        with pytest.raises(AttributeError):
+            cp.route = "changed"
 
     def test_route_products_are_read_only(self):
         e = dilate_general(np.array([[0.4, 0.2], [0.1, 0.3]]), 1.0)
