@@ -146,7 +146,11 @@ def cmd_scaling_table(args) -> int:
     if grid is None:
         grid = [{"kappa": 10, "eps": 1e-3}, {"kappa": 10, "eps": 1e-4},
                 {"kappa": 40, "eps": 1e-3}]
-        if cfg.get("include_high_degree", False):
+        high = cfg.get("include_high_degree", False)
+        if not isinstance(high, bool):
+            raise InputError(f"include_high_degree must be true or false, "
+                             f"not {high!r}")
+        if high:
             grid += [{"kappa": 100, "eps": 1e-3}, {"kappa": 100, "eps": 1e-4},
                      {"kappa": 200, "eps": 1e-4}, {"kappa": 300, "eps": 1e-4}]
     if not isinstance(grid, list) or not all(isinstance(r, dict) for r in grid):
@@ -182,8 +186,6 @@ def cmd_scaling_table(args) -> int:
 def cmd_gqet(args) -> int:
     cfg = _load_config(args)
     A = _load_matrix(cfg)
-    if A.shape[0] != A.shape[1] or np.linalg.norm(A - A.conj().T) > 1e-10:
-        raise InputError("gqet needs a square Hermitian matrix")
     enc = dilate_hermitian(A, _alpha(cfg, A))
     c = _load_poly(cfg)
     cp = gqet(enc, c)

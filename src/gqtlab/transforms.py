@@ -373,63 +373,52 @@ def simulate_postselect(cp: CircuitProduct, input: np.ndarray | None = None,
                              stage_probs=tuple(probs))
 
 
+def _qsvt_circuit(phis: np.ndarray, e: ProjectedUnitaryEncoding,
+                  columns: np.ndarray | None = None) -> np.ndarray:
+    """The alternating-phase circuit H prod_i (U_i G_i Rz(phi_i) G_i) H on
+    flag (x) system, or that circuit applied to a 2M x k column stack.
+
+    U_i runs U, U^dag, U, ... and G_i is the flag X controlled by
+    Pi_R Pi_R^dag, Pi_L Pi_L^dag, ...  G Rz(phi) G is Rz(-phi) on the
+    projector's range and Rz(phi) off it, so a layer is a phase on each flag
+    half, a rank-N correction through the isometry, and U_i applied to both
+    halves at once: the stack is kept as one M x 2k block [top, bot].
+    columns=None pushes the identity, which gives the circuit itself.
+    """
+    M = e.M
+    X = (np.eye(2 * M, dtype=complex) if columns is None
+         else np.asarray(columns, dtype=complex))
+    k = X.shape[1]
+    Y = np.hstack([X[:M] + X[M:], X[:M] - X[M:]]) / math.sqrt(2.0)
+    layers = ((e.U, e.Pi_R), (e.U.conj().T, e.Pi_L))
+    for i, phi in enumerate(phis):
+        U, Pi = layers[i % 2]
+        r = np.repeat([np.exp(-0.5j * phi), np.exp(0.5j * phi)], k)
+        Y = U @ (Y * r + Pi @ ((Pi.conj().T @ Y) * (r.conj() - r)))
+    return np.vstack([Y[:, :k] + Y[:, k:], Y[:, :k] - Y[:, k:]]) / math.sqrt(2.0)
+
+
 def qsvt_equivalence_check(e: ProjectedUnitaryEncoding,
                            phis: np.ndarray) -> tuple[bool, float]:
     """Alternating-U/U^dag circuit vs its two-register Hermitianized form.
 
-    The Hermitianized circuit acts on flag (x) direction (x) system: the
-    direction qubit toggles on every application of [[0, U], [U^dag, 0]], so
-    with it initialized to |1> the projector-controlled phase rotations see
-    Pi_R and Pi_L alternately and the whole circuit reduces to the standard
-    singular-value-transformation sequence.  Returns (pass, residual) where
-    the residual compares the full circuit restricted to the deterministic
-    direction track against the reduced circuit, at 1e-10.
+    The Hermitianized circuit is `_qsvt_circuit` run on `hermitianize(e)`,
+    on flag (x) direction (x) system: U_bar = [[0, U], [U^dag, 0]] toggles
+    the direction qubit, so with it initialized to |1> the phase rotations
+    controlled by Pi_bar Pi_bar^dag see Pi_R and Pi_L alternately and the
+    whole circuit reduces to the same kernel run on e.  Returns
+    (pass, residual) where the residual compares the full circuit
+    restricted to the deterministic direction track against the reduced
+    circuit, at 1e-10.
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    d = len(phis)
-    U = e.U
     M = e.M
-    P_L = e.Pi_L @ e.Pi_L.conj().T
-    P_R = e.Pi_R @ e.Pi_R.conj().T
-    eyeM = np.eye(M)
-    eye2M = np.eye(2 * M)
-    X = np.array([[0.0, 1.0], [1.0, 0.0]])
-    H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-
-    def rz(phi):
-        return np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
-
-    def ctrl_x_f(proj):  # X on the flag qubit controlled by a projector
-        n = proj.shape[0]
-        return np.kron(X, proj) + np.kron(np.eye(2), np.eye(n) - proj)
-
-    # Full circuit on flag (x) direction (x) system.
-    CL = ctrl_x_f(np.kron(p0, P_L))
-    CR = ctrl_x_f(np.kron(p1, P_R))
-    Xh = np.kron(np.eye(2), np.kron(X, eyeM))
-    CU = np.kron(np.eye(2), np.kron(p0, U) + np.kron(p1, U.conj().T))
-    Hf = np.kron(H, eye2M)
-    A = Hf.copy()
-    for i in range(1, d + 1):
-        refl = CL @ CR @ np.kron(rz(phis[i - 1]), eye2M) @ CL @ CR
-        A = CU @ Xh @ refl @ A
-    A = Hf @ A
-
-    # Reduced circuit on flag (x) system.
-    Hf2 = np.kron(H, eyeM)
-    B = Hf2.copy()
-    for i in range(1, d + 1):
-        P = P_R if i % 2 == 1 else P_L
-        G = ctrl_x_f(P)
-        Ui = np.kron(np.eye(2), U if i % 2 == 1 else U.conj().T)
-        B = Ui @ G @ np.kron(rz(phis[i - 1]), eyeM) @ G @ B
-    B = Hf2 @ B
-
-    h_in = np.array([0.0, 1.0])
-    h_out = np.array([0.0, 1.0]) if d % 2 == 0 else np.array([1.0, 0.0])
-    E_in = np.kron(np.eye(2), np.kron(h_in.reshape(2, 1), eyeM))
-    E_out = np.kron(np.eye(2), np.kron(h_out.reshape(2, 1), eyeM))
-    residual = float(np.linalg.norm(A @ E_in - E_out @ B, 2))
+    # Direction |1> in; out on |1> after an even number of toggles, else |0>.
+    track_in = np.eye(2 * M)[:, M:]
+    track_out = track_in if len(phis) % 2 == 0 else np.eye(2 * M)[:, :M]
+    E_in = np.kron(np.eye(2), track_in)
+    E_out = np.kron(np.eye(2), track_out)
+    full = _qsvt_circuit(phis, hermitianize(e), E_in)
+    reduced = _qsvt_circuit(phis, e)
+    residual = float(np.linalg.norm(full - E_out @ reduced, 2))
     return residual <= 1e-10, residual

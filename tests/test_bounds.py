@@ -267,7 +267,7 @@ class TestBatchedSweepEqualsPerRow:
                            per_row_verify_beta_bound(listed_sampler([coeffs]), 1))
 
     def test_nan_row_raises(self):
-        with pytest.raises(ValueError, match="M must be positive"):
+        with pytest.raises(ValueError, match="finite"):
             verify_beta_bound(listed_sampler([[1.0], [np.nan, 1.0]]), 2)
 
 

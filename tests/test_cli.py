@@ -8,6 +8,7 @@ import pytest
 
 from gqtlab import phases
 from gqtlab.cli import EXIT_INPUT, EXIT_OK, EXIT_TOLERANCE, FMT, _csv, main
+from gqtlab.encodings import EncodingValidationError, dilate_hermitian
 from gqtlab.polynomials import PolyCoeffs
 from gqtlab.serialization import (
     matrix_from_json, matrix_to_json, phases_from_file)
@@ -74,6 +75,28 @@ class TestGqetCommand:
         })
         assert main(["gqet", "--config", cfg]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("defect", [5e-10, 2e-9])
+    def test_hermitian_rule_is_dilate_hermitians(self, tmp_path, capsys,
+                                                 defect):
+        # ||A - A^dag||_F = defect at N = 8, against the library's 8e-10.
+        rng = np.random.default_rng(13)
+        n = 8
+        X = rng.normal(size=(n, n))
+        S = rng.normal(size=(n, n))
+        S = (S - S.T) * (defect / (2.0 * np.linalg.norm(S - S.T)))
+        A = (X + X.T) / (2.5 * np.linalg.norm(X + X.T, 2)) + S
+        try:
+            dilate_hermitian(A, 1.0)
+            expected = EXIT_OK
+        except EncodingValidationError:
+            expected = EXIT_INPUT
+        assert expected == (EXIT_OK if defect <= 1e-10 * n else EXIT_INPUT)
+        cfg = write_config(tmp_path, "c.json", {
+            "matrix": matrix_to_json(A), "alpha": 1.0,
+            "poly": PolyCoeffs([0, 0.5]).to_json_dict(),
+        })
+        assert main(["gqet", "--config", cfg]) == expected
+
     def test_missing_config(self, capsys):
         assert main(["gqet", "--config", "/nonexistent.json"]) == EXIT_INPUT
 
@@ -104,6 +127,32 @@ def test_malformed_config_is_an_input_error(tmp_path, capsys, command, cfg):
     argv = [command, "--config", write_config(tmp_path, "c.json", cfg)]
     assert main(argv) == EXIT_INPUT
     assert capsys.readouterr().err.startswith("input error:")
+
+
+_NAN_POLY = {"coeffs": [[float("nan"), 0.0], [0.5, 0.0]]}
+_INF_POLY = {"coeffs": [[0.0, 0.0], [0.5, float("inf")]]}
+_SCALAR = matrix_to_json(np.array([[0.5]]))
+_NAN_MATRIX = {"rows": 1, "cols": 1, "data": [[float("nan"), 0.0]]}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("phases", {"poly": _NAN_POLY}),
+    ("phases", {"poly": _INF_POLY}),
+    ("gqet", {"matrix": _SCALAR, "poly": _NAN_POLY}),
+    ("gqet", {"matrix": _SCALAR, "poly": _INF_POLY}),
+    ("gqsvt", {"matrix": _SCALAR, "poly": _NAN_POLY, "parity": "odd"}),
+    ("gqsvt", {"matrix": _SCALAR, "poly": _INF_POLY, "parity": "odd"}),
+    ("gqet", {"matrix": _NAN_MATRIX, "poly": _POLY}),
+    ("gqsvt", {"matrix": _NAN_MATRIX, "poly": _POLY, "parity": "odd"}),
+], ids=["phases-nan", "phases-inf", "gqet-nan", "gqet-inf", "gqsvt-nan",
+        "gqsvt-inf", "gqet-nan-matrix", "gqsvt-nan-matrix"])
+def test_non_finite_input_is_an_input_error(tmp_path, capsys, command, cfg):
+    # The config is written with the NaN and Infinity literals that
+    # Python's json reads back as floats.
+    argv = [command, "--config", write_config(tmp_path, "c.json", cfg)]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "finite" in err
 
 
 def test_json_decoding_is_exact():
@@ -412,6 +461,12 @@ class TestScalingTableCommand:
         assert [int(r[0]) for r in rows] == [55, 79, 221, 553, 783, 1565, 2349]
         assert all(float(r[5]) < 1.75 for r in rows)
         assert elapsed < 15.0
+
+    @pytest.mark.parametrize("value", ["false", 1, None])
+    def test_high_degree_flag_must_be_boolean(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, "s.json", {"include_high_degree": value})
+        assert main(["scaling-table", "--config", cfg]) == EXIT_INPUT
+        assert "include_high_degree" in capsys.readouterr().err
 
 
 def test_main_runs_the_handler_bound_at_call_time(monkeypatch):

@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from gqtlab import transforms
 from gqtlab.encodings import (
     HermitianEncoding,
     ProjectedUnitaryEncoding,
     dilate_general,
     dilate_hermitian,
+    hermitianize,
 )
 from gqtlab.polynomials import ApproxSpec, ParityError, PolyCoeffs, approx_inverse
 from gqtlab.transforms import (
@@ -21,6 +25,7 @@ from gqtlab.transforms import (
     simulate_postselect,
     svt_oracle,
     _Operator,
+    _qsvt_circuit,
 )
 
 
@@ -525,3 +530,89 @@ class TestQsvtEquivalence:
             ok, res = qsvt_equivalence_check(
                 e, rng.uniform(-np.pi, np.pi, d))
             assert ok, f"residual {res} at degree {d}"
+
+
+def dense_qsvt_chains(e, phis):
+    """Reference for `_qsvt_circuit`: the two circuits of the equivalence
+    check assembled from dense Kronecker factors, layer by layer.
+
+    Returns (full, reduced, E_in): the Hermitianized circuit on
+    flag (x) direction (x) system, the alternating-U/U^dag circuit on
+    flag (x) system, and the isometry that starts the direction at |1>.
+    """
+    d, U, M = len(phis), e.U, e.M
+    P_L = e.Pi_L @ e.Pi_L.conj().T
+    P_R = e.Pi_R @ e.Pi_R.conj().T
+    eyeM, eye2M = np.eye(M), np.eye(2 * M)
+    X = np.array([[0.0, 1.0], [1.0, 0.0]])
+    H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+
+    def rz(phi):
+        return np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
+
+    def ctrl_x_f(proj):  # X on the flag qubit controlled by a projector
+        n = proj.shape[0]
+        return np.kron(X, proj) + np.kron(np.eye(2), np.eye(n) - proj)
+
+    CL = ctrl_x_f(np.kron(p0, P_L))
+    CR = ctrl_x_f(np.kron(p1, P_R))
+    Xh = np.kron(np.eye(2), np.kron(X, eyeM))
+    CU = np.kron(np.eye(2), np.kron(p0, U) + np.kron(p1, U.conj().T))
+    full = np.kron(H, eye2M)
+    for i in range(d):
+        refl = CL @ CR @ np.kron(rz(phis[i]), eye2M) @ CL @ CR
+        full = CU @ Xh @ refl @ full
+    full = np.kron(H, eye2M) @ full
+
+    reduced = np.kron(H, eyeM)
+    for i in range(d):
+        G = ctrl_x_f(P_R if i % 2 == 0 else P_L)
+        Ui = np.kron(np.eye(2), U if i % 2 == 0 else U.conj().T)
+        reduced = Ui @ G @ np.kron(rz(phis[i]), eyeM) @ G @ reduced
+    reduced = np.kron(H, eyeM) @ reduced
+
+    E_in = np.kron(np.eye(2), np.kron(np.array([[0.0], [1.0]]), eyeM))
+    return full, reduced, E_in
+
+
+def rotated(rng, e):
+    """The same encoded matrix under a random unitary change of basis V:
+    (V U V^dag, V Pi_L, V Pi_R), so neither isometry is a selector."""
+    Z = rng.normal(size=(e.M, e.M)) + 1j * rng.normal(size=(e.M, e.M))
+    V, _ = np.linalg.qr(Z)
+    return ProjectedUnitaryEncoding(V @ e.U @ V.conj().T, V @ e.Pi_L,
+                                    V @ e.Pi_R, e.alpha)
+
+
+class TestQsvtCircuitKernel:
+    @pytest.mark.parametrize("nl, nr", [(1, 1), (3, 3), (2, 4), (5, 2)])
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_matches_dense_chains(self, nl, nr, rotate):
+        rng = np.random.default_rng(10 * nl + nr + 100 * rotate)
+        e = dilate_general(random_contraction(rng, nl, nr), 1.0)
+        if rotate:
+            e = rotated(rng, e)
+        for d in range(1, 10):
+            phis = rng.uniform(-np.pi, np.pi, d)
+            full, reduced, E_in = dense_qsvt_chains(e, phis)
+            assert np.abs(_qsvt_circuit(phis, e) - reduced).max() <= 1e-12
+            pushed = _qsvt_circuit(phis, hermitianize(e), E_in)
+            assert np.abs(pushed - full @ E_in).max() <= 1e-12
+
+    def test_check_runs_the_library_hermitianization(self, monkeypatch):
+        # U and U^dag swapped in U_bar still make a valid Hermitian
+        # encoding, but not the Hermitianization of e: the check must fail.
+        def swapped(e):
+            Z = np.zeros((e.M, e.M))
+            U_bar = np.block([[Z, e.U.conj().T], [e.U, Z]])
+            Pi_bar = hermitianize(e).Pi
+            return HermitianEncoding(U_bar, Pi_bar, Pi_bar, e.alpha)
+
+        rng = np.random.default_rng(46)
+        e = dilate_general(random_contraction(rng, 3, 2), 1.0)
+        phis = rng.uniform(-np.pi, np.pi, 5)
+        assert qsvt_equivalence_check(e, phis)[0]
+        monkeypatch.setattr(transforms, "hermitianize", swapped)
+        ok, res = qsvt_equivalence_check(e, phis)
+        assert not ok and res > 0.1
