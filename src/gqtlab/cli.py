@@ -113,10 +113,12 @@ def _load_matrix(cfg: dict, key: str = "matrix") -> np.ndarray:
 
 def _alpha(cfg: dict, A: np.ndarray) -> float:
     """The config's alpha, else 1.2 ||A||_2, which costs a full SVD and so
-    is computed only when the config has none."""
+    is computed only when the config has none.  A zero A gets alpha = 1:
+    every alpha > 0 encodes it exactly."""
     if "alpha" in cfg:
         return _number(cfg["alpha"], "alpha")
-    return float(1.2 * np.linalg.norm(A, 2))
+    norm = float(np.linalg.norm(A, 2))
+    return 1.0 if norm == 0 else 1.2 * norm
 
 
 def _tol(args, degree: int) -> float:

@@ -63,25 +63,42 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _validate_core(U, Pi_L, Pi_R, alpha, hermitian: bool) -> list[str]:
+    """The problems of an encoding, or [] when it holds to tolerance.
+
+    The block norm needs no SVD when the defects already measured settle
+    it: with delta_U = ||U^dag U - I||_F and delta_L, delta_R the isometry
+    defects ||Pi^dag Pi - I||_F (each bounds the spectral defect),
+
+        ||Pi_L^dag U Pi_R||_2 <= sqrt((1 + delta_U)(1 + delta_L)(1 + delta_R)),
+
+    which is at most 1 + 0.5e-9 + O(1e-18) once delta_U + delta_L + delta_R
+    <= 1e-9.  Otherwise the SVD runs, so the verdict is the SVD's either way.
+    """
     problems = []
-    M = U.shape[0]
-    if U.shape != (M, M):
+    if U.ndim != 2 or U.shape[0] != U.shape[1]:
         problems.append(f"U is {U.shape}, not square")
         return problems
-    if not _unitary_defect(U) <= VALIDATION_TOL * max(M, 1):
+    M = U.shape[0]
+    delta = _unitary_defect(U)  # delta_U, then plus delta_L and delta_R
+    if not delta <= VALIDATION_TOL * max(M, 1):
         problems.append("U is not unitary to 1e-10")
     if hermitian and np.linalg.norm(U - U.conj().T) > VALIDATION_TOL * max(M, 1):
         problems.append("U is not Hermitian to 1e-10")
     for name, Pi in (("Pi_L", Pi_L), ("Pi_R", Pi_R)):
+        if Pi.ndim != 2:
+            problems.append(f"{name} is {Pi.ndim}-D, not 2-D")
+            continue
         if Pi.shape[0] != M:
             problems.append(f"{name} has {Pi.shape[0]} rows, expected {M}")
             continue
         N = Pi.shape[1]
-        if np.linalg.norm(Pi.conj().T @ Pi - np.eye(N)) > VALIDATION_TOL:
+        iso_delta = np.linalg.norm(Pi.conj().T @ Pi - np.eye(N))
+        if iso_delta > VALIDATION_TOL:
             problems.append(f"{name} is not an isometry to 1e-10")
+        delta += iso_delta
     if not alpha > 0:
         problems.append("alpha must be positive")
-    if not problems:
+    if not problems and not delta <= 1e-9:
         enc = Pi_L.conj().T @ U @ Pi_R
         if np.linalg.norm(enc, 2) > 1 + 1e-9:
             problems.append("encoded matrix has spectral norm above 1 + 1e-9")
@@ -113,6 +130,18 @@ class ProjectedUnitaryEncoding:
     @staticmethod
     def _hermitian() -> bool:
         return False
+
+    def adjoint(self) -> ProjectedUnitaryEncoding:
+        """(U^dag, Pi_R, Pi_L, alpha), encoding A^dag/alpha, with no check of
+        its own: for square U, ||U U^dag - I||_F = ||U^dag U - I||_F, the
+        isometries are the same pair swapped and the encoded block has the
+        same spectral norm, so the check of this encoding covers it."""
+        adj = object.__new__(type(self))
+        for name, value in (("U", _freeze(self.U.conj().T)),
+                            ("Pi_L", self.Pi_R), ("Pi_R", self.Pi_L),
+                            ("alpha", self.alpha)):
+            object.__setattr__(adj, name, value)
+        return adj
 
     @property
     def M(self) -> int:
@@ -257,8 +286,18 @@ def reflection(Pi: np.ndarray) -> np.ndarray:
 
 
 def walk_operator(e: HermitianEncoding) -> np.ndarray:
-    """Qubitized operator R_Pi U."""
-    return reflection(e.Pi) @ e.U
+    """Qubitized operator R_Pi U = 2 Pi (Pi^dag U) - U.
+
+    Only the rows r where Pi is nonzero change sign twice, so W is -U with
+    rows r replaced by 2 Pi_r (Pi_r^dag U_r) - U_r: O(|r| N M), N^2 M for
+    the coordinate isometries the constructors build, where it equals
+    reflection(Pi) @ U exactly.
+    """
+    Pi, U = e.Pi, e.U
+    r = np.flatnonzero(Pi.any(axis=1))
+    W = -U
+    W[r] = 2.0 * (Pi[r] @ (Pi[r].conj().T @ U[r])) - U[r]
+    return W
 
 
 def qubitized_eigenpairs(e: HermitianEncoding) -> list[QubitizedPair]:

@@ -288,8 +288,7 @@ def gqsvt_multiplication(e: ProjectedUnitaryEncoding, c: PolyCoeffs,
     d = c.degree
     q = sqrt_substitute_even(c) if parity == "even" else sqrt_substitute_odd(c)
 
-    e_dag = ProjectedUnitaryEncoding(e.U.conj().T, e.Pi_R, e.Pi_L, e.alpha)
-    he = multiply(e_dag, e)  # a HermitianEncoding of A^dag A / alpha^2
+    he = multiply(e.adjoint(), e)  # a HermitianEncoding of A^dag A / alpha^2
 
     cp_q = gqet(he, q)
     dq = cp_q.degree

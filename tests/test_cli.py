@@ -8,10 +8,13 @@ import pytest
 
 from gqtlab import phases
 from gqtlab.cli import EXIT_INPUT, EXIT_OK, EXIT_TOLERANCE, FMT, _csv, main
-from gqtlab.encodings import EncodingValidationError, dilate_hermitian
-from gqtlab.polynomials import PolyCoeffs
+from gqtlab.encodings import (
+    EncodingValidationError, dilate_general, dilate_hermitian)
+from gqtlab.polynomials import PolyCoeffs, eval_cheb
 from gqtlab.serialization import (
     matrix_from_json, matrix_to_json, phases_from_file)
+from gqtlab.transforms import (
+    extract_svt, gqet, gqsvt_hermitianization, gqsvt_multiplication)
 
 
 def write_config(tmp_path, name, cfg):
@@ -268,9 +271,10 @@ class TestGqsvtCommand:
         })
         assert main(["gqsvt", "--config", cfg]) == EXIT_OK
         dims = sorted(dim for dim, _ in squares)
-        # U and U^dag (10), Hermitianized U, the product U and both walk
-        # operators (20); no circuit is formed, so none is checked whole
-        assert dims == [10, 10, 20, 20, 20, 20]
+        # U (10), Hermitianized U, the product U and both walk operators
+        # (20); U^dag inherits the check of U, and no circuit is formed, so
+        # none is checked whole
+        assert dims == [10, 20, 20, 20, 20]
         assert len(set(squares)) == len(squares)
         # Each eigenvalue circuit pushes its right isometry once (4 of 40
         # columns), and the odd product pushes its own (4 of 80) through the
@@ -319,6 +323,40 @@ class TestGqsvtCommand:
         out = tmp_path / "demo.txt"
         assert main(["gqsvt", "--config", cfg, "--out", str(out),
                      "--tol", "1e-7"]) == EXIT_OK
+
+
+class TestZeroMatrixDefaultAlpha:
+    """With no alpha in the config, a zero matrix is encoded at alpha = 1
+    (any alpha > 0 encodes it exactly) and p(A/alpha) is p(0) I."""
+
+    def test_gqet(self, tmp_path, capsys):
+        c = PolyCoeffs([0.5, 0.2, 0.3])
+        cfg = write_config(tmp_path, "c.json", {
+            "matrix": matrix_to_json(np.zeros((3, 3))),
+            "poly": c.to_json_dict()})
+        out = tmp_path / "report.json"
+        assert main(["gqet", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["residual"] < 1e-12
+        cp = gqet(dilate_hermitian(np.zeros((3, 3)), 1.0), c)
+        assert np.allclose(extract_svt(cp), eval_cheb(cp.poly, 0.0) * np.eye(3),
+                           rtol=0.0, atol=1e-12)
+
+    def test_gqsvt_both_routes(self, tmp_path, capsys):
+        c = PolyCoeffs([0.5, 0.0, 0.3])
+        cfg = write_config(tmp_path, "c.json", {
+            "matrix": matrix_to_json(np.zeros((3, 2))),
+            "poly": c.to_json_dict(), "parity": "even", "route": "both"})
+        assert main(["gqsvt", "--config", cfg]) == EXIT_OK
+        text = capsys.readouterr().out
+        for route in ("hermitianization", "multiplication"):
+            line = next(l for l in text.splitlines() if l.startswith(route))
+            assert float(line.split("residual=")[1].split()[0]) < 1e-12
+        e = dilate_general(np.zeros((3, 2)), 1.0)
+        for cp in (gqsvt_hermitianization(e, c),
+                   gqsvt_multiplication(e, c, "even")[0]):
+            assert np.allclose(extract_svt(cp, "even"),
+                               eval_cheb(cp.poly, 0.0) * np.eye(2),
+                               rtol=0.0, atol=1e-12)
 
 
 class TestBoundsCommand:

@@ -53,6 +53,34 @@ class TestEncodedMatrix:
         with pytest.raises(EncodingValidationError):
             ProjectedUnitaryEncoding(np.ones((2, 2)), np.eye(2), np.eye(2), 1.0)
 
+    def test_one_dimensional_isometry_is_a_listed_problem(self):
+        with pytest.raises(EncodingValidationError, match="Pi_L is 1-D"):
+            ProjectedUnitaryEncoding(np.eye(2), np.array([1.0, 0.0]),
+                                     np.eye(2), 1.0)
+
+
+class TestBlockNormCheck:
+    """The block norm is bounded by sqrt((1 + d_U)(1 + d_L)(1 + d_R)) from
+    the Gram defects; an SVD decides whenever that bound cannot."""
+
+    @staticmethod
+    def stretched(top):
+        U = np.eye(64)
+        U[0, 0] = top
+        return U, np.eye(64)[:, :32]
+
+    def test_block_above_one_is_rejected(self):
+        # unitary to 1e-10 * 64, but the defect (about 4e-9) leaves the
+        # bound open, and the block norm 1 + 2e-9 is over the limit
+        U, Pi = self.stretched(1 + 2e-9)
+        with pytest.raises(EncodingValidationError,
+                           match="spectral norm above 1 \\+ 1e-9"):
+            ProjectedUnitaryEncoding(U, Pi, Pi, 1.0)
+
+    def test_block_within_limit_is_accepted(self):
+        U, Pi = self.stretched(1 + 0.9e-9)
+        ProjectedUnitaryEncoding(U, Pi, Pi, 1.0)
+
 
 class TestDilateHermitian:
     def test_scalar(self):
@@ -126,9 +154,9 @@ class TestSubnormalizationCheck:
 
             monkeypatch.setattr(np.linalg, name, counted)
         dilate(random_hermitian(np.random.default_rng(36), 4), 20.0)
-        # the one 2-norm left is the encoding's check of its own block
-        assert calls == ["eigh" if dilate is dilate_hermitian else "svd",
-                         "norm"]
+        # the encoding's check of its own block follows from its Gram
+        # defects, so no 2-norm is left
+        assert calls == ["eigh" if dilate is dilate_hermitian else "svd"]
 
 
 class TestReflection:
@@ -177,6 +205,59 @@ class TestWalkOperator:
         got = sorted(vals, key=lambda v: -abs(v))
         for w in expected:
             assert min(abs(w - v) for v in vals) < 1e-9
+
+    @pytest.mark.parametrize("build", ["hermitian", "hermitianized",
+                                       "adjoint_product"])
+    def test_equals_reflection_product(self, build):
+        rng = np.random.default_rng(38)
+        A = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        alpha = 1.2 * np.linalg.norm(A, 2)
+        if build == "hermitian":
+            e = dilate_hermitian(random_hermitian(rng, 4), 9.0)
+        elif build == "hermitianized":
+            e = hermitianize(dilate_general(A, alpha))
+        else:
+            g = dilate_general(A, alpha)
+            e = multiply(g.adjoint(), g)
+        assert np.array_equal(walk_operator(e), reflection(e.Pi) @ e.U)
+
+    def test_rotated_isometry(self):
+        rng = np.random.default_rng(39)
+        e = dilate_hermitian(random_hermitian(rng, 4), 9.0)
+        Q = random_isometry(rng, 8, 8)
+        r = HermitianEncoding(Q @ e.U @ Q.conj().T, Q @ e.Pi, Q @ e.Pi, 9.0)
+        diff = walk_operator(r) - reflection(r.Pi) @ r.U
+        assert np.max(np.abs(diff)) <= 1e-14
+
+
+class TestAdjoint:
+    def test_equals_checked_construction(self, monkeypatch):
+        from gqtlab import encodings
+
+        rng = np.random.default_rng(67)
+        A = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        e = dilate_general(A, 1.2 * np.linalg.norm(A, 2))
+        built = ProjectedUnitaryEncoding(e.U.conj().T, e.Pi_R, e.Pi_L, e.alpha)
+        checks = []
+        norm = np.linalg.norm
+
+        def counted_norm(*args, **kwargs):
+            if args[1:] == (2,) or kwargs.get("ord") == 2:
+                checks.append("norm")
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(encodings, "_unitary_defect",
+                            lambda U: checks.append("gram"))
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        adj = e.adjoint()
+        monkeypatch.undo()
+        assert checks == []
+        assert type(adj) is ProjectedUnitaryEncoding
+        for name in ("U", "Pi_L", "Pi_R"):
+            assert np.array_equal(getattr(adj, name), getattr(built, name))
+            assert not getattr(adj, name).flags.writeable
+        assert adj.alpha == built.alpha
+        assert isinstance(multiply(adj, e), HermitianEncoding)
 
 
 class TestQubitizedPairs:
