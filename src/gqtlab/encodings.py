@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .phases import _unitary_defect
+from .phases import VALIDATION_TOL, _unitary_defect
 
 __all__ = [
     "ProjectedUnitaryEncoding",
@@ -36,8 +36,6 @@ __all__ = [
     "hermitianize",
     "multiply",
 ]
-
-VALIDATION_TOL = 1e-10
 
 
 class EncodingValidationError(ValueError):
@@ -62,6 +60,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _block(U, E_L: np.ndarray, E_R: np.ndarray) -> np.ndarray:
+    """E_L^dag U E_R, the one block reader.  U is a matrix or an operator on
+    column stacks (anything with `@`); it is applied to E_R only."""
+    return E_L.conj().T @ (U @ E_R)
+
+
 def _validate_core(U, Pi_L, Pi_R, alpha, hermitian: bool) -> list[str]:
     """The problems of an encoding, or [] when it holds to tolerance.
 
@@ -81,9 +85,9 @@ def _validate_core(U, Pi_L, Pi_R, alpha, hermitian: bool) -> list[str]:
     M = U.shape[0]
     delta = _unitary_defect(U)  # delta_U, then plus delta_L and delta_R
     if not delta <= VALIDATION_TOL * max(M, 1):
-        problems.append("U is not unitary to 1e-10")
+        problems.append(f"U is not unitary to {VALIDATION_TOL:g} * {M}")
     if hermitian and np.linalg.norm(U - U.conj().T) > VALIDATION_TOL * max(M, 1):
-        problems.append("U is not Hermitian to 1e-10")
+        problems.append(f"U is not Hermitian to {VALIDATION_TOL:g} * {M}")
     for name, Pi in (("Pi_L", Pi_L), ("Pi_R", Pi_R)):
         if Pi.ndim != 2:
             problems.append(f"{name} is {Pi.ndim}-D, not 2-D")
@@ -99,8 +103,7 @@ def _validate_core(U, Pi_L, Pi_R, alpha, hermitian: bool) -> list[str]:
     if not alpha > 0:
         problems.append("alpha must be positive")
     if not problems and not delta <= 1e-9:
-        enc = Pi_L.conj().T @ U @ Pi_R
-        if np.linalg.norm(enc, 2) > 1 + 1e-9:
+        if np.linalg.norm(_block(U, Pi_L, Pi_R), 2) > 1 + 1e-9:
             problems.append("encoded matrix has spectral norm above 1 + 1e-9")
     return problems
 
@@ -201,7 +204,7 @@ class QubitizedPair:
 
 def encoded_matrix(e: ProjectedUnitaryEncoding) -> np.ndarray:
     """A/alpha = Pi_L^dag U Pi_R."""
-    return e.Pi_L.conj().T @ e.U @ e.Pi_R
+    return _block(e.U, e.Pi_L, e.Pi_R)
 
 
 def _selector(M: int, N: int) -> np.ndarray:

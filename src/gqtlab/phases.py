@@ -47,6 +47,10 @@ ROUND_TRIP_TOL = 1e-8
 # complementary_polynomial's target for its dropped tail and its defect.
 _COMPLETION_TARGET = 1e-12
 _MAX_GRID = 1 << 20
+# The one unitarity rule: a unitary of dimension dim passes when its defect
+# (`_unitary_defect`, or `_column_defect` of the columns it pushed) is at
+# most VALIDATION_TOL * dim.  Encodings, circuits and gqsp_matrix all use it.
+VALIDATION_TOL = 1e-10
 
 
 class PhaseSynthesisError(RuntimeError):
@@ -362,22 +366,23 @@ def gqsp_matrix(ph: PhaseFactors, U: np.ndarray,
     layer), and each rotation mixes the halves entry-wise.  columns=None
     pushes the identity, which gives C itself in 2 d M^3.
 
-    U must be unitary to 1e-10 (ValueError otherwise).  A pushed stack
-    never forms C, so the kernel certifies the product of its d checked
-    layers instead: d * ||U^dag U - I||_F <= 1e-10 * 2M, or ValueError.
+    U must be unitary to VALIDATION_TOL * M (ValueError otherwise).  A
+    pushed stack never forms C, so the kernel certifies the product of its
+    d checked layers instead: d * ||U^dag U - I||_F <= VALIDATION_TOL * 2M,
+    or ValueError.
     """
     U = np.asarray(U, dtype=complex)
     defect = _unitary_defect(U)
-    if not defect <= 1e-10:
-        raise ValueError("U must be unitary to 1e-10")
-    M = len(U)
+    M = U.shape[0] if U.ndim else 0
+    if not defect <= VALIDATION_TOL * M:
+        raise ValueError(f"U is not unitary to {VALIDATION_TOL:g} * {M}")
     if columns is None:
         out = np.eye(2 * M, dtype=complex)
     else:
-        if not ph.degree * defect <= 1e-10 * 2 * M:
+        if not ph.degree * defect <= VALIDATION_TOL * 2 * M:
             raise ValueError(
                 f"{ph.degree} layers of unitarity defect {defect:.3e} "
-                f"exceed 1e-10 * {2 * M}")
+                f"exceed {VALIDATION_TOL:g} * {2 * M}")
         out = np.array(columns, dtype=complex)
         if out.ndim != 2 or out.shape[0] != 2 * M:
             raise ValueError(f"columns must have {2 * M} rows")

@@ -16,9 +16,9 @@ import math
 import numpy as np
 
 from .encodings import (
-    VALIDATION_TOL,
     HermitianEncoding,
     ProjectedUnitaryEncoding,
+    _block,
     _block_product,
     _freeze,
     hermitianize,
@@ -26,6 +26,7 @@ from .encodings import (
     walk_operator,
 )
 from .phases import (
+    VALIDATION_TOL,
     PhaseFactors,
     _column_defect,
     _unitary_defect,
@@ -66,10 +67,10 @@ class _Operator:
 
     ``C @ X`` returns C X from ``apply(X)`` without forming C.  Each distinct
     stack is pushed once: the result is checked to keep the Gram matrix of
-    X (||Y^dag Y - X^dag X||_F <= 1e-10 * dim), frozen and memoised by the
-    content of X, so routes that read the same columns share one push.
-    ``matrix`` is ``apply(None)``, formed on first access, checked unitary
-    to 1e-10 * dim, frozen and cached.
+    X (||Y^dag Y - X^dag X||_F <= VALIDATION_TOL * dim), frozen and
+    memoised by the content of X, so routes that read the same columns
+    share one push.  ``matrix`` is ``apply(None)``, formed on first access,
+    checked unitary to VALIDATION_TOL * dim, frozen and cached.
     """
 
     def __init__(self, apply, dim: int):
@@ -82,8 +83,9 @@ class _Operator:
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             m = _freeze(self._apply(None))
-            if not _unitary_defect(m) <= VALIDATION_TOL * max(len(m), 1):
-                raise ValueError("circuit matrix is not unitary to 1e-10")
+            if not _unitary_defect(m) <= VALIDATION_TOL * self.shape[0]:
+                raise ValueError(f"circuit matrix is not unitary to "
+                                 f"{VALIDATION_TOL:g} * {self.shape[0]}")
             self._matrix = m
         return self._matrix
 
@@ -96,7 +98,8 @@ class _Operator:
         defect = _column_defect(Y, X)
         if not defect <= VALIDATION_TOL * self.shape[0]:
             raise ValueError(f"pushed columns are off isometric by "
-                             f"{defect:.3e}, above 1e-10 * {self.shape[0]}")
+                             f"{defect:.3e}, above {VALIDATION_TOL:g} * "
+                             f"{self.shape[0]}")
         Y.flags.writeable = False
         self._pushed.append((_freeze(X), Y))
         return Y
@@ -110,14 +113,15 @@ class CircuitProduct:
     extraction: the input times ``scale_applied``, on every route.
     ``operator`` applies the circuit to column stacks (``cp.operator @ X``);
     ``matrix`` is the dense circuit, formed only when read, checked unitary
-    to 1e-10 * dimension and frozen.  ``extraction`` maps names to (left, right) isometry
-    pairs on the circuit space; ``stages`` (when present) declare the
-    mid-circuit measurement decomposition as (unitary, in_isometry,
-    out_isometry) triples, each unitary an operator or a checked matrix,
-    whose unnormalized composition equals the default extraction.
-    Products compare by identity; `dataclasses.replace` relabels one and
-    keeps its operator, so the columns it pushed and the checks they passed
-    serve both.
+    to VALIDATION_TOL * dimension and frozen.  ``extraction`` maps names to
+    (E_L, E_R) isometry pairs on the circuit space.  ``stages`` declare the
+    mid-circuit measurement decomposition as (unitary, E_L, E_R) triples in
+    the same order, each unitary an operator or a checked matrix, run first
+    to last; their unnormalized composition equals the default extraction.
+    ``stages=None`` is one stage: the circuit read through the default
+    extraction.  Products compare by identity; `dataclasses.replace`
+    relabels one and keeps its operator, so the columns it pushed and the
+    checks they passed serve both.
     """
 
     operator: _Operator
@@ -127,7 +131,6 @@ class CircuitProduct:
     route: str
     scale_applied: float
     extraction: dict
-    encoding: ProjectedUnitaryEncoding
     poly: PolyCoeffs
     phases: PhaseFactors | None = None
     stages: tuple | None = None
@@ -153,11 +156,6 @@ class PostselectOutcome:
     stage_probs: tuple
 
 
-def _ancilla_zero(iso: np.ndarray) -> np.ndarray:
-    """|0> on a fresh leading qubit tensored with the given isometry."""
-    return np.vstack([iso, np.zeros_like(iso)])
-
-
 def gqet(e: HermitianEncoding, c: PolyCoeffs) -> CircuitProduct:
     """Eigenvalue transformation: block-applies p(A/alpha) = sum a_n T_n(A/alpha).
 
@@ -169,15 +167,14 @@ def gqet(e: HermitianEncoding, c: PolyCoeffs) -> CircuitProduct:
     c, scale = rescale_to_margin(c)
     ph = solve_phases(c)
     W = walk_operator(e)
-    E = _ancilla_zero(e.Pi)
+    E = np.vstack([e.Pi, np.zeros_like(e.Pi)])  # |0> (x) Pi
     # gqsp_matrix is looked up at each push, so a rebound kernel is the one
     # that runs.
     op = _Operator(lambda X: gqsp_matrix(ph, W, columns=X), 2 * len(W))
     return CircuitProduct(
         operator=op, queries_U=ph.degree, queries_U_dagger=0,
         degree=ph.degree, route="gqet", scale_applied=scale,
-        extraction={"default": (E, E)}, encoding=e, poly=c, phases=ph,
-        stages=((op, E, E),))
+        extraction={"default": (E, E)}, poly=c, phases=ph)
 
 
 def gqet_absorbed_matrix(e: HermitianEncoding,
@@ -235,20 +232,17 @@ def gqsvt_hermitianization(e: ProjectedUnitaryEncoding,
     (N_L + N_R)-dimensional block carries the odd part off-diagonally and the
     even part on the diagonal.
     """
-    h = hermitianize(e)
-    cp = gqet(h, c)
-    # Named sub-extractions into the Hermitianized block structure.
-    M, N_L, N_R = e.M, e.N_L, e.N_R
-    top = _ancilla_zero(np.vstack([e.Pi_L, np.zeros((M, N_L))]))
-    bot = _ancilla_zero(np.vstack([np.zeros((M, N_R)), e.Pi_R]))
+    cp = gqet(hermitianize(e), c)
+    # Named sub-extractions: the Pi_L and Pi_R columns of the default one.
+    top, bot = np.hsplit(cp.extraction["default"][0], [e.N_L])
     extraction = dict(cp.extraction, odd=(top, bot), even=(bot, bot),
                       upper_left=(top, top))
-    if N_L == N_R:
+    if e.N_L == e.N_R:
         sym = (top + bot) / math.sqrt(2.0)
         extraction["hermitian_full"] = (sym, sym)
     return dataclasses.replace(
         cp, queries_U_dagger=cp.degree, route="gqsvt-hermitianization",
-        extraction=extraction, encoding=e)
+        extraction=extraction)
 
 
 def extract_svt(cp: CircuitProduct, which: str = "default") -> np.ndarray:
@@ -264,8 +258,7 @@ def extract_svt(cp: CircuitProduct, which: str = "default") -> np.ndarray:
                 "hermitian_full extraction needs N_L == N_R")
         raise ValueError(f"unknown extraction {which!r}; "
                          f"have {sorted(cp.extraction)}")
-    E_L, E_R = cp.extraction[which]
-    return E_L.conj().T @ (cp.operator @ E_R)
+    return _block(cp.operator, *cp.extraction[which])
 
 
 def gqsvt_multiplication(e: ProjectedUnitaryEncoding, c: PolyCoeffs,
@@ -298,8 +291,7 @@ def gqsvt_multiplication(e: ProjectedUnitaryEncoding, c: PolyCoeffs,
     if parity == "even":
         cp = dataclasses.replace(
             cp_q, queries_U_dagger=dq, degree=d, route="gqsvt-multiplication",
-            encoding=e, poly=poly,
-            extraction={"default": (K, K), "even": (K, K)})
+            poly=poly, extraction={"default": (K, K), "even": (K, K)})
         out = simulate_postselect(cp, schedule="end-only")
         return cp, out
 
@@ -309,13 +301,13 @@ def gqsvt_multiplication(e: ProjectedUnitaryEncoding, c: PolyCoeffs,
     # Either reads the transformation circuit only through K.
     apply, Pi_L, Pi_R = _block_product(e.U, e.Pi_L, e.Pi_R, cp_q.operator,
                                        K, K)
-    stages = ((cp_q.operator, K, K), (e.U, e.Pi_R, e.Pi_L))
+    stages = ((cp_q.operator, K, K), (e.U, e.Pi_L, e.Pi_R))
     cp = CircuitProduct(
         operator=_Operator(apply, len(Pi_R)), queries_U=dq + 1,
         queries_U_dagger=dq,
         degree=d, route="gqsvt-multiplication",
         scale_applied=cp_q.scale_applied,
-        extraction={"default": (Pi_L, Pi_R), "odd": (Pi_L, Pi_R)}, encoding=e,
+        extraction={"default": (Pi_L, Pi_R), "odd": (Pi_L, Pi_R)},
         poly=poly, phases=cp_q.phases, stages=stages)
     out = simulate_postselect(cp, schedule="measure-early")
     return cp, out
@@ -326,13 +318,15 @@ def simulate_postselect(cp: CircuitProduct, input: np.ndarray | None = None,
     """Project flag registers to |0>, renormalize, report success probability.
 
     ``input`` lives in the coded input space (a state vector, or a matrix /
-    isometry of coded inputs processed with Frobenius-norm semantics);
-    omitted, the identity isometry is used.  end-only runs the circuit as
-    one stage and projects once; measure-early walks the declared stages,
-    projecting and renormalizing after each.  Both yield the same conditioned
-    output and the same total probability because the unnormalized stage
-    composition equals the end-only extracted block.  A stage pushes only
-    its input isometry through its unitary and applies the input to that.
+    isometry of coded inputs processed with Frobenius-norm semantics, with
+    n_in rows; ValueError for any other shape); omitted, the identity
+    isometry is used.  end-only runs the circuit as one stage and projects
+    once; measure-early walks the declared stages, projecting and
+    renormalizing after each.  Both yield the same conditioned output and
+    the same total probability because the unnormalized stage composition
+    equals the end-only extracted block; a circuit with ``stages=None`` is
+    one stage under either schedule.  A stage pushes only its E_R through
+    its unitary and applies the input to the block that reads.
     """
     E_L, E_R = cp.extraction["default"]
     n_in = E_R.shape[1]
@@ -340,25 +334,22 @@ def simulate_postselect(cp: CircuitProduct, input: np.ndarray | None = None,
         x0 = np.eye(n_in, dtype=complex)
     else:
         x0 = np.asarray(input, dtype=complex)
-        if x0.shape[0] != n_in:
-            raise ValueError(f"input dimension {x0.shape[0]} != {n_in}")
+        if x0.ndim not in (1, 2) or x0.shape[0] != n_in:
+            raise ValueError(f"input of shape {x0.shape} is not a vector or "
+                             f"matrix with {n_in} rows")
     norm0 = np.linalg.norm(x0)
     if norm0 < 1e-14:
         raise ZeroProbabilityError("input has zero norm")
 
-    if schedule == "end-only":
-        stages = ((cp.operator, E_R, E_L),)
-    elif schedule == "measure-early":
-        if cp.stages is None:
-            raise ValueError("circuit declares no mid-circuit flag point")
-        stages = cp.stages
-    else:
+    if schedule not in ("end-only", "measure-early"):
         raise ValueError(f"unknown schedule {schedule!r}")
+    stages = (cp.stages if schedule == "measure-early" and cp.stages
+              else ((cp.operator, E_L, E_R),))
     y = x0
     probs = []
     prev = norm0
-    for U, E_in, E_out in stages:
-        y = E_out.conj().T @ (U @ E_in) @ y
+    for stage in stages:
+        y = _block(*stage) @ y
         cur = np.linalg.norm(y)
         probs.append(float(cur ** 2 / prev ** 2) if prev > 0 else 0.0)
         prev = cur

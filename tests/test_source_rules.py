@@ -26,3 +26,13 @@ def test_tolerance_calls_pass_rtol():
         and "rtol" not in {k.arg for k in node.keywords}
     ]
     assert not missing, f"isclose/allclose without rtol= at {missing}"
+
+
+def test_package_exports_every_module_surface():
+    import importlib
+    modules = ("polynomials", "phases", "serialization", "encodings",
+               "transforms", "bounds")
+    names = [n for m in modules
+             for n in importlib.import_module(f"gqtlab.{m}").__all__]
+    assert [n for n in names if not hasattr(gqtlab, n)] == []
+    assert sorted(gqtlab.__all__) == sorted(names)

@@ -11,6 +11,7 @@ from gqtlab.encodings import (
     dilate_hermitian,
     hermitianize,
 )
+from gqtlab.phases import _unitary_defect
 from gqtlab.polynomials import ApproxSpec, ParityError, PolyCoeffs, approx_inverse
 from gqtlab.transforms import (
     CircuitProduct,
@@ -111,6 +112,22 @@ class TestGqet:
         assert np.linalg.norm(extract_svt(cp) - ref, 2) <= 1e-8 * 7
 
 
+def test_gqet_accepts_what_the_encoding_accepts():
+    # One unitarity rule: delta_U = 1.2e-9 is within 1e-10 * 16 for the
+    # encoding and for the walk operator gqsp_matrix receives; two layers,
+    # 2.4e-9, are within 1e-10 * 32.
+    rng = np.random.default_rng(49)
+    A = random_hermitian(rng, 8)
+    e0 = dilate_hermitian(A, 1.0)
+    t = math.sqrt(1 + 1.2e-9 / 4) - 1  # ||(1 + t)^2 I_16 - I_16||_F = 1.2e-9
+    U = e0.U * (1 + t)
+    assert _unitary_defect(U) == pytest.approx(1.2e-9, rel=1e-3)
+    e = HermitianEncoding(U, e0.Pi, e0.Pi, 1.0)
+    cp = gqet(e, PolyCoeffs([0.1, 0.2, 0.5]))
+    assert np.linalg.norm(extract_svt(cp) - eigen_oracle(A, 1.0, cp.poly),
+                          2) <= 1e-8
+
+
 class TestAbsorbedForm:
     def test_matches_walk_form(self):
         rng = np.random.default_rng(34)
@@ -131,14 +148,13 @@ class TestAbsorbedForm:
 class TestCircuitProductCheck:
     def make(self, matrix):
         """A product whose operator applies `matrix` (None: the whole of it)."""
-        e = dilate_hermitian(np.array([[0.5]]), 1.0)
         E = np.eye(len(matrix))[:, :1]
         op = _Operator(lambda X: matrix if X is None else matrix @ X,
                        len(matrix))
         return CircuitProduct(
             operator=op, queries_U=0, queries_U_dagger=0, degree=0,
             route="test", scale_applied=1.0, extraction={"default": (E, E)},
-            encoding=e, poly=PolyCoeffs([1.0]))
+            poly=PolyCoeffs([1.0]))
 
     def test_non_unitary_raises(self):
         cp = self.make(np.ones((4, 4)))
@@ -194,6 +210,11 @@ class TestCircuitProductCheck:
             assert not cp.matrix.flags.writeable
 
 
+def _gqet(rng):
+    return gqet(dilate_hermitian(random_hermitian(rng, 4), 1.0),
+                scaled_random_poly(rng, 9))
+
+
 def _square_hermitianization(rng):
     A = random_hermitian(rng, 3)
     return gqsvt_hermitianization(dilate_hermitian(A, 1.0),
@@ -215,9 +236,7 @@ class TestOperatorMatchesDense:
     columns) against the same route read through its dense matrix."""
 
     EXTRACTIONS = [
-        pytest.param(lambda rng: gqet(
-            dilate_hermitian(random_hermitian(rng, 4), 1.0),
-            scaled_random_poly(rng, 9)), "default", id="gqet"),
+        pytest.param(_gqet, "default", id="gqet"),
         *[pytest.param(_square_hermitianization, which,
                        id=f"hermitianization-{which}")
           for which in ("default", "odd", "even", "upper_left",
@@ -234,15 +253,22 @@ class TestOperatorMatchesDense:
         dense = E_L.conj().T @ cp.matrix @ E_R
         assert np.max(np.abs(pushed - dense)) <= 1e-13
 
+    # The one-stage circuits (stages=None) run measure-early as end-only.
     @pytest.mark.parametrize("schedule", ["end-only", "measure-early"])
     @pytest.mark.parametrize("shape", [(), (2,)], ids=["vector", "matrix"])
-    @pytest.mark.parametrize("parity", ["even", "odd"])
-    def test_postselection(self, parity, shape, schedule):
+    @pytest.mark.parametrize("build", [
+        pytest.param(_mult("even"), id="even"),
+        pytest.param(_mult("odd"), id="odd"),
+        pytest.param(_gqet, id="gqet"),
+        pytest.param(_square_hermitianization, id="hermitianization"),
+    ])
+    def test_postselection(self, build, shape, schedule):
         rng = np.random.default_rng(47)
-        cp = _mult(parity)(rng)
-        x = rng.normal(size=(4, *shape)) + 1j * rng.normal(size=(4, *shape))
-        out = simulate_postselect(cp, input=x, schedule=schedule)
+        cp = build(rng)
         E_L, E_R = cp.extraction["default"]
+        n = E_R.shape[1]
+        x = rng.normal(size=(n, *shape)) + 1j * rng.normal(size=(n, *shape))
+        out = simulate_postselect(cp, input=x, schedule=schedule)
         y = E_L.conj().T @ cp.matrix @ E_R @ x
         p = np.linalg.norm(y) ** 2 / np.linalg.norm(x) ** 2
         assert np.max(np.abs(out.conditioned - y / np.linalg.norm(y))) <= 1e-13
@@ -499,6 +525,14 @@ class TestSimulatePostselect:
         cp = gqet(e, PolyCoeffs([0, 0.9]))
         with pytest.raises(ZeroProbabilityError):
             simulate_postselect(cp, input=np.array([0.0]))
+
+    @pytest.mark.parametrize("x", [np.array(1.0), np.ones((1, 1, 1))],
+                             ids=["0-d", "3-d"])
+    def test_input_must_be_a_vector_or_matrix(self, x):
+        e = dilate_hermitian(np.array([[0.5]]), 1.0)
+        cp = gqet(e, PolyCoeffs([0, 0.9]))
+        with pytest.raises(ValueError, match="vector or matrix"):
+            simulate_postselect(cp, input=x)
 
     def test_unknown_schedule(self):
         e = dilate_hermitian(np.array([[0.5]]), 1.0)
