@@ -7,9 +7,10 @@ Subcommands
     bounds          randomized circle-norm bound sweep
     phases          solve phase factors for a polynomial file, round-trip check
 
-All subcommands take --config <json>, --seed <u64>, --out <path>,
---tol <float>.  Exit codes: 0 success, 1 tolerance failure (including a
-failed phase synthesis or postselection), 2 input error.
+Every subcommand takes --config <json> and --out <path>; gqet, gqsvt and
+phases also take --tol <float>, and bounds takes --seed <u64> (default 0).
+Exit codes: 0 success; 1 a tolerance or bound failure, or a NumericalError
+(a failed check on a computed value: `<stage> failed: ...`); 2 input error.
 """
 
 from __future__ import annotations
@@ -28,20 +29,19 @@ from .encodings import dilate_general, dilate_hermitian
 from .phases import (
     DEFAULT_MARGIN,
     ROUND_TRIP_TOL,
-    PhaseSynthesisError,
     rescale_to_margin,
     solve_phases,
 )
 from .polynomials import (
     ApproxSpec,
     ApproximationError,
+    NumericalError,
     PolyCoeffs,
     approx_inverse,
     max_abs_circle,
     max_abs_interval,
 )
 from .transforms import (
-    ZeroProbabilityError,
     eigen_oracle,
     extract_svt,
     gqet,
@@ -87,28 +87,20 @@ def _number(value, name: str, kind=float):
         raise InputError(f"{name} must be a number, not {value!r}") from exc
 
 
-def _load_poly(cfg: dict, key: str = "poly") -> PolyCoeffs:
+def _load(cfg: dict, key: str):
+    """cfg['poly'] as PolyCoeffs or cfg['matrix'] as an array, from a file
+    path or inline; readers are looked up per call, so a rebound one runs."""
+    noun, from_file, from_json = {
+        "poly": ("polynomial", ser.poly_from_file, PolyCoeffs.from_json_dict),
+        "matrix": ("matrix", ser.matrix_from_file, ser.matrix_from_json),
+    }[key]
     src = cfg.get(key)
     if src is None:
         raise InputError(f"config is missing {key!r}")
     try:
-        if isinstance(src, str):
-            return ser.poly_from_file(src)
-        return PolyCoeffs.from_json_dict(src)
+        return from_file(src) if isinstance(src, str) else from_json(src)
     except _BAD_INPUT as exc:
-        raise InputError(f"bad polynomial input: {exc}") from exc
-
-
-def _load_matrix(cfg: dict, key: str = "matrix") -> np.ndarray:
-    src = cfg.get(key)
-    if src is None:
-        raise InputError(f"config is missing {key!r}")
-    try:
-        if isinstance(src, str):
-            return ser.matrix_from_file(src)
-        return ser.matrix_from_json(src)
-    except _BAD_INPUT as exc:
-        raise InputError(f"bad matrix input: {exc}") from exc
+        raise InputError(f"bad {noun} input: {exc}") from exc
 
 
 def _alpha(cfg: dict, A: np.ndarray) -> float:
@@ -187,9 +179,9 @@ def cmd_scaling_table(args) -> int:
 
 def cmd_gqet(args) -> int:
     cfg = _load_config(args)
-    A = _load_matrix(cfg)
+    A = _load(cfg, "matrix")
     enc = dilate_hermitian(A, _alpha(cfg, A))
-    c = _load_poly(cfg)
+    c = _load(cfg, "poly")
     cp = gqet(enc, c)
     oracle = eigen_oracle(A, enc.alpha, cp.poly)
     residual = float(np.linalg.norm(extract_svt(cp) - oracle, 2))
@@ -205,10 +197,10 @@ def cmd_gqet(args) -> int:
 
 def cmd_gqsvt(args) -> int:
     cfg = _load_config(args)
-    A = _load_matrix(cfg)
+    A = _load(cfg, "matrix")
     alpha = _alpha(cfg, A)
     enc = dilate_general(A, alpha)
-    c = _load_poly(cfg)
+    c = _load(cfg, "poly")
     routes = ("hermitianization", "multiplication")
     route = cfg.get("route", "both")
     if route not in routes + ("both",):
@@ -282,10 +274,8 @@ def cmd_bounds(args) -> int:
     name = cfg.get("sampler", "random")
     if name not in _SAMPLERS:
         raise InputError(f"unknown sampler {name!r}; have {sorted(_SAMPLERS)}")
-    seed = (args.seed if args.seed is not None
-            else _number(cfg.get("seed", 0), "seed", int))
     report = bounds_mod.verify_beta_bound(_SAMPLERS[name](dmax), trials,
-                                          seed=seed)
+                                          seed=args.seed)
     _write_out(_csv(list(report.rows),
                     ["degree", "max_interval", "max_circle", "beta", "bound",
                      "ratio"]), args.out)
@@ -296,7 +286,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_phases(args) -> int:
     cfg = _load_config(args)
-    c = _load_poly(cfg)
+    c = _load(cfg, "poly")
     margin = _number(cfg.get("margin", DEFAULT_MARGIN), "margin")
     c, scale = rescale_to_margin(c, margin)
     if scale != 1.0:
@@ -321,9 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("scaling-table", "gqet", "gqsvt", "bounds", "phases"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--tol", type=float, default=None)
+        if name in ("gqet", "gqsvt", "phases"):
+            sp.add_argument("--tol", type=float, default=None)
+        if name == "bounds":
+            sp.add_argument("--seed", type=int, default=0)
     return p
 
 
@@ -336,11 +328,8 @@ def main(argv=None) -> int:
     except (InputError, OSError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except PhaseSynthesisError as exc:
-        print(f"phase synthesis failed: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    except ZeroProbabilityError as exc:
-        print(f"postselection failed: {exc}", file=sys.stderr)
+    except NumericalError as exc:
+        print(f"{exc.stage} failed: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
 
 

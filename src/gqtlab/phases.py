@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomials import PolyCoeffs, max_abs_circle
+from .polynomials import NumericalError, PolyCoeffs, max_abs_circle
 
 __all__ = [
     "PhaseFactors",
@@ -53,8 +53,9 @@ _MAX_GRID = 1 << 20
 VALIDATION_TOL = 1e-10
 
 
-class PhaseSynthesisError(RuntimeError):
+class PhaseSynthesisError(NumericalError):
     """Synthesized angles fail their own completion or round-trip check."""
+    stage = "phase synthesis"
 
 
 class CompletionError(PhaseSynthesisError):
@@ -366,10 +367,10 @@ def gqsp_matrix(ph: PhaseFactors, U: np.ndarray,
     layer), and each rotation mixes the halves entry-wise.  columns=None
     pushes the identity, which gives C itself in 2 d M^3.
 
-    U must be unitary to VALIDATION_TOL * M (ValueError otherwise).  A
-    pushed stack never forms C, so the kernel certifies the product of its
-    d checked layers instead: d * ||U^dag U - I||_F <= VALIDATION_TOL * 2M,
-    or ValueError.
+    U must be unitary to VALIDATION_TOL * M (ValueError otherwise: U is
+    the caller's argument).  A pushed stack never forms C, so the kernel
+    certifies the product of its d checked layers instead:
+    d * ||U^dag U - I||_F <= VALIDATION_TOL * 2M, or NumericalError.
     """
     U = np.asarray(U, dtype=complex)
     defect = _unitary_defect(U)
@@ -380,7 +381,7 @@ def gqsp_matrix(ph: PhaseFactors, U: np.ndarray,
         out = np.eye(2 * M, dtype=complex)
     else:
         if not ph.degree * defect <= VALIDATION_TOL * 2 * M:
-            raise ValueError(
+            raise NumericalError(
                 f"{ph.degree} layers of unitarity defect {defect:.3e} "
                 f"exceed {VALIDATION_TOL:g} * {2 * M}")
         out = np.array(columns, dtype=complex)

@@ -26,6 +26,7 @@ __all__ = [
     "DomainError",
     "DegeneratePolynomialError",
     "ParityError",
+    "NumericalError",
     "ApproximationError",
     "eval_cheb",
     "eval_circle",
@@ -57,7 +58,12 @@ class ParityError(ValueError):
     """Coefficients do not have the parity the operation requires."""
 
 
-class ApproximationError(RuntimeError):
+class NumericalError(RuntimeError):
+    """The input was valid, and a check on a value the lab computed failed."""
+    stage = "numerical check"  # the CLI prints "<stage> failed: <message>"
+
+
+class ApproximationError(NumericalError):
     """Target accuracy unreachable within the degree cap."""
 
 
@@ -87,11 +93,8 @@ class PolyCoeffs:
     def trimmed(self, tol: float = ZERO_TOL) -> "PolyCoeffs":
         """Drop an exact/near-zero tail (relative to the largest coefficient)."""
         a = self.coeffs
-        scale = np.max(np.abs(a))
-        if scale == 0.0:
-            return PolyCoeffs(np.zeros(1, dtype=complex))
-        keep = np.nonzero(np.abs(a) > tol * scale)[0]
-        if keep.size == 0:
+        keep = np.nonzero(np.abs(a) > tol * np.max(np.abs(a)))[0]
+        if keep.size == 0:  # the zero polynomial, too
             return PolyCoeffs(np.zeros(1, dtype=complex))
         return PolyCoeffs(a[: keep[-1] + 1])
 
@@ -201,7 +204,13 @@ _CHUNK = 1024  # grid peaks refined together (a few MB at D ~ 10^4)
 
 
 def _sup_abs(c: np.ndarray, mirrored: bool) -> float:
-    """max |sum_k c_k e^{i k theta}|; over theta in [-pi, 0] if `mirrored`."""
+    """max |sum_k c_k e^{i k theta}|; over theta in [-pi, 0] if `mirrored`.
+
+    c is scaled by 2^-k to real and imaginary parts below 1, so |Q|^2 can
+    neither overflow nor underflow; a norm in the float range keeps its
+    bits (powers of two are exact), and one beyond it is inf."""
+    k = math.frexp(float(np.max(np.abs(c.view(float)))))[1]
+    c = np.ldexp(c.view(float), -k).view(complex)
     D = len(c) - 1
     n = 1 << (_GRID_PER_DEGREE * (D + 1) - 1).bit_length()
     g = np.abs(np.fft.fft(c, n)) ** 2  # at theta_j = -2 pi j / n
@@ -216,7 +225,8 @@ def _sup_abs(c: np.ndarray, mirrored: bool) -> float:
     best = gmax
     for s in range(0, len(js), _CHUNK):
         best = max(best, _newton_peaks(c, js[s:s + _CHUNK], lo, g, hi, n))
-    return math.sqrt(best)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(math.sqrt(best), k))
 
 
 def _newton_peaks(c: np.ndarray, j: np.ndarray, lo: np.ndarray,
@@ -286,11 +296,8 @@ def scaling_factor(c: PolyCoeffs | Sequence[complex]) -> float:
 
 def classify_parity(c: PolyCoeffs | Sequence[complex]) -> ParityClass:
     a = np.abs(_as_poly(c).coeffs)
-    scale = a.max()
-    if scale == 0.0:
-        return ParityClass("even")
-    idx = np.nonzero(a > ZERO_TOL * scale)[0]
-    if np.all(idx % 2 == 0):
+    idx = np.nonzero(a > ZERO_TOL * a.max())[0]
+    if np.all(idx % 2 == 0):  # the zero polynomial, too
         return ParityClass("even")
     if np.all(idx % 2 == 1):
         mod4 = None
@@ -341,10 +348,7 @@ def _substitute(w: np.ndarray, u: np.ndarray, first) -> np.ndarray:
 
 def sqrt_substitute_even(c_even: PolyCoeffs | Sequence[complex]) -> PolyCoeffs:
     """q with q(y^2) = p_even(y); via T_{2n}(y) = T_n(2y^2 - 1)."""
-    c = _as_poly(c_even)
-    check_parity(c, "even")
-    u = np.array([-1.0, 2.0])  # 2y^2 - 1 = -T_0 + 2 T_1 in x = y^2
-    return PolyCoeffs(_substitute(c.coeffs[0::2], u, u))
+    return _sqrt_substitute(c_even, "even")
 
 
 def sqrt_substitute_odd(c_odd: PolyCoeffs | Sequence[complex]) -> PolyCoeffs:
@@ -353,10 +357,22 @@ def sqrt_substitute_odd(c_odd: PolyCoeffs | Sequence[complex]) -> PolyCoeffs:
     T_{2n+1}(y) = y * c_n(2y^2 - 1) where c_0 = 1, c_1 = 2u - 1 and
     c_n = 2u c_{n-1} - c_{n-2} (from T_{a+2} = 2 T_2 T_a - T_{a-2}).
     """
-    c = _as_poly(c_odd)
-    check_parity(c, "odd")
-    return PolyCoeffs(_substitute(c.coeffs[1::2], np.array([-1.0, 2.0]),
-                                  [-3.0, 4.0]))
+    return _sqrt_substitute(c_odd, "odd")
+
+
+def _sqrt_substitute(c, parity: str) -> PolyCoeffs:
+    """Either substitution, or NumericalError naming the degree when q is
+    not finite: q grows like (1 + sqrt 2)^d, and its overflow warns nothing."""
+    c = _as_poly(c)
+    check_parity(c, parity)
+    u = np.array([-1.0, 2.0])  # 2y^2 - 1 = -T_0 + 2 T_1 in x = y^2
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = (_substitute(c.coeffs[0::2], u, u) if parity == "even"
+             else _substitute(c.coeffs[1::2], u, [-3.0, 4.0]))
+    if not np.isfinite(q).all():
+        raise NumericalError(f"square-root substitution of degree "
+                             f"{c.degree} overflows the float range")
+    return PolyCoeffs(q)
 
 
 # ---------------------------------------------------------------------------
@@ -466,41 +482,28 @@ def _odd_cheb(coef: np.ndarray, a: float, degree: int) -> np.ndarray:
     return full
 
 
-def approx_inverse(spec: ApproxSpec, degree: int | None = None,
-                   degree_cap: int = 4001) -> InverseApproxResult:
+_DEGREE_CAP = 4001  # the largest degree approx_inverse tries
+
+
+def approx_inverse(spec: ApproxSpec) -> InverseApproxResult:
     """Odd real polynomial approximating 1/(4 kappa x) on [1/kappa, 1].
 
     The polynomial is written as x * s(x^2), and a weighted Remez exchange
     runs for s on y = x^2 in [1/kappa^2, 1], in the Chebyshev basis of that
     interval (`_remez_odd`); oddness makes the error on [-1, -1/kappa]
-    identical.  When ``degree`` is None the minimal odd degree
-    d <= ``degree_cap`` with error <= eps is found from the predicted error
-    decay C rho^(-(d-1)/2), rho = (1 + a)/(1 - a) with a = 1/kappa (the
-    Bernstein ellipse of 1/y on [a^2, 1] passes through the pole y = 0):
-    a probe at d = kappa fixes C, each later probe is placed at the degree
-    its predecessor predicts, and the answer is confirmed by a miss at
-    d - 2.  Degree 1 is never tried; ApproximationError is raised when the
-    largest odd degree <= ``degree_cap`` misses eps.
+    identical.  The minimal odd degree d with error <= eps is found from
+    the predicted error decay C rho^(-(d-1)/2), rho = (1 + a)/(1 - a) with
+    a = 1/kappa (the Bernstein ellipse of 1/y on [a^2, 1] passes through
+    the pole y = 0): a probe at d = kappa fixes C, each later probe is
+    placed at the degree its predecessor predicts, and the answer is
+    confirmed by a miss at d - 2.  Degree 1 is never tried, and no degree
+    above _DEGREE_CAP: then ApproximationError.
     """
     kappa, eps = spec.kappa, spec.eps
     a = 1.0 / kappa
     f = lambda x: 1.0 / (4.0 * kappa * x)
-
-    def result(d: int, coef: np.ndarray, e: float) -> InverseApproxResult:
-        return InverseApproxResult(PolyCoeffs(_odd_cheb(coef, a, d)), d, e,
-                                   kappa, eps)
-
-    if degree is not None:
-        d = degree if degree % 2 == 1 else degree + 1
-        coef, e = _remez_odd(f, a, d)
-        if e > eps:
-            raise ApproximationError(
-                f"degree {d} reaches error {e:.3e} > eps {eps:.3e} "
-                f"(kappa={kappa})")
-        return result(d, coef, e)
-
     log_rho = math.log((1.0 + a) / (1.0 - a))
-    top = degree_cap if degree_cap % 2 == 1 else degree_cap - 1
+    top = _DEGREE_CAP if _DEGREE_CAP % 2 == 1 else _DEGREE_CAP - 1
     # lo: largest degree known to miss eps (1 by convention); hi: smallest
     # degree known to meet it.
     lo, hi, best, lo_err = 1, None, None, math.nan
@@ -510,12 +513,13 @@ def approx_inverse(spec: ApproxSpec, degree: int | None = None,
         if d > top:
             detail = (f" (best error {lo_err:.3e} at degree {lo})"
                       if lo > 1 else "")
-            raise ApproximationError(
-                f"eps {eps:.3e} unreachable below degree {degree_cap}{detail}")
+            raise ApproximationError(f"eps {eps:.3e} unreachable below "
+                                     f"degree {_DEGREE_CAP}{detail}")
         coef, e = _remez_odd(f, a, d)
         if e <= eps:
             hi, best = d, (coef, e)
         else:
             lo, lo_err = d, e
         d += 2 * math.ceil(math.log(e / eps) / log_rho)
-    return result(hi, *best)
+    return InverseApproxResult(PolyCoeffs(_odd_cheb(best[0], a, hi)), hi,
+                               best[1], kappa, eps)

@@ -35,6 +35,7 @@ from .phases import (
     solve_phases,
 )
 from .polynomials import (
+    NumericalError,
     PolyCoeffs,
     check_parity,
     eval_cheb,
@@ -58,8 +59,9 @@ __all__ = [
 ]
 
 
-class ZeroProbabilityError(RuntimeError):
+class ZeroProbabilityError(NumericalError):
     """Postselection success probability numerically zero."""
+    stage = "postselection"
 
 
 class _Operator:
@@ -70,7 +72,8 @@ class _Operator:
     X (||Y^dag Y - X^dag X||_F <= VALIDATION_TOL * dim), frozen and
     memoised by the content of X, so routes that read the same columns
     share one push.  ``matrix`` is ``apply(None)``, formed on first access,
-    checked unitary to VALIDATION_TOL * dim, frozen and cached.
+    checked unitary to VALIDATION_TOL * dim, frozen and cached.  Either
+    check failing is a NumericalError: the circuit is the lab's.
     """
 
     def __init__(self, apply, dim: int):
@@ -84,8 +87,8 @@ class _Operator:
         if self._matrix is None:
             m = _freeze(self._apply(None))
             if not _unitary_defect(m) <= VALIDATION_TOL * self.shape[0]:
-                raise ValueError(f"circuit matrix is not unitary to "
-                                 f"{VALIDATION_TOL:g} * {self.shape[0]}")
+                raise NumericalError(f"circuit matrix is not unitary to "
+                                     f"{VALIDATION_TOL:g} * {self.shape[0]}")
             self._matrix = m
         return self._matrix
 
@@ -97,9 +100,9 @@ class _Operator:
         Y = np.asarray(self._apply(X), dtype=complex)
         defect = _column_defect(Y, X)
         if not defect <= VALIDATION_TOL * self.shape[0]:
-            raise ValueError(f"pushed columns are off isometric by "
-                             f"{defect:.3e}, above {VALIDATION_TOL:g} * "
-                             f"{self.shape[0]}")
+            raise NumericalError(f"pushed columns are off isometric by "
+                                 f"{defect:.3e}, above {VALIDATION_TOL:g} * "
+                                 f"{self.shape[0]}")
         Y.flags.writeable = False
         self._pushed.append((_freeze(X), Y))
         return Y

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -309,6 +310,30 @@ class TestGqsvtCommand:
         assert err.startswith("postselection failed: success probability")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("d, line", [
+        (21, "postselection failed: success probability 2.209e-16 below "
+             "1e-14"),
+        (1201, "numerical check failed: square-root substitution of degree "
+               "1201 overflows the float range"),
+    ], ids=["d21", "d1201"])
+    def test_multiplication_shrink_exits_tolerance(self, tmp_path, capsys,
+                                                   d, line):
+        # 0.5 T_d: the route's q grows like (1 + sqrt 2)^d, so at d = 21 the
+        # rescaled circuit postselects too rarely, and at d = 1201 q leaves
+        # the float range.  Either is the lab's failure on a valid input:
+        # exit 1, one stderr line, and no RuntimeWarning.
+        a = np.zeros(d + 1)
+        a[d] = 0.5
+        cfg = write_config(tmp_path, "c.json", {
+            "matrix": matrix_to_json(np.array([[0.6]])),
+            "poly": PolyCoeffs(a).to_json_dict(), "alpha": 1.0,
+            "parity": "odd", "route": "multiplication"})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["gqsvt", "--config", cfg]) == EXIT_TOLERANCE
+        assert caught == []
+        assert capsys.readouterr().err == line + "\n"
+
     def test_pseudo_inversion_demo(self, tmp_path, capsys):
         from gqtlab.polynomials import ApproxSpec, approx_inverse
         res = approx_inverse(ApproxSpec(kappa=10, eps=1e-3))
@@ -507,6 +532,61 @@ class TestScalingTableCommand:
         assert "include_high_degree" in capsys.readouterr().err
 
 
+# The options each subcommand reads; argparse rejects every other one.
+_OPTIONS = {
+    "scaling-table": {"--config", "--out"},
+    "gqet": {"--config", "--out", "--tol"},
+    "gqsvt": {"--config", "--out", "--tol"},
+    "bounds": {"--config", "--out", "--seed"},
+    "phases": {"--config", "--out", "--tol"},
+}
+_VALUES = {"--config": "c.json", "--out": "o.txt", "--tol": "1e-8",
+           "--seed": "1"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in _OPTIONS for flag in _VALUES])
+def test_each_subcommand_takes_only_the_options_it_reads(capsys, command,
+                                                         flag):
+    from gqtlab.cli import build_parser
+    argv = [command, flag, _VALUES[flag]]
+    if flag in _OPTIONS[command]:
+        build_parser().parse_args(argv)
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_bounds_seed_defaults_to_zero(tmp_path, capsys):
+    cfg = write_config(tmp_path, "b.json", {"trials": 20, "seed": 5})
+    o1, o2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["bounds", "--config", cfg, "--out", str(o1)]) == EXIT_OK
+    assert main(["bounds", "--config", cfg, "--seed", "0",
+                 "--out", str(o2)]) == EXIT_OK
+    assert o1.read_bytes() == o2.read_bytes()  # the config's seed is ignored
+
+
+def test_a_failed_check_on_a_computed_value_exits_tolerance(
+        tmp_path, capsys, monkeypatch):
+    # A kernel whose pushed columns drift off isometric is the lab's fault,
+    # not the input's: exit 1 with one line that names the stage.
+    from gqtlab import transforms
+    kernel = transforms.gqsp_matrix
+    monkeypatch.setattr(transforms, "gqsp_matrix",
+                        lambda ph, U, columns=None:
+                        (1 + 1e-9) * kernel(ph, U, columns=columns))
+    cfg = hermitian_config(tmp_path, [0.1, 0.5, 0.0, -0.2])
+    out = tmp_path / "report.json"
+    assert main(["gqet", "--config", cfg, "--out", str(out)]) == EXIT_TOLERANCE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numerical check failed: pushed columns are "
+                             "off isometric")
+    assert not out.exists()
+
+
 def test_main_runs_the_handler_bound_at_call_time(monkeypatch):
     # The parser is built once per process; rebinding a cmd_* handler, as
     # per-module tracing does, must still change what main runs.
@@ -525,12 +605,11 @@ _ONE_BY_ONE = {"rows": 1, "cols": 1, "data": [[0.5, 0.0]]}
                "alpha": [1]}),
     ("gqet", {"matrix": _ONE_BY_ONE, "poly": _POLY, "alpha": None}),
     ("bounds", {"trials": [3]}),
-    ("bounds", {"trials": 3, "seed": {"s": 1}}),
     ("scaling-table", {"rows": [[10, 1e-3]]}),
     ("scaling-table", {"rows": [{"kappa": "ten", "eps": 1e-3}]}),
     ("scaling-table", {"rows": 5}),
 ], ids=["phases-margin-list", "gqsvt-alpha-list", "gqet-alpha-null",
-        "bounds-trials-list", "bounds-seed-object", "scaling-row-list",
+        "bounds-trials-list", "scaling-row-list",
         "scaling-kappa-string", "scaling-rows-number"])
 def test_wrong_type_scalar_is_an_input_error(tmp_path, capsys, command, cfg):
     argv = [command, "--config", write_config(tmp_path, "c.json", cfg)]

@@ -24,6 +24,7 @@ from gqtlab.phases import (
 )
 from gqtlab.polynomials import (
     ApproxSpec,
+    NumericalError,
     PolyCoeffs,
     approx_inverse,
     eval_circle,
@@ -328,7 +329,7 @@ class TestGqspMatrix:
         E = np.eye(4)[:, :1]
         gqsp_matrix(random_angles(rng, 4), U, columns=E)
         ph = random_angles(rng, 5)
-        with pytest.raises(ValueError, match="layers"):
+        with pytest.raises(NumericalError, match="layers"):
             gqsp_matrix(ph, U, columns=E)
         gqsp_matrix(ph, U)  # the full matrix is checked where it is used
 

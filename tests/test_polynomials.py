@@ -117,6 +117,20 @@ class TestMaxAbs:
             assert max_abs_circle(c) == pytest.approx(grid_circle, rel=1e-6)
             assert max_abs_interval(c) == pytest.approx(grid_interval, rel=1e-6)
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 299), st.integers(-5, 5), st.integers(-600, 600),
+           st.integers(0, 2 ** 31 - 1))
+    def test_power_of_two_scaling_is_exact(self, d, decade, k, seed):
+        # 2^k c is exact, so both norms scale by exactly 2^k, also where
+        # |P|^2 itself would overflow or underflow.
+        c = random_poly(np.random.default_rng(seed), d).scaled(10.0 ** decade)
+        for norm in (max_abs_circle, max_abs_interval):
+            assert norm(c.scaled(2.0 ** k)) == math.ldexp(norm(c), k)
+
+    def test_norm_beyond_the_float_range_is_inf(self):
+        assert max_abs_circle([1e308, 1e308]) == math.inf
+        assert max_abs_interval([1e308, 1e308]) == math.inf
+
 
 def sup_oracle(a, interval):
     """max |p| on [-1, 1] (interval) or max |P| on the circle, without gqtlab.
@@ -430,24 +444,20 @@ class TestApproxInverseDegree:
         assert len(runs) <= 4, runs
         assert d - 2 in runs  # the degree is confirmed by a miss below it
 
-    def test_cap_below_minimal_degree(self):
+    def test_cap_below_minimal_degree(self, monkeypatch):
         for cap in (53, 54):
+            monkeypatch.setattr(polynomials, "_DEGREE_CAP", cap)
             with pytest.raises(ApproximationError, match="unreachable"):
-                approx_inverse(ApproxSpec(10, 1e-3), degree_cap=cap)
-        assert approx_inverse(ApproxSpec(10, 1e-3), degree_cap=55).degree == 55
+                approx_inverse(ApproxSpec(10, 1e-3))
+        monkeypatch.setattr(polynomials, "_DEGREE_CAP", 55)
+        assert approx_inverse(ApproxSpec(10, 1e-3)).degree == 55
 
-    def test_cap_below_first_probe(self):
+    def test_cap_below_first_probe(self, monkeypatch):
         # The first probe would be d = 41; the cap alone decides.
-        with pytest.raises(ApproximationError, match="unreachable"):
-            approx_inverse(ApproxSpec(40, 1e-3), degree_cap=21)
-        with pytest.raises(ApproximationError, match="unreachable"):
-            approx_inverse(ApproxSpec(40, 1e-3), degree_cap=2)
-
-    def test_given_degree_misses_eps(self):
-        with pytest.raises(ApproximationError, match="degree 53"):
-            approx_inverse(ApproxSpec(10, 1e-3), degree=53)
-        # An even degree is rounded up to the next odd one.
-        assert approx_inverse(ApproxSpec(10, 1e-3), degree=54).degree == 55
+        for cap in (21, 2):
+            monkeypatch.setattr(polynomials, "_DEGREE_CAP", cap)
+            with pytest.raises(ApproximationError, match="unreachable"):
+                approx_inverse(ApproxSpec(40, 1e-3))
 
 
 def dense_cheb_grid(coef, n):

@@ -12,7 +12,13 @@ from gqtlab.encodings import (
     hermitianize,
 )
 from gqtlab.phases import _unitary_defect
-from gqtlab.polynomials import ApproxSpec, ParityError, PolyCoeffs, approx_inverse
+from gqtlab.polynomials import (
+    ApproxSpec,
+    NumericalError,
+    ParityError,
+    PolyCoeffs,
+    approx_inverse,
+)
 from gqtlab.transforms import (
     CircuitProduct,
     ZeroProbabilityError,
@@ -158,14 +164,14 @@ class TestCircuitProductCheck:
 
     def test_non_unitary_raises(self):
         cp = self.make(np.ones((4, 4)))
-        with pytest.raises(ValueError, match="not unitary"):
+        with pytest.raises(NumericalError, match="not unitary"):
             cp.matrix
 
     def test_tolerance_is_1e_10_per_dimension(self):
         # ||(1 + t)^2 I_4 - I_4||_F = 2 t (2 + t) against 1e-10 * 4: t = 5e-12
         # passes; t = 5e-10 (defect 2e-9, within 1e-9 * 4) is rejected.
         self.make(np.eye(4) * (1 + 0.5e-11)).matrix
-        with pytest.raises(ValueError, match="not unitary"):
+        with pytest.raises(NumericalError, match="not unitary"):
             self.make(np.eye(4) * (1 + 0.5e-9)).matrix
 
     def test_matrix_is_read_only(self):
@@ -186,7 +192,7 @@ class TestCircuitProductCheck:
                             (1 + 1e-9) * kernel(ph, U, columns=columns))
         cp = gqet(dilate_hermitian(np.array([[0.5]]), 1.0),
                   PolyCoeffs([0, 0.9]))
-        with pytest.raises(ValueError, match="isometric"):
+        with pytest.raises(NumericalError, match="isometric"):
             extract_svt(cp)
 
     def test_relabelled_product_shares_its_operator(self):
