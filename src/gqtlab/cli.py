@@ -2,13 +2,14 @@
 
 Subcommands
     scaling-table   minimax-inverse polynomials over a (kappa, eps) grid
-    gqet            eigenvalue transformation of a Hermitian matrix file
+    gqet            eigenvalue transformation of a Hermitian matrix
     gqsvt           singular-value transformation, either route
     bounds          randomized circle-norm bound sweep
-    phases          solve phase factors for a polynomial file, round-trip check
+    phases          solve phase factors for a polynomial, round-trip check
 
 Every subcommand takes --config <json> and --out <path>; gqet, gqsvt and
 phases also take --tol <float>, and bounds takes --seed <u64> (default 0).
+A config's poly and matrix are inline JSON objects.
 Exit codes: 0 success; 1 a tolerance or bound failure, or a NumericalError
 (a failed check on a computed value: `<stage> failed: ...`); 2 input error.
 """
@@ -62,10 +63,6 @@ class InputError(Exception):
     pass
 
 
-# What a malformed file or JSON value raises while it is decoded.
-_BAD_INPUT = (OSError, ValueError, KeyError, TypeError, AttributeError)
-
-
 def _load_config(args) -> dict:
     if args.config is None:
         return {}
@@ -88,18 +85,21 @@ def _number(value, name: str, kind=float):
 
 
 def _load(cfg: dict, key: str):
-    """cfg['poly'] as PolyCoeffs or cfg['matrix'] as an array, from a file
-    path or inline; readers are looked up per call, so a rebound one runs."""
-    noun, from_file, from_json = {
-        "poly": ("polynomial", ser.poly_from_file, PolyCoeffs.from_json_dict),
-        "matrix": ("matrix", ser.matrix_from_file, ser.matrix_from_json),
+    """cfg['poly'] as PolyCoeffs or cfg['matrix'] as an array, each from an
+    inline JSON object; the reader is looked up per call, so a rebound one
+    runs."""
+    noun, from_json = {
+        "poly": ("polynomial", PolyCoeffs.from_json_dict),
+        "matrix": ("matrix", ser.matrix_from_json),
     }[key]
     src = cfg.get(key)
     if src is None:
         raise InputError(f"config is missing {key!r}")
+    if not isinstance(src, dict):
+        raise InputError(f"{key} must be a JSON object")
     try:
-        return from_file(src) if isinstance(src, str) else from_json(src)
-    except _BAD_INPUT as exc:
+        return from_json(src)
+    except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"bad {noun} input: {exc}") from exc
 
 

@@ -100,8 +100,8 @@ def _validate_core(U, Pi_L, Pi_R, alpha, hermitian: bool) -> list[str]:
         if iso_delta > VALIDATION_TOL:
             problems.append(f"{name} is not an isometry to 1e-10")
         delta += iso_delta
-    if not alpha > 0:
-        problems.append("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        problems.append("alpha must be positive and finite")
     if not problems and not delta <= 1e-9:
         if np.linalg.norm(_block(U, Pi_L, Pi_R), 2) > 1 + 1e-9:
             problems.append("encoded matrix has spectral norm above 1 + 1e-9")
@@ -215,9 +215,10 @@ def _selector(M: int, N: int) -> np.ndarray:
 
 
 def _check_alpha(alpha: float, norm: float = 0.0):
-    """SubnormalizationError unless alpha > 0 and alpha >= norm - 1e-12."""
-    if not alpha > 0:
-        raise SubnormalizationError(f"alpha={alpha} must be positive")
+    """SubnormalizationError unless 0 < alpha < inf, alpha >= norm - 1e-12."""
+    if not 0 < alpha < math.inf:
+        raise SubnormalizationError(
+            f"alpha={alpha} must be positive and finite")
     if alpha < norm - 1e-12:
         raise SubnormalizationError(
             f"alpha={alpha} below spectral norm {norm}")
@@ -387,7 +388,7 @@ def _padded(U, x: np.ndarray) -> np.ndarray:
 
 def _block_product(U1, Pi1_L, Pi1_R, U2, Pi2_L, Pi2_R):
     """(apply, Pi_L, Pi_R) of `multiply`, unchecked: apply(X) is U_bar X for
-    a column stack X, and apply() is U_bar itself.
+    a column stack X, so apply(I) is U_bar itself.
 
     Each U_i is padded by an identity summand to M = max(m1, m2) rows and
     applied to its own rows only.  It may be a matrix or an operator on
@@ -403,9 +404,7 @@ def _block_product(U1, Pi1_L, Pi1_R, U2, Pi2_L, Pi2_R):
     M = max(m1, m2)
     P1R, P2L = (np.pad(P, ((0, M - len(P)), (0, 0))) for P in (Pi1_R, Pi2_L))
 
-    def apply(X=None):
-        if X is None:
-            X = np.eye(2 * M, dtype=complex)
+    def apply(X):
         y0, y1 = _padded(U2, X[:M]), _padded(U2, X[M:])
         w = P2L.conj().T @ y0 - P1R.conj().T @ y1
         return np.vstack([_padded(U1, y1 + P1R @ w),
@@ -444,4 +443,5 @@ def multiply(e1: ProjectedUnitaryEncoding,
     cls = HermitianEncoding if adjoint else ProjectedUnitaryEncoding
     apply, Pi_L, Pi_R = _block_product(e1.U, e1.Pi_L, e1.Pi_R,
                                        e2.U, e2.Pi_L, e2.Pi_R)
-    return cls(apply(), Pi_L, Pi_R, e1.alpha * e2.alpha)
+    return cls(apply(np.eye(len(Pi_L), dtype=complex)), Pi_L, Pi_R,
+               e1.alpha * e2.alpha)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -192,7 +191,7 @@ def _completion_defect(p: np.ndarray, q: np.ndarray) -> float:
                                + np.abs(_on_circle(q, n)) ** 2 - 1.0)))
 
 
-def complementary_polynomial(c: PolyCoeffs | Sequence[complex]) -> PolyCoeffs:
+def complementary_polynomial(c: PolyCoeffs) -> PolyCoeffs:
     """Q of degree <= d with |P|^2 + |Q|^2 = 1 on the unit circle.
 
     FFT completion (Berntson & Sunderhauf, arXiv:2406.04246).  On an N-point
@@ -208,7 +207,7 @@ def complementary_polynomial(c: PolyCoeffs | Sequence[complex]) -> PolyCoeffs:
     tail or the completion defect exceeds 1e-12.  Raises CompletionError when
     |P| reaches 1 on the grid or N passes 2^20 short of that target.
     """
-    a = c.coeffs if isinstance(c, PolyCoeffs) else np.asarray(c, dtype=complex)
+    a = c.coeffs
     d = len(a) - 1
     n = 1 << (16 * (d + 1) - 1).bit_length()
     while n <= _MAX_GRID:
@@ -305,7 +304,7 @@ def _strip_layers(P: np.ndarray, Q: np.ndarray) -> PhaseFactors:
     return PhaseFactors(thetas, phis, lam)
 
 
-def solve_phases(c: PolyCoeffs | Sequence[complex]) -> PhaseFactors:
+def solve_phases(c: PolyCoeffs) -> PhaseFactors:
     """Angles realizing P(z), checked against P before they are returned.
 
     Trailing zero coefficients are trimmed first, so the returned degree is
@@ -321,7 +320,6 @@ def solve_phases(c: PolyCoeffs | Sequence[complex]) -> PhaseFactors:
     one) when the completion defect of (P, Q) exceeds DEFECT_TOL or the
     reconstruct_P round trip exceeds ROUND_TRIP_TOL * (d + 1).
     """
-    c = c if isinstance(c, PolyCoeffs) else PolyCoeffs(np.asarray(c))
     c = c.trimmed()
     d = c.degree
     P = c.coeffs.copy()
@@ -368,8 +366,8 @@ def gqsp_matrix(ph: PhaseFactors, U: np.ndarray,
     pushes the identity, which gives C itself in 2 d M^3.
 
     U must be unitary to VALIDATION_TOL * M (ValueError otherwise: U is
-    the caller's argument).  A pushed stack never forms C, so the kernel
-    certifies the product of its d checked layers instead:
+    the caller's argument).  The kernel never checks C itself; on every
+    call it certifies the product of its d checked layers:
     d * ||U^dag U - I||_F <= VALIDATION_TOL * 2M, or NumericalError.
     """
     U = np.asarray(U, dtype=complex)
@@ -377,13 +375,13 @@ def gqsp_matrix(ph: PhaseFactors, U: np.ndarray,
     M = U.shape[0] if U.ndim else 0
     if not defect <= VALIDATION_TOL * M:
         raise ValueError(f"U is not unitary to {VALIDATION_TOL:g} * {M}")
+    if not ph.degree * defect <= VALIDATION_TOL * 2 * M:
+        raise NumericalError(
+            f"{ph.degree} layers of unitarity defect {defect:.3e} "
+            f"exceed {VALIDATION_TOL:g} * {2 * M}")
     if columns is None:
         out = np.eye(2 * M, dtype=complex)
     else:
-        if not ph.degree * defect <= VALIDATION_TOL * 2 * M:
-            raise NumericalError(
-                f"{ph.degree} layers of unitarity defect {defect:.3e} "
-                f"exceed {VALIDATION_TOL:g} * {2 * M}")
         out = np.array(columns, dtype=complex)
         if out.ndim != 2 or out.shape[0] != 2 * M:
             raise ValueError(f"columns must have {2 * M} rows")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -71,8 +71,9 @@ class ApproximationError(NumericalError):
 class PolyCoeffs:
     """Complex coefficients a_0..a_d, shared by p(x) and P(z).
 
-    The coefficients must be finite (ValueError otherwise): a NaN would
-    compare below every tolerance and read as a zero coefficient."""
+    The one form of a polynomial argument, and the one place it is
+    validated.  The coefficients must be finite (ValueError otherwise): a
+    NaN would compare below every tolerance and read as a zero coefficient."""
 
     coeffs: np.ndarray
 
@@ -169,22 +170,16 @@ class InverseApproxResult:
     eps: float
 
 
-def _as_poly(c) -> PolyCoeffs:
-    return c if isinstance(c, PolyCoeffs) else PolyCoeffs(np.asarray(c))
-
-
-def eval_cheb(c: PolyCoeffs | Sequence[complex], x):
+def eval_cheb(c: PolyCoeffs, x):
     """p(x) = sum a_n T_n(x) by the Clenshaw recurrence."""
-    c = _as_poly(c)
     xa = np.asarray(x, dtype=float)
     if np.any(np.abs(xa) > 1 + 1e-12):
         raise DomainError("Chebyshev evaluation requires |x| <= 1")
     return _cheb.chebval(xa, c.coeffs)
 
 
-def eval_circle(c: PolyCoeffs | Sequence[complex], theta):
+def eval_circle(c: PolyCoeffs, theta):
     """P(e^{i theta}) = sum a_n e^{i n theta}."""
-    c = _as_poly(c)
     z = np.exp(1j * np.asarray(theta, dtype=float))
     return _poly.polyval(z, c.coeffs)
 
@@ -272,21 +267,20 @@ def _powers(u: np.ndarray, count: int) -> np.ndarray:
     return np.cumprod(np.hstack([ones, np.tile(u[:, None], count - 1)]), 1)
 
 
-def max_abs_interval(c: PolyCoeffs | Sequence[complex]) -> float:
+def max_abs_interval(c: PolyCoeffs) -> float:
     """max over [-1, 1] of |p(x)|, by the FFT peak search above."""
-    a = _as_poly(c).coeffs
+    a = c.coeffs
     half = a[:0:-1] / 2.0
     return _sup_abs(np.concatenate((half, a[:1], half[::-1])), True)
 
 
-def max_abs_circle(c: PolyCoeffs | Sequence[complex]) -> float:
+def max_abs_circle(c: PolyCoeffs) -> float:
     """max over theta of |P(e^{i theta})|, by the FFT peak search above."""
-    return _sup_abs(_as_poly(c).coeffs, False)
+    return _sup_abs(c.coeffs, False)
 
 
-def scaling_factor(c: PolyCoeffs | Sequence[complex]) -> float:
+def scaling_factor(c: PolyCoeffs) -> float:
     """beta = max|P| on the circle / max|p| on [-1,1]; >= 1 up to roundoff."""
-    c = _as_poly(c)
     denom = max_abs_interval(c)
     if denom < 1e-14:
         raise DegeneratePolynomialError(
@@ -294,8 +288,8 @@ def scaling_factor(c: PolyCoeffs | Sequence[complex]) -> float:
     return max_abs_circle(c) / denom
 
 
-def classify_parity(c: PolyCoeffs | Sequence[complex]) -> ParityClass:
-    a = np.abs(_as_poly(c).coeffs)
+def classify_parity(c: PolyCoeffs) -> ParityClass:
+    a = np.abs(c.coeffs)
     idx = np.nonzero(a > ZERO_TOL * a.max())[0]
     if np.all(idx % 2 == 0):  # the zero polynomial, too
         return ParityClass("even")
@@ -309,9 +303,8 @@ def classify_parity(c: PolyCoeffs | Sequence[complex]) -> ParityClass:
     return ParityClass("mixed")
 
 
-def parity_split(c: PolyCoeffs | Sequence[complex]) -> tuple[PolyCoeffs, PolyCoeffs]:
+def parity_split(c: PolyCoeffs) -> tuple[PolyCoeffs, PolyCoeffs]:
     """(even part, odd part); they sum back to c exactly after padding."""
-    c = _as_poly(c)
     even = c.coeffs.copy()
     odd = c.coeffs.copy()
     even[1::2] = 0.0
@@ -319,13 +312,13 @@ def parity_split(c: PolyCoeffs | Sequence[complex]) -> tuple[PolyCoeffs, PolyCoe
     return PolyCoeffs(even).trimmed(tol=0.0), PolyCoeffs(odd).trimmed(tol=0.0)
 
 
-def check_parity(c: PolyCoeffs | Sequence[complex], parity: str):
+def check_parity(c: PolyCoeffs, parity: str):
     """The one parity rule: ParityError when a coefficient of the other
     parity exceeds ZERO_TOL * max |a|.  The zero polynomial has both
     parities; a parity other than 'even'/'odd' is a ValueError."""
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', not {parity!r}")
-    a = np.abs(_as_poly(c).coeffs)
+    a = np.abs(c.coeffs)
     other = a[1::2] if parity == "even" else a[0::2]
     if other.size and other.max() > ZERO_TOL * a.max():
         raise ParityError(f"coefficients are not {parity} to {ZERO_TOL:g}")
@@ -346,12 +339,12 @@ def _substitute(w: np.ndarray, u: np.ndarray, first) -> np.ndarray:
     return q
 
 
-def sqrt_substitute_even(c_even: PolyCoeffs | Sequence[complex]) -> PolyCoeffs:
+def sqrt_substitute_even(c_even: PolyCoeffs) -> PolyCoeffs:
     """q with q(y^2) = p_even(y); via T_{2n}(y) = T_n(2y^2 - 1)."""
     return _sqrt_substitute(c_even, "even")
 
 
-def sqrt_substitute_odd(c_odd: PolyCoeffs | Sequence[complex]) -> PolyCoeffs:
+def sqrt_substitute_odd(c_odd: PolyCoeffs) -> PolyCoeffs:
     """q with y*q(y^2) = p_odd(y).
 
     T_{2n+1}(y) = y * c_n(2y^2 - 1) where c_0 = 1, c_1 = 2u - 1 and
@@ -360,10 +353,9 @@ def sqrt_substitute_odd(c_odd: PolyCoeffs | Sequence[complex]) -> PolyCoeffs:
     return _sqrt_substitute(c_odd, "odd")
 
 
-def _sqrt_substitute(c, parity: str) -> PolyCoeffs:
+def _sqrt_substitute(c: PolyCoeffs, parity: str) -> PolyCoeffs:
     """Either substitution, or NumericalError naming the degree when q is
     not finite: q grows like (1 + sqrt 2)^d, and its overflow warns nothing."""
-    c = _as_poly(c)
     check_parity(c, parity)
     u = np.array([-1.0, 2.0])  # 2y^2 - 1 = -T_0 + 2 T_1 in x = y^2
     with np.errstate(over="ignore", invalid="ignore"):

@@ -4,6 +4,10 @@ Schemas:
     polynomial  {"coeffs": [[re, im], ...], "basis": "chebyshev-monomial-dual"}
     phases      {"thetas": [...], "phis": [...], "lambda": x, "degree": d}
     matrix      {"rows": R, "cols": C, "data": [[re, im], ...]} row-major
+
+A polynomial or a matrix is read from a decoded JSON object
+(`PolyCoeffs.from_json_dict`, `matrix_from_json`), never from a path;
+phases are written to and read from files.
 """
 
 from __future__ import annotations
@@ -14,17 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from .phases import PhaseFactors
-from .polynomials import PolyCoeffs
 
 __all__ = [
     "matrix_to_json",
     "matrix_from_json",
     "save_json",
     "load_json",
-    "poly_from_file",
     "phases_from_file",
     "phases_to_file",
-    "matrix_from_file",
 ]
 
 
@@ -57,17 +58,9 @@ def load_json(path: str | Path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def poly_from_file(path: str | Path) -> PolyCoeffs:
-    return PolyCoeffs.from_json_dict(load_json(path))
-
-
 def phases_from_file(path: str | Path) -> PhaseFactors:
     return PhaseFactors.from_json_dict(load_json(path))
 
 
 def phases_to_file(ph: PhaseFactors, path: str | Path):
     save_json(ph.to_json_dict(), path)
-
-
-def matrix_from_file(path: str | Path) -> np.ndarray:
-    return matrix_from_json(load_json(path))

@@ -29,7 +29,6 @@ from .phases import (
     VALIDATION_TOL,
     PhaseFactors,
     _column_defect,
-    _unitary_defect,
     gqsp_matrix,
     rescale_to_margin,
     solve_phases,
@@ -65,32 +64,20 @@ class ZeroProbabilityError(NumericalError):
 
 
 class _Operator:
-    """A unitary circuit C as a map on column stacks.
+    """A unitary circuit C as a map on column stacks, the only way C is read.
 
     ``C @ X`` returns C X from ``apply(X)`` without forming C.  Each distinct
     stack is pushed once: the result is checked to keep the Gram matrix of
-    X (||Y^dag Y - X^dag X||_F <= VALIDATION_TOL * dim), frozen and
-    memoised by the content of X, so routes that read the same columns
-    share one push.  ``matrix`` is ``apply(None)``, formed on first access,
-    checked unitary to VALIDATION_TOL * dim, frozen and cached.  Either
-    check failing is a NumericalError: the circuit is the lab's.
+    X (||Y^dag Y - X^dag X||_F <= VALIDATION_TOL * dim; NumericalError
+    otherwise, as the circuit is the lab's), frozen and memoised by the
+    content of X, so routes that read the same columns share one push.  The
+    dense C is ``C @ np.eye(dim)``, under the same check.
     """
 
     def __init__(self, apply, dim: int):
         self._apply = apply
         self.shape = (dim, dim)
-        self._matrix = None
         self._pushed: list[tuple[np.ndarray, np.ndarray]] = []
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            m = _freeze(self._apply(None))
-            if not _unitary_defect(m) <= VALIDATION_TOL * self.shape[0]:
-                raise NumericalError(f"circuit matrix is not unitary to "
-                                     f"{VALIDATION_TOL:g} * {self.shape[0]}")
-            self._matrix = m
-        return self._matrix
 
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X)
@@ -114,9 +101,8 @@ class CircuitProduct:
 
     ``poly`` is the polynomial the circuit applies through its default
     extraction: the input times ``scale_applied``, on every route.
-    ``operator`` applies the circuit to column stacks (``cp.operator @ X``);
-    ``matrix`` is the dense circuit, formed only when read, checked unitary
-    to VALIDATION_TOL * dimension and frozen.  ``extraction`` maps names to
+    ``operator`` applies the circuit to column stacks (``cp.operator @ X``),
+    and is the only way the circuit is read.  ``extraction`` maps names to
     (E_L, E_R) isometry pairs on the circuit space.  ``stages`` declare the
     mid-circuit measurement decomposition as (unitary, E_L, E_R) triples in
     the same order, each unitary an operator or a checked matrix, run first
@@ -137,10 +123,6 @@ class CircuitProduct:
     poly: PolyCoeffs
     phases: PhaseFactors | None = None
     stages: tuple | None = None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.operator.matrix
 
     def metadata(self) -> dict:
         return {
@@ -166,7 +148,6 @@ def gqet(e: HermitianEncoding, c: PolyCoeffs) -> CircuitProduct:
     operator; extraction isometry |0> (x) Pi on both sides.  Polynomials are
     scaled by `rescale_to_margin` first (scale recorded in metadata).
     """
-    c = c if isinstance(c, PolyCoeffs) else PolyCoeffs(np.asarray(c))
     c, scale = rescale_to_margin(c)
     ph = solve_phases(c)
     W = walk_operator(e)
@@ -279,7 +260,6 @@ def gqsvt_multiplication(e: ProjectedUnitaryEncoding, c: PolyCoeffs,
     q is rescaled in `gqet`, so the circuit applies c times that scale
     (``poly``); the block is named ``parity`` as well as ``default``.
     """
-    c = c if isinstance(c, PolyCoeffs) else PolyCoeffs(np.asarray(c))
     check_parity(c, parity)
     d = c.degree
     q = sqrt_substitute_even(c) if parity == "even" else sqrt_substitute_odd(c)
@@ -322,9 +302,9 @@ def simulate_postselect(cp: CircuitProduct, input: np.ndarray | None = None,
 
     ``input`` lives in the coded input space (a state vector, or a matrix /
     isometry of coded inputs processed with Frobenius-norm semantics, with
-    n_in rows; ValueError for any other shape); omitted, the identity
-    isometry is used.  end-only runs the circuit as one stage and projects
-    once; measure-early walks the declared stages, projecting and
+    n_in rows; ValueError for any other shape or a zero norm); omitted,
+    the identity isometry is used.  end-only runs the circuit as one stage
+    and projects once; measure-early walks the declared stages, projecting and
     renormalizing after each.  Both yield the same conditioned output and
     the same total probability because the unnormalized stage composition
     equals the end-only extracted block; a circuit with ``stages=None`` is
@@ -342,7 +322,7 @@ def simulate_postselect(cp: CircuitProduct, input: np.ndarray | None = None,
                              f"matrix with {n_in} rows")
     norm0 = np.linalg.norm(x0)
     if norm0 < 1e-14:
-        raise ZeroProbabilityError("input has zero norm")
+        raise ValueError("input has zero norm")
 
     if schedule not in ("end-only", "measure-early"):
         raise ValueError(f"unknown schedule {schedule!r}")
@@ -367,20 +347,18 @@ def simulate_postselect(cp: CircuitProduct, input: np.ndarray | None = None,
 
 
 def _qsvt_circuit(phis: np.ndarray, e: ProjectedUnitaryEncoding,
-                  columns: np.ndarray | None = None) -> np.ndarray:
+                  columns: np.ndarray) -> np.ndarray:
     """The alternating-phase circuit H prod_i (U_i G_i Rz(phi_i) G_i) H on
-    flag (x) system, or that circuit applied to a 2M x k column stack.
+    flag (x) system, applied to a 2M x k column stack.
 
     U_i runs U, U^dag, U, ... and G_i is the flag X controlled by
     Pi_R Pi_R^dag, Pi_L Pi_L^dag, ...  G Rz(phi) G is Rz(-phi) on the
     projector's range and Rz(phi) off it, so a layer is a phase on each flag
     half, a rank-N correction through the isometry, and U_i applied to both
     halves at once: the stack is kept as one M x 2k block [top, bot].
-    columns=None pushes the identity, which gives the circuit itself.
     """
     M = e.M
-    X = (np.eye(2 * M, dtype=complex) if columns is None
-         else np.asarray(columns, dtype=complex))
+    X = np.asarray(columns, dtype=complex)
     k = X.shape[1]
     Y = np.hstack([X[:M] + X[M:], X[:M] - X[M:]]) / math.sqrt(2.0)
     layers = ((e.U, e.Pi_R), (e.U.conj().T, e.Pi_L))
@@ -412,6 +390,6 @@ def qsvt_equivalence_check(e: ProjectedUnitaryEncoding,
     E_in = np.kron(np.eye(2), track_in)
     E_out = np.kron(np.eye(2), track_out)
     full = _qsvt_circuit(phis, hermitianize(e), E_in)
-    reduced = _qsvt_circuit(phis, e)
+    reduced = _qsvt_circuit(phis, e, np.eye(2 * M))
     residual = float(np.linalg.norm(full - E_out @ reduced, 2))
     return residual <= 1e-10, residual

@@ -109,6 +109,18 @@ class TestGqetCommand:
             "matrix": matrix_to_json(np.array([[0.5]]))})
         assert main(["gqet", "--config", cfg]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("key", ["poly", "matrix"])
+    def test_a_file_path_is_not_a_config_value(self, tmp_path, capsys, key):
+        # poly and matrix are inline JSON objects; a path string, even to a
+        # file that holds a valid value, is an input error naming the key.
+        values = {"matrix": matrix_to_json(np.array([[0.5]])),
+                  "poly": PolyCoeffs([0, 0.5]).to_json_dict(), "alpha": 1.0}
+        path = write_config(tmp_path, f"{key}.json", values[key])
+        cfg = write_config(tmp_path, "c.json", {**values, key: path})
+        assert main(["gqet", "--config", cfg]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: {key} must be a JSON object\n")
+
 
 _POLY = PolyCoeffs([0, 0.5]).to_json_dict()
 _NOT_PAIRS = {"coeffs": [0.0, 0.5, 0.25]}
@@ -148,8 +160,12 @@ _NAN_MATRIX = {"rows": 1, "cols": 1, "data": [[float("nan"), 0.0]]}
     ("gqsvt", {"matrix": _SCALAR, "poly": _INF_POLY, "parity": "odd"}),
     ("gqet", {"matrix": _NAN_MATRIX, "poly": _POLY}),
     ("gqsvt", {"matrix": _NAN_MATRIX, "poly": _POLY, "parity": "odd"}),
+    ("gqet", {"matrix": _SCALAR, "poly": _POLY, "alpha": float("inf")}),
+    ("gqsvt", {"matrix": _SCALAR, "poly": _POLY, "parity": "odd",
+               "alpha": float("inf")}),
 ], ids=["phases-nan", "phases-inf", "gqet-nan", "gqet-inf", "gqsvt-nan",
-        "gqsvt-inf", "gqet-nan-matrix", "gqsvt-nan-matrix"])
+        "gqsvt-inf", "gqet-nan-matrix", "gqsvt-nan-matrix", "gqet-inf-alpha",
+        "gqsvt-inf-alpha"])
 def test_non_finite_input_is_an_input_error(tmp_path, capsys, command, cfg):
     # The config is written with the NaN and Infinity literals that
     # Python's json reads back as floats.
@@ -254,7 +270,7 @@ class TestGqsvtCommand:
             pushes.append(columns is not None)
             return kernel(ph, U, columns=columns)
 
-        for mod in (phases, encodings, transforms):
+        for mod in (phases, encodings):
             monkeypatch.setattr(mod, "_unitary_defect", counting_square)
         for mod in (phases, transforms):
             monkeypatch.setattr(mod, "_column_defect", counting_columns)

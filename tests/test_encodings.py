@@ -137,9 +137,15 @@ class TestSubnormalizationCheck:
         dilate(A, 2.0 - 5e-13)
         with pytest.raises(SubnormalizationError):
             dilate(A, 2.0 - 2e-12)
-        for alpha in (0.0, -3.0, math.nan):
+        for alpha in (0.0, -3.0, math.nan, math.inf):
             with pytest.raises(SubnormalizationError):
                 dilate(A, alpha)
+
+    def test_encoding_alpha_must_be_finite(self):
+        # A/inf = 0 would encode silently; alpha must be positive and finite.
+        e = dilate_hermitian(np.diag([0.5]), 1.0)
+        with pytest.raises(EncodingValidationError, match="finite"):
+            ProjectedUnitaryEncoding(e.U, e.Pi_L, e.Pi_R, math.inf)
 
     @pytest.mark.parametrize("dilate", [dilate_hermitian, dilate_general])
     def test_one_decomposition(self, dilate, monkeypatch):

@@ -271,6 +271,15 @@ class TestComplementary:
                  + np.abs(eval_circle(q, theta)) ** 2)
         assert np.max(np.abs(total - 1)) < 1e-9
 
+    def test_a_raw_sequence_is_not_a_polynomial(self):
+        # PolyCoeffs is the one place a polynomial is validated, and the
+        # only form the function reads: a raw list fails at its first
+        # attribute access, before any grid is sampled.
+        with pytest.raises(AttributeError):
+            complementary_polynomial([math.nan, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            PolyCoeffs([math.nan, 0.5])
+
 
 class TestGqspMatrix:
     def test_identity_argument(self):
@@ -331,7 +340,9 @@ class TestGqspMatrix:
         ph = random_angles(rng, 5)
         with pytest.raises(NumericalError, match="layers"):
             gqsp_matrix(ph, U, columns=E)
-        gqsp_matrix(ph, U)  # the full matrix is checked where it is used
+        # The dense path, columns=None, runs the same certificate.
+        with pytest.raises(NumericalError, match="layers"):
+            gqsp_matrix(ph, U)
 
 
 def dense_chain(ph: PhaseFactors, V: np.ndarray) -> np.ndarray:

@@ -55,10 +55,10 @@ class TestPolyCoeffsEquality:
 
 class TestEvalCheb:
     def test_t1(self):
-        assert eval_cheb([0, 1], 0.5) == pytest.approx(0.5)
+        assert eval_cheb(PolyCoeffs([0, 1]), 0.5) == pytest.approx(0.5)
 
     def test_t3_at_one(self):
-        assert eval_cheb([0, 0, 0, 1], 1.0) == pytest.approx(1.0)
+        assert eval_cheb(PolyCoeffs([0, 0, 0, 1]), 1.0) == pytest.approx(1.0)
 
     def test_cosine_sum_oracle(self):
         rng = np.random.default_rng(11)
@@ -69,15 +69,15 @@ class TestEvalCheb:
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            eval_cheb([0, 1], 1.1)
+            eval_cheb(PolyCoeffs([0, 1]), 1.1)
 
 
 class TestEvalCircle:
     def test_z(self):
-        assert eval_circle([0, 1], math.pi / 2) == pytest.approx(1j)
+        assert eval_circle(PolyCoeffs([0, 1]), math.pi / 2) == pytest.approx(1j)
 
     def test_constant(self):
-        assert eval_circle([1], 2.34) == pytest.approx(1.0)
+        assert eval_circle(PolyCoeffs([1]), 2.34) == pytest.approx(1.0)
 
     def test_horner_oracle(self):
         rng = np.random.default_rng(12)
@@ -92,16 +92,16 @@ class TestEvalCircle:
 
 class TestMaxAbs:
     def test_t3_interval(self):
-        assert max_abs_interval([0, 0, 0, 1]) == pytest.approx(1.0)
+        assert max_abs_interval(PolyCoeffs([0, 0, 0, 1])) == pytest.approx(1.0)
 
     def test_affine_interval(self):
-        assert max_abs_interval([0.5, 0.5]) == pytest.approx(1.0)
+        assert max_abs_interval(PolyCoeffs([0.5, 0.5])) == pytest.approx(1.0)
 
     def test_z2_circle(self):
-        assert max_abs_circle([0, 0, 1]) == pytest.approx(1.0)
+        assert max_abs_circle(PolyCoeffs([0, 0, 1])) == pytest.approx(1.0)
 
     def test_affine_circle(self):
-        assert max_abs_circle([0.5, 0.5]) == pytest.approx(1.0)
+        assert max_abs_circle(PolyCoeffs([0.5, 0.5])) == pytest.approx(1.0)
 
     def test_against_dense_grid(self):
         # refinement must match a brute-force grid to 1e-6 relative
@@ -128,8 +128,8 @@ class TestMaxAbs:
             assert norm(c.scaled(2.0 ** k)) == math.ldexp(norm(c), k)
 
     def test_norm_beyond_the_float_range_is_inf(self):
-        assert max_abs_circle([1e308, 1e308]) == math.inf
-        assert max_abs_interval([1e308, 1e308]) == math.inf
+        assert max_abs_circle(PolyCoeffs([1e308, 1e308])) == math.inf
+        assert max_abs_interval(PolyCoeffs([1e308, 1e308])) == math.inf
 
 
 def sup_oracle(a, interval):
@@ -214,7 +214,8 @@ class TestSupNorm:
         # |1 + e^{i sqrt 2} z^d| = 2 where d theta + sqrt 2 = 0 mod 2 pi.
         a = np.zeros(d + 1, dtype=complex)
         a[0], a[d] = 1.0, np.exp(1j * math.sqrt(2))
-        assert max_abs_circle(a) == pytest.approx(2.0, rel=1e-13, abs=0)
+        assert max_abs_circle(PolyCoeffs(a)) == pytest.approx(2.0, rel=1e-13,
+                                                              abs=0)
 
     @pytest.mark.parametrize("k", [1, 5, 55, 276])
     def test_off_grid_interval_peak(self, k):
@@ -225,7 +226,8 @@ class TestSupNorm:
         q = [1.5 - y0 * y0, 2 * y0, -0.5]
         a = np.zeros(2 * k + 1, dtype=complex)
         a[::k] = np.exp(1j * math.sqrt(2)) * np.array(q)
-        assert max_abs_interval(a) == pytest.approx(2.0, rel=1e-13, abs=0)
+        assert max_abs_interval(PolyCoeffs(a)) == pytest.approx(2.0, rel=1e-13,
+                                                                abs=0)
 
     @pytest.mark.parametrize("d", [1, 2, 55, 553, 2349])
     def test_tie_family(self, d):
@@ -233,7 +235,8 @@ class TestSupNorm:
             for f, exact, on_interval in ((max_abs_circle, circle, False),
                                           (max_abs_interval, interval, True)):
                 want = exact if exact is not None else sup_oracle(a, on_interval)
-                assert f(a) == pytest.approx(want, rel=1e-12, abs=0)
+                assert f(PolyCoeffs(a)) == pytest.approx(want, rel=1e-12,
+                                                         abs=0)
 
     def test_kappa_100_design(self, inverse_design):
         c = inverse_design(100).poly
@@ -246,11 +249,11 @@ class TestSupNorm:
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 512), st.booleans(), st.integers(0, 2 ** 31 - 1))
     def test_random_against_oracle(self, d, real, seed):
-        a = random_poly(np.random.default_rng(seed), d, real=real).coeffs
-        assert max_abs_circle(a) == pytest.approx(
-            sup_oracle(a, False), rel=1e-12, abs=0)
-        assert max_abs_interval(a) == pytest.approx(
-            sup_oracle(a, True), rel=1e-12, abs=0)
+        c = random_poly(np.random.default_rng(seed), d, real=real)
+        assert max_abs_circle(c) == pytest.approx(
+            sup_oracle(c.coeffs, False), rel=1e-12, abs=0)
+        assert max_abs_interval(c) == pytest.approx(
+            sup_oracle(c.coeffs, True), rel=1e-12, abs=0)
 
     def test_degree_2349_time(self):
         # kappa = 300 inversion polynomials have degree 2349.
@@ -259,15 +262,16 @@ class TestSupNorm:
         max_abs_circle(a), max_abs_interval(a)
         assert time.perf_counter() - t0 < 0.25
         for a, _, _ in tie_family(2349):
+            c = PolyCoeffs(a)
             t0 = time.perf_counter()
-            max_abs_circle(a), max_abs_interval(a)
+            max_abs_circle(c), max_abs_interval(c)
             assert time.perf_counter() - t0 < 0.5
 
     def test_degree_2349_memory(self):
-        a = tie_family(2349)[2][0]
+        c = PolyCoeffs(tie_family(2349)[2][0])
         tracemalloc.start()
         try:
-            max_abs_circle(a), max_abs_interval(a)
+            max_abs_circle(c), max_abs_interval(c)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -276,7 +280,7 @@ class TestSupNorm:
 
 class TestScalingFactor:
     def test_cheb_monomial(self):
-        assert scaling_factor([0, 0, 0, 1]) == pytest.approx(1.0, abs=1e-9)
+        assert scaling_factor(PolyCoeffs([0, 0, 0, 1])) == pytest.approx(1.0, abs=1e-9)
 
     def test_mod4_bound(self):
         rng = np.random.default_rng(14)
@@ -294,7 +298,7 @@ class TestScalingFactor:
 
     def test_degenerate(self):
         with pytest.raises(DegeneratePolynomialError):
-            scaling_factor([0.0])
+            scaling_factor(PolyCoeffs([0.0]))
 
 
 class TestParity:

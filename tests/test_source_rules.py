@@ -36,3 +36,20 @@ def test_package_exports_every_module_surface():
              for n in importlib.import_module(f"gqtlab.{m}").__all__]
     assert [n for n in names if not hasattr(gqtlab, n)] == []
     assert sorted(gqtlab.__all__) == sorted(names)
+
+
+def test_no_isinstance_check_on_polycoeffs():
+    # A polynomial argument has one form, PolyCoeffs, validated where it is
+    # constructed; no function converts whatever else it is given.
+    def names(node):
+        elts = node.elts if isinstance(node, ast.Tuple) else [node]
+        return {getattr(e, "attr", getattr(e, "id", None)) for e in elts}
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and _called_name(node) == "isinstance"
+        and len(node.args) == 2 and "PolyCoeffs" in names(node.args[1])
+    ]
+    assert not found, f"isinstance(..., PolyCoeffs) at {found}"

@@ -47,6 +47,11 @@ def random_contraction(rng, nl, nr, cap=0.9):
     return A * (cap / np.linalg.norm(A, 2))
 
 
+def dense_circuit(cp):
+    """The dense circuit: its operator applied to the identity."""
+    return cp.operator @ np.eye(cp.operator.shape[0])
+
+
 def scaled_random_poly(rng, d, target=0.9):
     from gqtlab.polynomials import max_abs_circle
     a = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
@@ -142,21 +147,20 @@ class TestAbsorbedForm:
         c = scaled_random_poly(rng, 7)
         cp = gqet(e, c)
         absorbed = gqet_absorbed_matrix(e, cp.phases)
-        assert np.linalg.norm(absorbed - cp.matrix, 2) < 1e-12
+        assert np.linalg.norm(absorbed - dense_circuit(cp), 2) < 1e-12
 
     def test_degree_zero(self):
         e = dilate_hermitian(np.array([[0.3]]), 1.0)
         cp = gqet(e, PolyCoeffs([0.25]))
         absorbed = gqet_absorbed_matrix(e, cp.phases)
-        assert np.linalg.norm(absorbed - cp.matrix, 2) < 1e-12
+        assert np.linalg.norm(absorbed - dense_circuit(cp), 2) < 1e-12
 
 
 class TestCircuitProductCheck:
     def make(self, matrix):
-        """A product whose operator applies `matrix` (None: the whole of it)."""
+        """A product whose operator applies `matrix`."""
         E = np.eye(len(matrix))[:, :1]
-        op = _Operator(lambda X: matrix if X is None else matrix @ X,
-                       len(matrix))
+        op = _Operator(lambda X: matrix @ X, len(matrix))
         return CircuitProduct(
             operator=op, queries_U=0, queries_U_dagger=0, degree=0,
             route="test", scale_applied=1.0, extraction={"default": (E, E)},
@@ -164,23 +168,23 @@ class TestCircuitProductCheck:
 
     def test_non_unitary_raises(self):
         cp = self.make(np.ones((4, 4)))
-        with pytest.raises(NumericalError, match="not unitary"):
-            cp.matrix
+        with pytest.raises(NumericalError, match="isometric"):
+            dense_circuit(cp)
 
     def test_tolerance_is_1e_10_per_dimension(self):
         # ||(1 + t)^2 I_4 - I_4||_F = 2 t (2 + t) against 1e-10 * 4: t = 5e-12
         # passes; t = 5e-10 (defect 2e-9, within 1e-9 * 4) is rejected.
-        self.make(np.eye(4) * (1 + 0.5e-11)).matrix
-        with pytest.raises(NumericalError, match="not unitary"):
-            self.make(np.eye(4) * (1 + 0.5e-9)).matrix
+        dense_circuit(self.make(np.eye(4) * (1 + 0.5e-11)))
+        with pytest.raises(NumericalError, match="isometric"):
+            dense_circuit(self.make(np.eye(4) * (1 + 0.5e-9)))
 
     def test_matrix_is_read_only(self):
         m = np.eye(4, dtype=complex)
         cp = self.make(m)
         with pytest.raises(ValueError):
-            cp.matrix[0, 0] = 2.0
+            dense_circuit(cp)[0, 0] = 2.0
         m[0, 0] = 2.0  # the caller's array is not the frozen one
-        assert cp.matrix[0, 0] == 1.0
+        assert dense_circuit(cp)[0, 0] == 1.0
 
     def test_push_that_changes_the_gram_matrix_raises(self, monkeypatch):
         # No circuit is formed on the operator path; the pushed columns are
@@ -213,7 +217,7 @@ class TestCircuitProductCheck:
                    gqsvt_multiplication(e, PolyCoeffs([0, 0.5]), "odd")[0],
                    gqsvt_multiplication(e, PolyCoeffs([0.2, 0, 0.5]),
                                         "even")[0]):
-            assert not cp.matrix.flags.writeable
+            assert not dense_circuit(cp).flags.writeable
 
 
 def _gqet(rng):
@@ -239,7 +243,7 @@ def _mult(parity):
 
 class TestOperatorMatchesDense:
     """Each route read through its operator (pushing only the extracted
-    columns) against the same route read through its dense matrix."""
+    columns) against the same route's dense circuit (pushing the identity)."""
 
     EXTRACTIONS = [
         pytest.param(_gqet, "default", id="gqet"),
@@ -256,7 +260,7 @@ class TestOperatorMatchesDense:
         cp = build(np.random.default_rng(46))
         pushed = extract_svt(cp, which)
         E_L, E_R = cp.extraction[which]
-        dense = E_L.conj().T @ cp.matrix @ E_R
+        dense = E_L.conj().T @ dense_circuit(cp) @ E_R
         assert np.max(np.abs(pushed - dense)) <= 1e-13
 
     # The one-stage circuits (stages=None) run measure-early as end-only.
@@ -275,7 +279,7 @@ class TestOperatorMatchesDense:
         n = E_R.shape[1]
         x = rng.normal(size=(n, *shape)) + 1j * rng.normal(size=(n, *shape))
         out = simulate_postselect(cp, input=x, schedule=schedule)
-        y = E_L.conj().T @ cp.matrix @ E_R @ x
+        y = E_L.conj().T @ dense_circuit(cp) @ E_R @ x
         p = np.linalg.norm(y) ** 2 / np.linalg.norm(x) ** 2
         assert np.max(np.abs(out.conditioned - y / np.linalg.norm(y))) <= 1e-13
         assert out.success_prob == pytest.approx(p, rel=1e-13)
@@ -529,7 +533,7 @@ class TestSimulatePostselect:
     def test_zero_input(self):
         e = dilate_hermitian(np.array([[0.5]]), 1.0)
         cp = gqet(e, PolyCoeffs([0, 0.9]))
-        with pytest.raises(ZeroProbabilityError):
+        with pytest.raises(ValueError, match="zero norm"):
             simulate_postselect(cp, input=np.array([0.0]))
 
     @pytest.mark.parametrize("x", [np.array(1.0), np.ones((1, 1, 1))],
@@ -636,7 +640,8 @@ class TestQsvtCircuitKernel:
         for d in range(1, 10):
             phis = rng.uniform(-np.pi, np.pi, d)
             full, reduced, E_in = dense_qsvt_chains(e, phis)
-            assert np.abs(_qsvt_circuit(phis, e) - reduced).max() <= 1e-12
+            assert np.abs(_qsvt_circuit(phis, e, np.eye(2 * e.M))
+                          - reduced).max() <= 1e-12
             pushed = _qsvt_circuit(phis, hermitianize(e), E_in)
             assert np.abs(pushed - full @ E_in).max() <= 1e-12
 
