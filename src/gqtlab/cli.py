@@ -39,6 +39,7 @@ from .polynomials import (
     NumericalError,
     PolyCoeffs,
     approx_inverse,
+    classify_parity,
     max_abs_circle,
     max_abs_interval,
 )
@@ -206,9 +207,9 @@ def cmd_gqsvt(args) -> int:
     if route not in routes + ("both",):
         raise InputError(f"unknown gqsvt route {route!r}; have "
                          "'hermitianization', 'multiplication', 'both'")
-    parity = cfg.get("parity")
-    if parity not in ("even", "odd"):
-        raise InputError("gqsvt config needs parity 'even' or 'odd'")
+    parity = classify_parity(c).tag
+    if parity == "mixed":
+        raise InputError("gqsvt needs an even or odd poly, not mixed parity")
     lines = []
     worst = 0.0
     blocks = {}
@@ -252,7 +253,7 @@ _SAMPLERS = {
 
 
 def _mod4_sample(rng, dmax):
-    d = int(rng.integers(1, max(dmax // 4, 1) + 1)) * 4 + 1
+    d = int(rng.integers(0, (dmax - 1) // 4 + 1)) * 4 + 1  # 1 <= d <= dmax
     a = np.zeros(d + 1)
     a[1::4] = rng.normal(size=len(a[1::4]))
     return PolyCoeffs(a.astype(complex))
@@ -271,6 +272,8 @@ def cmd_bounds(args) -> int:
     if trials <= 0:
         raise InputError("trials must be positive")
     dmax = _number(cfg.get("max_degree", 64), "max_degree", int)
+    if dmax < 1:
+        raise InputError("max_degree must be at least 1")
     name = cfg.get("sampler", "random")
     if name not in _SAMPLERS:
         raise InputError(f"unknown sampler {name!r}; have {sorted(_SAMPLERS)}")

@@ -122,17 +122,13 @@ class ProjectedUnitaryEncoding:
         Pi_L = _freeze(self.Pi_L)
         Pi_R = _freeze(self.Pi_R)
         problems = _validate_core(U, Pi_L, Pi_R, self.alpha,
-                                  hermitian=self._hermitian())
+                                  isinstance(self, HermitianEncoding))
         if problems:
             raise EncodingValidationError("; ".join(problems))
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "Pi_L", Pi_L)
         object.__setattr__(self, "Pi_R", Pi_R)
         object.__setattr__(self, "alpha", float(self.alpha))
-
-    @staticmethod
-    def _hermitian() -> bool:
-        return False
 
     def adjoint(self) -> ProjectedUnitaryEncoding:
         """(U^dag, Pi_R, Pi_L, alpha), encoding A^dag/alpha, with no check of
@@ -159,20 +155,12 @@ class ProjectedUnitaryEncoding:
         return self.Pi_R.shape[1]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class HermitianEncoding(ProjectedUnitaryEncoding):
-    """U Hermitian and Pi_L == Pi_R (called Pi)."""
+    """U Hermitian; one isometry Pi, given once, is both Pi_L and Pi_R."""
 
-    def __post_init__(self):
-        if self.Pi_L.shape != self.Pi_R.shape or \
-                not np.allclose(self.Pi_L, self.Pi_R, rtol=0.0, atol=1e-12):
-            raise EncodingValidationError(
-                "Hermitian encoding requires Pi_L == Pi_R")
-        super().__post_init__()
-
-    @staticmethod
-    def _hermitian() -> bool:
-        return True
+    def __init__(self, U: np.ndarray, Pi: np.ndarray, alpha: float):
+        super().__init__(U, Pi, Pi, alpha)
 
     @property
     def Pi(self) -> np.ndarray:
@@ -185,21 +173,20 @@ class QubitizedPair:
 
     Non-degenerate pairs carry two eigenvectors with eigenvalues
     e^{+i gamma}, e^{-i gamma}; the degenerate branch (gamma in {0, pi})
-    carries a single vector.
+    carries a single vector, and `degenerate` reads that count.
     """
 
     gamma: float
     eigvals: tuple
     eigvecs: tuple
-    degenerate: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= math.pi:
             raise ValueError("gamma must lie in [0, pi]")
-        if self.degenerate and len(self.eigvecs) != 1:
-            raise ValueError("degenerate pair must carry exactly one vector")
-        if not self.degenerate and len(self.eigvecs) != 2:
-            raise ValueError("non-degenerate pair must carry two vectors")
+
+    @property
+    def degenerate(self) -> bool:
+        return len(self.eigvecs) == 1
 
 
 def encoded_matrix(e: ProjectedUnitaryEncoding) -> np.ndarray:
@@ -243,8 +230,7 @@ def dilate_hermitian(A: np.ndarray, alpha: float) -> HermitianEncoding:
     B = (V * w) @ V.conj().T
     S = (V * np.sqrt(1.0 - w ** 2)) @ V.conj().T
     U = np.block([[B, S], [S, -B]])
-    Pi = _selector(2 * N, N)
-    return HermitianEncoding(U, Pi, Pi, alpha)
+    return HermitianEncoding(U, _selector(2 * N, N), alpha)
 
 
 def dilate_general(A: np.ndarray, alpha: float) -> ProjectedUnitaryEncoding:
@@ -324,8 +310,7 @@ def qubitized_eigenpairs(e: HermitianEncoding) -> list[QubitizedPair]:
             warnings.warn(
                 f"sin(gamma)={math.sin(gamma):.2e}; using the degenerate "
                 "single-vector branch", NearDegenerateWarning, stacklevel=2)
-            pairs.append(QubitizedPair(gamma, (complex(x),), (pv,),
-                                       degenerate=True))
+            pairs.append(QubitizedPair(gamma, (complex(x),), (pv,)))
             continue
         norm = math.sqrt(2.0) * math.sin(gamma)
         plus = (np.exp(1j * gamma) * pv - U @ pv) / norm
@@ -374,7 +359,7 @@ def hermitianize(e: ProjectedUnitaryEncoding) -> HermitianEncoding:
         [e.Pi_L, np.zeros((M, e.N_R))],
         [np.zeros((M, e.N_L)), e.Pi_R],
     ])
-    return HermitianEncoding(U_bar, Pi_bar, Pi_bar, e.alpha)
+    return HermitianEncoding(U_bar, Pi_bar, e.alpha)
 
 
 def _padded(U, x: np.ndarray) -> np.ndarray:
@@ -440,8 +425,9 @@ def multiply(e1: ProjectedUnitaryEncoding,
     adjoint = (e1.M == e2.M and np.array_equal(e1.Pi_L, e2.Pi_R)
                and np.array_equal(e1.Pi_R, e2.Pi_L)
                and np.array_equal(e1.U, e2.U.conj().T))
-    cls = HermitianEncoding if adjoint else ProjectedUnitaryEncoding
     apply, Pi_L, Pi_R = _block_product(e1.U, e1.Pi_L, e1.Pi_R,
                                        e2.U, e2.Pi_L, e2.Pi_R)
-    return cls(apply(np.eye(len(Pi_L), dtype=complex)), Pi_L, Pi_R,
-               e1.alpha * e2.alpha)
+    U = apply(np.eye(len(Pi_L), dtype=complex))
+    if adjoint:  # then Pi_L == Pi_R
+        return HermitianEncoding(U, Pi_L, e1.alpha * e2.alpha)
+    return ProjectedUnitaryEncoding(U, Pi_L, Pi_R, e1.alpha * e2.alpha)

@@ -25,7 +25,6 @@ from .polynomials import NumericalError, PolyCoeffs, max_abs_circle
 
 __all__ = [
     "PhaseFactors",
-    "RotationGate",
     "PhaseSynthesisError",
     "CompletionError",
     "DEFAULT_MARGIN",
@@ -128,19 +127,13 @@ class PhaseFactors:
         return ph
 
 
-@dataclasses.dataclass(frozen=True)
-class RotationGate:
-    theta: float
-    phi: float
-    lam: float
-
-
-def rotation_matrix(g: RotationGate) -> np.ndarray:
-    """[[e^{i(lam+phi)} cos, e^{i phi} sin], [e^{i lam} sin, -cos]]."""
-    ct, st = math.cos(g.theta), math.sin(g.theta)
+def rotation_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
+    """A layer's rotation from its three angles:
+    [[e^{i(lam+phi)} cos, e^{i phi} sin], [e^{i lam} sin, -cos]] of theta."""
+    ct, st = math.cos(theta), math.sin(theta)
     return np.array([
-        [np.exp(1j * (g.lam + g.phi)) * ct, np.exp(1j * g.phi) * st],
-        [np.exp(1j * g.lam) * st, -ct],
+        [np.exp(1j * (lam + phi)) * ct, np.exp(1j * phi) * st],
+        [np.exp(1j * lam) * st, -ct],
     ])
 
 
@@ -392,8 +385,7 @@ def gqsp_matrix(ph: PhaseFactors, U: np.ndarray,
             np.matmul(U, top, out=Utop)
         else:
             Utop[...] = top
-        r = rotation_matrix(RotationGate(ph.thetas[k], ph.phis[k],
-                                         0.0 if k else ph.lam))
+        r = rotation_matrix(ph.thetas[k], ph.phis[k], 0.0 if k else ph.lam)
         np.multiply(Utop, r[0, 0], out=top)
         top += np.multiply(bot, r[0, 1], out=tmp)
         bot *= r[1, 1]

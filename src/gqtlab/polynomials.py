@@ -155,19 +155,22 @@ class ApproxSpec:
     eps: float
 
     def __post_init__(self):
-        if not self.kappa > 1:
-            raise ValueError("kappa must exceed 1")
+        if not 1 < self.kappa < math.inf:
+            raise ValueError("kappa must exceed 1 and be finite")
         if not 0 < self.eps < 1:
             raise ValueError("eps must lie in (0, 1)")
 
 
 @dataclasses.dataclass(frozen=True)
 class InverseApproxResult:
+    """The design and its sup error on the Remez grid; kappa, eps: the spec."""
+
     poly: PolyCoeffs
-    degree: int
     max_error: float
-    kappa: float
-    eps: float
+
+    @property
+    def degree(self) -> int:
+        return self.poly.degree
 
 
 def eval_cheb(c: PolyCoeffs, x):
@@ -489,10 +492,13 @@ def approx_inverse(spec: ApproxSpec) -> InverseApproxResult:
     the pole y = 0): a probe at d = kappa fixes C, each later probe is
     placed at the degree its predecessor predicts, and the answer is
     confirmed by a miss at d - 2.  Degree 1 is never tried, and no degree
-    above _DEGREE_CAP: then ApproximationError.
+    above _DEGREE_CAP: then ApproximationError, as when a^2 is lost next
+    to 1: y = a^2 would round to 0, where the Remez weight divides by 0.
     """
     kappa, eps = spec.kappa, spec.eps
     a = 1.0 / kappa
+    if 1.0 - a * a == 1.0 + a * a:
+        raise ApproximationError("1/kappa^2 is lost next to 1")
     f = lambda x: 1.0 / (4.0 * kappa * x)
     log_rho = math.log((1.0 + a) / (1.0 - a))
     top = _DEGREE_CAP if _DEGREE_CAP % 2 == 1 else _DEGREE_CAP - 1
@@ -513,5 +519,4 @@ def approx_inverse(spec: ApproxSpec) -> InverseApproxResult:
         else:
             lo, lo_err = d, e
         d += 2 * math.ceil(math.log(e / eps) / log_rho)
-    return InverseApproxResult(PolyCoeffs(_odd_cheb(best[0], a, hi)), hi,
-                               best[1], kappa, eps)
+    return InverseApproxResult(PolyCoeffs(_odd_cheb(best[0], a, hi)), best[1])

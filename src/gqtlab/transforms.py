@@ -136,9 +136,14 @@ class CircuitProduct:
 
 @dataclasses.dataclass(frozen=True)
 class PostselectOutcome:
+    """The renormalized output and the probability of each stage."""
+
     conditioned: np.ndarray
-    success_prob: float
     stage_probs: tuple
+
+    @property
+    def success_prob(self) -> float:
+        return float(np.prod(self.stage_probs))
 
 
 def gqet(e: HermitianEncoding, c: PolyCoeffs) -> CircuitProduct:
@@ -342,8 +347,7 @@ def simulate_postselect(cp: CircuitProduct, input: np.ndarray | None = None,
         raise ZeroProbabilityError(
             f"success probability {p:.3e} below 1e-14")
     ny = np.linalg.norm(y)
-    return PostselectOutcome(conditioned=y / ny, success_prob=p,
-                             stage_probs=tuple(probs))
+    return PostselectOutcome(conditioned=y / ny, stage_probs=tuple(probs))
 
 
 def _qsvt_circuit(phis: np.ndarray, e: ProjectedUnitaryEncoding,

@@ -219,12 +219,32 @@ class TestGqsvtCommand:
         assert "queries_U=2" in herm
         assert "queries_U=1" in mult
 
-    def test_parity_required(self, tmp_path, capsys):
+    @pytest.mark.parametrize("coeffs,parity", [([0, 0.5], "odd"),
+                                               ([0.2, 0, 0.5], "even")],
+                             ids=["odd", "even"])
+    def test_parity_is_read_from_the_coefficients(self, tmp_path, capsys,
+                                                  coeffs, parity):
+        # A leftover "parity" key is ignored: the same bytes either way.
+        base = {"matrix": matrix_to_json(np.array([[0.6], [0.3]])),
+                "poly": PolyCoeffs(coeffs).to_json_dict()}
+        runs = []
+        for name, cfg in (("bare", base),
+                          ("tagged", {**base, "parity": parity})):
+            out = tmp_path / f"{name}.txt"
+            assert main(["gqsvt", "--config",
+                         write_config(tmp_path, f"{name}.json", cfg),
+                         "--out", str(out)]) == EXIT_OK
+            runs.append((capsys.readouterr().out, out.read_bytes()))
+        assert runs[0] == runs[1]
+
+    def test_mixed_parity_is_an_input_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
             "matrix": matrix_to_json(np.array([[0.6]])),
-            "poly": PolyCoeffs([0, 0.5]).to_json_dict(),
+            "poly": PolyCoeffs([0.3, 0.5]).to_json_dict(),
         })
         assert main(["gqsvt", "--config", cfg]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "mixed parity" in err
 
     @pytest.mark.parametrize("tol", [None, "1e-7"])
     def test_unknown_route(self, tmp_path, capsys, tol):
@@ -439,6 +459,23 @@ class TestBoundsCommand:
                  for line in out.read_text().splitlines()[1:]]
         assert np.allclose(betas, 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("dmax", [1, 3, 4, 5, 64])
+    def test_mod4_degrees_respect_max_degree(self, tmp_path, capsys, dmax):
+        cfg = write_config(tmp_path, "b.json", {
+            "trials": 200, "sampler": "mod4", "max_degree": dmax})
+        out = tmp_path / "rows.csv"
+        assert main(["bounds", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        degrees = [int(line.split(",")[0])
+                   for line in out.read_text().splitlines()[1:]]
+        assert all(d <= dmax and d % 4 == 1 for d in degrees)
+
+    @pytest.mark.parametrize("sampler", ["random", "mod4", "chebyshev"])
+    def test_max_degree_below_one(self, tmp_path, capsys, sampler):
+        cfg = write_config(tmp_path, "b.json",
+                           {"sampler": sampler, "max_degree": 0})
+        assert main(["bounds", "--config", cfg]) == EXIT_INPUT
+        assert "max_degree" in capsys.readouterr().err
+
     def test_bad_sampler(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "b.json", {"sampler": "quantum"})
         assert main(["bounds", "--config", cfg]) == EXIT_INPUT
@@ -540,6 +577,27 @@ class TestScalingTableCommand:
         assert [int(r[0]) for r in rows] == [55, 79, 221, 553, 783, 1565, 2349]
         assert all(float(r[5]) < 1.75 for r in rows)
         assert elapsed < 15.0
+
+    def test_infinite_kappa_is_an_input_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "s.json", {
+            "rows": [{"kappa": float("inf"), "eps": 1e-3}]})
+        assert "Infinity" in open(cfg).read()
+        assert main(["scaling-table", "--config", cfg]) == EXIT_INPUT
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("kappa", [1e9, 1e17])
+    def test_kappa_beyond_float_range_fails_by_name(self, tmp_path, capsys,
+                                                     kappa):
+        # 1/kappa^2 is lost in 1 +- 1/kappa^2: the row fails before Remez.
+        cfg = write_config(tmp_path, "s.json", {
+            "rows": [{"kappa": kappa, "eps": 1e-3}]})
+        t0 = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scaling-table", "--config", cfg]) == EXIT_TOLERANCE
+        assert time.perf_counter() - t0 < 2.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "FAILED" in err
 
     @pytest.mark.parametrize("value", ["false", 1, None])
     def test_high_degree_flag_must_be_boolean(self, tmp_path, capsys, value):

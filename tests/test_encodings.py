@@ -231,7 +231,7 @@ class TestWalkOperator:
         rng = np.random.default_rng(39)
         e = dilate_hermitian(random_hermitian(rng, 4), 9.0)
         Q = random_isometry(rng, 8, 8)
-        r = HermitianEncoding(Q @ e.U @ Q.conj().T, Q @ e.Pi, Q @ e.Pi, 9.0)
+        r = HermitianEncoding(Q @ e.U @ Q.conj().T, Q @ e.Pi, 9.0)
         diff = walk_operator(r) - reflection(r.Pi) @ r.U
         assert np.max(np.abs(diff)) <= 1e-14
 
@@ -498,22 +498,15 @@ class TestMultiplyAgainstDenseProduct:
 
 
 class TestHermitianEncodingType:
-    def test_requires_equal_isometries(self):
+    def test_takes_one_isometry(self):
         rng = np.random.default_rng(47)
         A = random_hermitian(rng, 2)
         e = dilate_hermitian(A, 1.2 * np.linalg.norm(A, 2))
-        with pytest.raises(EncodingValidationError):
-            HermitianEncoding(e.U, e.Pi, np.roll(e.Pi, 1, axis=0), e.alpha)
-
-    def test_isometries_agree_to_1e_12_absolutely(self):
-        # A relative tolerance would pass a phase of 1e-6 on Pi_R, and the
-        # circuit would then transform Pi_L^dag U Pi_L, not the given block.
-        rng = np.random.default_rng(49)
-        A = random_hermitian(rng, 2)
-        e = dilate_hermitian(A, 1.2 * np.linalg.norm(A, 2))
-        with pytest.raises(EncodingValidationError):
-            HermitianEncoding(e.U, e.Pi, e.Pi * np.exp(1e-6j), e.alpha)
-        HermitianEncoding(e.U, e.Pi, e.Pi * np.exp(1e-13j), e.alpha)
+        h = HermitianEncoding(e.U, e.Pi, e.alpha)
+        assert np.array_equal(h.Pi_L, h.Pi_R)
+        assert np.array_equal(h.Pi, e.Pi)
+        assert np.allclose(encoded_matrix(h), A / e.alpha, rtol=0.0,
+                           atol=1e-12)
 
     def test_requires_hermitian_unitary(self):
         rng = np.random.default_rng(48)
@@ -521,4 +514,4 @@ class TestHermitianEncodingType:
                             + 1j * rng.normal(size=(4, 4)))
         Pi = np.eye(4)[:, :2]
         with pytest.raises(EncodingValidationError):
-            HermitianEncoding(U, Pi, Pi, 1.0)
+            HermitianEncoding(U, Pi, 1.0)

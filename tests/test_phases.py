@@ -14,7 +14,6 @@ from gqtlab.phases import (
     ROUND_TRIP_TOL,
     PhaseFactors,
     PhaseSynthesisError,
-    RotationGate,
     complementary_polynomial,
     gqsp_matrix,
     reconstruct_P,
@@ -56,16 +55,16 @@ def completion_defect(c: PolyCoeffs, q: PolyCoeffs) -> float:
 
 class TestRotationMatrix:
     def test_zero_angles(self):
-        assert np.allclose(rotation_matrix(RotationGate(0, 0, 0)),
+        assert np.allclose(rotation_matrix(0, 0, 0),
                            [[1, 0], [0, -1]])
 
     def test_half_pi(self):
-        assert np.allclose(rotation_matrix(RotationGate(math.pi / 2, 0, 0)),
+        assert np.allclose(rotation_matrix(math.pi / 2, 0, 0),
                            [[0, 1], [1, 0]], atol=1e-15)
 
     @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3))
     def test_unitary(self, t, p, l):
-        R = rotation_matrix(RotationGate(t, p, l))
+        R = rotation_matrix(t, p, l)
         assert np.linalg.norm(R.conj().T @ R - np.eye(2)) < 1e-12
 
 
@@ -250,11 +249,10 @@ class TestReconstructP:
         tl = []
         for t in thetas:
             z = np.exp(1j * t)
-            M = rotation_matrix(RotationGate(ph.thetas[0], ph.phis[0], ph.lam))
+            M = rotation_matrix(ph.thetas[0], ph.phis[0], ph.lam)
             for k in range(1, d + 1):
                 M = np.diag([z, 1.0]) @ M
-                M = rotation_matrix(
-                    RotationGate(ph.thetas[k], ph.phis[k], 0.0)) @ M
+                M = rotation_matrix(ph.thetas[k], ph.phis[k], 0.0) @ M
             tl.append(M[0, 0])
         V = np.exp(1j * np.outer(thetas, np.arange(npts)))
         fitted = np.linalg.solve(V, np.array(tl))[: d + 1]
@@ -351,12 +349,11 @@ def dense_chain(ph: PhaseFactors, V: np.ndarray) -> np.ndarray:
     M = V.shape[0]
     eyeM = np.eye(M)
     A = np.block([[V, np.zeros((M, M))], [np.zeros((M, M)), eyeM]])
-    out = np.kron(rotation_matrix(RotationGate(ph.thetas[0], ph.phis[0],
-                                               ph.lam)), eyeM)
+    out = np.kron(rotation_matrix(ph.thetas[0], ph.phis[0], ph.lam), eyeM)
     for k in range(1, ph.degree + 1):
         out = A @ out
-        out = np.kron(rotation_matrix(RotationGate(ph.thetas[k], ph.phis[k],
-                                                   0.0)), eyeM) @ out
+        out = np.kron(rotation_matrix(ph.thetas[k], ph.phis[k], 0.0),
+                      eyeM) @ out
     return out
 
 
@@ -394,7 +391,7 @@ class TestKernelAgainstDenseChain:
         N = max(M // 2, 1)
         X = rng.normal(size=(M, N)) + 1j * rng.normal(size=(M, N))
         Pi = np.linalg.qr(X)[0][:, :N]
-        e = HermitianEncoding(U, Pi, Pi, 1.0)
+        e = HermitianEncoding(U, Pi, 1.0)
         ph = random_angles(rng, d)
         W = (2.0 * Pi @ Pi.conj().T - np.eye(M)) @ U
         absorbed = gqet_absorbed_matrix(e, ph)

@@ -133,7 +133,7 @@ def test_gqet_accepts_what_the_encoding_accepts():
     t = math.sqrt(1 + 1.2e-9 / 4) - 1  # ||(1 + t)^2 I_16 - I_16||_F = 1.2e-9
     U = e0.U * (1 + t)
     assert _unitary_defect(U) == pytest.approx(1.2e-9, rel=1e-3)
-    e = HermitianEncoding(U, e0.Pi, e0.Pi, 1.0)
+    e = HermitianEncoding(U, e0.Pi, 1.0)
     cp = gqet(e, PolyCoeffs([0.1, 0.2, 0.5]))
     assert np.linalg.norm(extract_svt(cp) - eigen_oracle(A, 1.0, cp.poly),
                           2) <= 1e-8
@@ -652,7 +652,7 @@ class TestQsvtCircuitKernel:
             Z = np.zeros((e.M, e.M))
             U_bar = np.block([[Z, e.U.conj().T], [e.U, Z]])
             Pi_bar = hermitianize(e).Pi
-            return HermitianEncoding(U_bar, Pi_bar, Pi_bar, e.alpha)
+            return HermitianEncoding(U_bar, Pi_bar, e.alpha)
 
         rng = np.random.default_rng(46)
         e = dilate_general(random_contraction(rng, 3, 2), 1.0)
