@@ -135,25 +135,50 @@ class BoundReport:
 # Sweep sampling: one batched pass over all trials.  The sampled rows are
 # stacked into one flat coefficient vector, so the per-row checks (real
 # coefficients, trimmed degree) are segment reductions, and the bound is a
-# table lookup per distinct degree.  Each row gets 4096 circle points and a
-# vectorized parabolic refinement of the peak.  The coefficients are real,
-# so P(e^{-it}) = conj P(e^{it}) and the half circle t in [0, pi] (one rfft
-# per row) holds both maxima; the parabola at t = 0 and t = pi reads the
-# mirrored neighbour by index.  Rows go in blocks of 64 to keep the FFT
-# small.  The corollary bound exceeds the true maximum by a large factor, so
-# grid resolution is not the binding accuracy constraint here.
-_SWEEP_GRID = 4096
-_SWEEP_BLOCK = 64
+# table lookup per distinct degree.  A row of len coefficients gets
+# G = max(64, 16 * 2^ceil(log2(len - 1))) circle points, at least 16 per
+# period of its top harmonic (the density 4096 points give degree 256), and
+# G >= len, so no row is cropped.  A vectorized parabolic refinement then
+# reads the peak.  Stated accuracy, measured on random rows of degree 1 to
+# 2400 against a 2^20-point scan: both maxima within 1e-2 relative (worst
+# seen 8.6e-3 for max |Re P|, 1.5e-3 for max |P|).  The coefficients are
+# real, so P(e^{-it}) = conj P(e^{it}) and the half circle t in [0, pi] (one
+# rfft per row) holds both maxima; the parabola at t = 0 and t = pi reads the
+# mirrored neighbour by index.  Rows of one G go through the FFT in blocks of
+# 64 * 4096 points.  The corollary bound exceeds the true maximum by a large
+# factor, so grid resolution is not the binding accuracy constraint here.
+_SWEEP_DENSITY = 16
+_SWEEP_BLOCK_POINTS = 64 * 4096
 
 
-def _batched_circle_max(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(max |P|, max |Re P|) on the circle for a batch of real coefficient rows."""
+def _sweep_grid(lengths: np.ndarray) -> np.ndarray:
+    """Circle points G of each row with the given coefficient counts."""
+    # ceil(log2(len - 1)) is the bit length of len - 2, which is the
+    # exponent frexp returns for it (0 for 0).
+    _, bits = np.frexp(np.maximum(lengths - 2, 0))
+    return np.maximum(64, _SWEEP_DENSITY << bits.astype(np.intp))
+
+
+def _batched_circle_max(coeffs: np.ndarray, lengths: np.ndarray | None = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """(max |P|, max |Re P|) on the circle for a batch of real coefficient rows.
+
+    Row i holds lengths[i] coefficients, padded with zeros to the batch
+    width; without lengths, every row fills the width.
+    """
+    if lengths is None:
+        lengths = np.full(len(coeffs), coeffs.shape[1])
+    grid = _sweep_grid(lengths)
     max_abs = np.empty(len(coeffs))
     max_re = np.empty(len(coeffs))
-    for s in range(0, len(coeffs), _SWEEP_BLOCK):
-        vals = np.fft.rfft(coeffs[s:s + _SWEEP_BLOCK], _SWEEP_GRID, axis=1)
-        max_abs[s:s + _SWEEP_BLOCK] = _parabolic_peak(np.abs(vals))
-        max_re[s:s + _SWEEP_BLOCK] = _parabolic_peak(np.abs(vals.real))
+    for g in np.unique(grid).tolist():
+        rows = np.flatnonzero(grid == g)
+        block = max(_SWEEP_BLOCK_POINTS // g, 1)
+        for s in range(0, len(rows), block):
+            r = rows[s:s + block]
+            vals = np.fft.rfft(coeffs[r, :g], g, axis=1)
+            max_abs[r] = _parabolic_peak(np.abs(vals))
+            max_re[r] = _parabolic_peak(np.abs(vals.real))
     return max_abs, max_re
 
 
@@ -211,7 +236,7 @@ def verify_beta_bound(sampler: Callable[[np.random.Generator], PolyCoeffs],
     batch = np.zeros((trials, int(lengths.max())))
     batch[np.arange(batch.shape[1]) < lengths[:, None]] = flat.real
     del flat
-    max_abs, M = _batched_circle_max(batch)
+    max_abs, M = _batched_circle_max(batch, lengths)
 
     keep = ~(M <= 0)  # a NaN M is kept, and BoundParams' check rejects it
     N, M, max_abs = N[keep], M[keep], max_abs[keep]

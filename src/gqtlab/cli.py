@@ -246,7 +246,7 @@ def cmd_gqsvt(args) -> int:
 
 _SAMPLERS = {
     "random": lambda dmax: lambda rng: PolyCoeffs(
-        rng.normal(size=int(rng.integers(1, dmax + 1)) + 1).astype(complex)),
+        rng.normal(size=int(rng.integers(1, dmax + 1)) + 1)),
     "mod4": lambda dmax: lambda rng: _mod4_sample(rng, dmax),
     "chebyshev": lambda dmax: lambda rng: _cheb_monomial_sample(rng, dmax),
 }
@@ -256,14 +256,14 @@ def _mod4_sample(rng, dmax):
     d = int(rng.integers(0, (dmax - 1) // 4 + 1)) * 4 + 1  # 1 <= d <= dmax
     a = np.zeros(d + 1)
     a[1::4] = rng.normal(size=len(a[1::4]))
-    return PolyCoeffs(a.astype(complex))
+    return PolyCoeffs(a)
 
 
 def _cheb_monomial_sample(rng, dmax):
     n = int(rng.integers(0, dmax + 1))
     a = np.zeros(n + 1)
     a[n] = 1.0
-    return PolyCoeffs(a.astype(complex))
+    return PolyCoeffs(a)
 
 
 def cmd_bounds(args) -> int:

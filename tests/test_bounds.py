@@ -18,7 +18,7 @@ from gqtlab.bounds import (
     verify_beta_bound,
 )
 from gqtlab.cli import _SAMPLERS
-from gqtlab.polynomials import PolyCoeffs
+from gqtlab.polynomials import PolyCoeffs, max_abs_circle
 
 
 class TestG1:
@@ -162,52 +162,63 @@ class TestVerifyBetaBound:
             verify_beta_bound(bad, 2)
 
 
-def padded_circle_max(coeffs):
-    """Reference for `_batched_circle_max`: one rfft of the whole batch, the
-    half circle padded at each end with a copy of its mirrored neighbour."""
-    half = bounds._SWEEP_GRID // 2
-    vals = np.fft.rfft(coeffs, bounds._SWEEP_GRID, axis=1)
-    vals = np.concatenate((vals[:, 1:2], vals, vals[:, half - 1:half]), 1)
+def row_grid(length):
+    """The sweep's circle points for a row of `length` coefficients: 16 per
+    period of its top harmonic, rounded up to a power of two, at least 64."""
+    if length <= 2:
+        return 64
+    return max(64, 16 * 2 ** math.ceil(math.log2(length - 1)))
 
-    def peak(y):
-        i = np.argmax(y[:, 1:-1], axis=1) + 1
-        rows = np.arange(y.shape[0])
-        ym, y0, yp = y[rows, i - 1], y[rows, i], y[rows, i + 1]
-        denom = ym - 2 * y0 + yp
-        with np.errstate(divide="ignore", invalid="ignore"):
-            top = y0 - 0.125 * (yp - ym) ** 2 / np.where(denom == 0, 1.0, denom)
-        return np.where(denom < 0, np.maximum(top, y0), y0)
 
-    return peak(np.abs(vals)), peak(np.abs(vals.real))
+def parabola_peak(y):
+    """The parabola through the largest entry of each row of y and its two
+    neighbours, taken as is at the ends."""
+    i = np.argmax(y[:, 1:-1], axis=1) + 1
+    rows = np.arange(y.shape[0])
+    ym, y0, yp = y[rows, i - 1], y[rows, i], y[rows, i + 1]
+    denom = ym - 2 * y0 + yp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = y0 - 0.125 * (yp - ym) ** 2 / np.where(denom == 0, 1.0, denom)
+    return np.where(denom < 0, np.maximum(top, y0), y0)
+
+
+def padded_circle_max(coeffs, lengths=None, grid=row_grid):
+    """Reference for `_batched_circle_max`, row by row: one rfft of each row
+    on its own grid, the half circle padded at each end with a copy of its
+    mirrored neighbour."""
+    if lengths is None:
+        lengths = [coeffs.shape[1]] * len(coeffs)
+    max_abs, max_re = np.empty(len(coeffs)), np.empty(len(coeffs))
+    for i, (row, n) in enumerate(zip(coeffs, lengths)):
+        vals = np.fft.rfft(row[:n], grid(n))
+        vals = np.concatenate((vals[1:2], vals, vals[-2:-1]))[None]
+        max_abs[i] = parabola_peak(np.abs(vals))[0]
+        max_re[i] = parabola_peak(np.abs(vals.real))[0]
+    return max_abs, max_re
 
 
 def per_row_verify_beta_bound(sampler, trials, seed=0):
     """Reference for `verify_beta_bound`: the same sweep, row by row, with a
-    PolyCoeffs, a BoundParams and a corollary_bound per row."""
+    PolyCoeffs, a circle scan, a BoundParams and a corollary_bound per row."""
     rng = np.random.default_rng(seed)
     polys = [sampler(rng) for _ in range(trials)]
-    dmax = max(p.degree for p in polys)
-    batch = np.zeros((trials, dmax + 1))
-    for i, p in enumerate(polys):
+    rows = []
+    violations = 0
+    for p in polys:
         if np.max(np.abs(p.coeffs.imag)) > 1e-12 * max(
                 np.max(np.abs(p.coeffs)), 1e-300):
             raise ValueError("sampler must yield real coefficients")
-        batch[i, : len(p.coeffs)] = p.coeffs.real
-    max_abs, max_re = padded_circle_max(batch)
-
-    rows = []
-    violations = 0
-    for i, p in enumerate(polys):
+        (max_abs,), (M,) = padded_circle_max(p.coeffs.real[None])
         N = max(p.trimmed().degree, 1)
-        M = float(max_re[i])
+        M, max_abs = float(M), float(max_abs)
         if M <= 0:
             continue
         bound = corollary_bound(BoundParams(N=N, M=M))
-        beta = float(max_abs[i]) / M if M > 1e-14 else float("nan")
-        ratio = float(max_abs[i]) / bound
-        if max_abs[i] > bound * (1.0 + 1e-9):
+        beta = max_abs / M if M > 1e-14 else float("nan")
+        ratio = max_abs / bound
+        if max_abs > bound * (1.0 + 1e-9):
             violations += 1
-        rows.append((N, M, float(max_abs[i]), beta, bound, ratio))
+        rows.append((N, M, max_abs, beta, bound, ratio))
     return bounds.BoundReport(tuple(rows), violations)
 
 
@@ -271,21 +282,23 @@ class TestBatchedSweepEqualsPerRow:
             verify_beta_bound(listed_sampler([[1.0], [np.nan, 1.0]]), 2)
 
 
-def full_circle_max(coeffs):
-    """Reference for `_batched_circle_max`: one complex FFT of every row on
-    the whole 4096-point circle, the parabola wrapping around its ends."""
-    vals = np.fft.fft(coeffs.astype(complex), 4096, axis=1)
-
-    def peak(y):
-        i = np.argmax(y, axis=1)
-        rows = np.arange(y.shape[0])
-        ym, y0, yp = (y[rows, (i + s) % y.shape[1]] for s in (-1, 0, 1))
+def full_circle_max(coeffs, lengths):
+    """Reference for `_batched_circle_max`: one complex FFT of each row on
+    its whole circle grid, the parabola wrapping around its ends."""
+    def wrapped_peak(y):
+        j = int(np.argmax(y))
+        ym, y0, yp = (y[(j + s) % len(y)] for s in (-1, 0, 1))
         denom = ym - 2 * y0 + yp
-        with np.errstate(divide="ignore", invalid="ignore"):
-            top = y0 - 0.125 * (yp - ym) ** 2 / np.where(denom == 0, 1.0, denom)
-        return np.where(denom < 0, np.maximum(top, y0), y0)
+        if denom < 0:
+            return max(y0 - 0.125 * (yp - ym) ** 2 / denom, y0)
+        return y0
 
-    return peak(np.abs(vals)), peak(np.abs(vals.real))
+    max_abs, max_re = np.empty(len(coeffs)), np.empty(len(coeffs))
+    for i, (row, n) in enumerate(zip(coeffs, lengths)):
+        vals = np.fft.fft(row[:n].astype(complex), row_grid(n))
+        max_abs[i] = wrapped_peak(np.abs(vals))
+        max_re[i] = wrapped_peak(np.abs(vals.real))
+    return max_abs, max_re
 
 
 class TestHalfCircleSweep:
@@ -299,12 +312,15 @@ class TestHalfCircleSweep:
             batch[i, :d + 1] = rng.normal(size=d + 1)
             if i % 5 == 4:  # a single Chebyshev monomial: |P| is flat
                 batch[i, :d] = 0.0
-        got = bounds._batched_circle_max(batch)
-        want = full_circle_max(batch)
-        for g, w, p in zip(got, want, padded_circle_max(batch)):
-            assert g.shape == (rows,)
-            assert np.max(np.abs(g - w) / w) <= 1e-12
-            assert np.array_equal(g, p)
+        # Each row on the grid of the batch width, and on that of its own
+        # length, which puts the rows in several groups.
+        for lengths in (np.full(rows, dmax + 1), degrees + 1):
+            got = bounds._batched_circle_max(batch, lengths)
+            want = full_circle_max(batch, lengths)
+            for g, w, p in zip(got, want, padded_circle_max(batch, lengths)):
+                assert g.shape == (rows,)
+                assert np.max(np.abs(g - w) / w) <= 1e-12
+                assert np.array_equal(g, p)
 
     def test_peak_at_either_end_of_the_half_circle(self):
         # Maxima at t = 0 (all ones) and t = pi (alternating signs), where
@@ -313,12 +329,11 @@ class TestHalfCircleSweep:
         batch[0], batch[1] = 1.0, (-1.0) ** np.arange(9)
         batch[2, :3], batch[3, :3] = (0.3, 1.0, 0.2), (0.3, -1.0, 0.2)
         got = bounds._batched_circle_max(batch)
-        want = full_circle_max(batch)
+        want = full_circle_max(batch, [9] * 4)
         for g, w, p in zip(got, want, padded_circle_max(batch)):
             assert np.max(np.abs(g - w) / w) <= 1e-12
             assert np.array_equal(g, p)
         assert got[0] == pytest.approx([9.0, 9.0, 1.5, 1.5], rel=1e-12)
-
 
     def test_memory_of_the_benchmark_sweep(self):
         # 4000 rows of degree 256: a single FFT of the whole batch would
@@ -344,6 +359,85 @@ class TestHalfCircleSweep:
         finally:
             tracemalloc.stop()
         assert peak < 28e6
+
+
+class TestDegreeAdaptedGrid:
+    def test_grid_rule(self):
+        lengths = np.arange(1, 20000)
+        want = [row_grid(int(n)) for n in lengths]
+        assert np.array_equal(bounds._sweep_grid(lengths), want)
+        assert np.all(bounds._sweep_grid(lengths) >= lengths)
+
+    def test_degrees_129_to_256_keep_the_4096_point_grid(self):
+        # Rows of degree 129 to 256 get exactly 4096 points, so their maxima,
+        # and their CSV rows, equal those of a fixed 4096-point scan.
+        rng = np.random.default_rng(12)
+        lengths = rng.integers(1, 400, size=500)
+        lengths[:2] = (130, 257)
+        batch = np.zeros((500, 400))
+        for i, n in enumerate(lengths):
+            batch[i, :n] = rng.normal(size=n)
+        got = bounds._batched_circle_max(batch, lengths)
+        fixed = padded_circle_max(batch, lengths, grid=lambda n: 4096)
+        kept = (lengths >= 130) & (lengths <= 257)
+        for g, f in zip(got, fixed):
+            assert np.array_equal(g[kept], f[kept])
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 64, 256, 1000, 2400])
+    def test_accuracy_against_a_fine_grid(self, N):
+        # The bound stated in bounds.py: both maxima within 1e-2 relative
+        # of a 2^20-point scan of the circle.
+        rng = np.random.default_rng(N)
+        batch = rng.normal(size=(8, N + 1))
+        batch[0, 1:N] = 0.0  # a constant plus the top monomial
+        got = bounds._batched_circle_max(batch)
+        for i, row in enumerate(batch):
+            vals = np.fft.rfft(row, 2 ** 20)
+            want = np.max(np.abs(vals)), np.max(np.abs(vals.real))
+            for g, w in zip(got, want):
+                assert abs(g[i] - w) <= 1e-2 * w
+
+    def test_no_row_is_cropped(self):
+        # z^5000 + 0.01 z peaks at t = 0 with 1.01; a 4096-point grid keeps
+        # only 0.01 z of it.
+        row = np.zeros(5001)
+        row[5000], row[1] = 1.0, 0.01
+        rep = verify_beta_bound(listed_sampler([row]), 1)
+        (N, max_interval, max_circle, *_), = rep.rows
+        assert N == 5000
+        assert max_interval == pytest.approx(1.01, abs=1e-12)
+        assert max_circle == pytest.approx(1.01, abs=1e-12)
+
+    def test_chebyshev_monomials_above_4096_are_kept(self):
+        rep = verify_beta_bound(_SAMPLERS["chebyshev"](8000), 50, seed=0)
+        assert len(rep.rows) == 50 and rep.violations == 0
+        assert max(r[0] for r in rep.rows) > 4096
+        for _, max_interval, max_circle, *_ in rep.rows:
+            assert max_interval == pytest.approx(1.0, abs=1e-12)
+            assert max_circle == pytest.approx(1.0, abs=1e-12)
+
+    def test_degree_2400_against_max_abs_circle(self):
+        sampler = _SAMPLERS["random"](2400)
+        rep = verify_beta_bound(sampler, 20, seed=3)
+        rng = np.random.default_rng(3)
+        polys = [sampler(rng) for _ in range(20)]
+        assert max(p.degree for p in polys) > 2048
+        for p, row in zip(polys, rep.rows):
+            assert row[0] == p.degree
+            assert row[2] == pytest.approx(max_abs_circle(p), rel=1e-2)
+
+    def test_memory_of_high_degree_rows(self):
+        # 100 rows of degree 5000 get 131072 points each: one FFT of the
+        # whole batch would hold over 100 MB, while blocks of 64 * 4096
+        # points hold what a block of 64 rows of degree 256 holds.
+        batch = np.random.default_rng(10).normal(size=(100, 5001))
+        tracemalloc.start()
+        try:
+            bounds._batched_circle_max(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 class TestBernstein:
