@@ -39,7 +39,7 @@ from .polynomials import (
     NumericalError,
     PolyCoeffs,
     approx_inverse,
-    classify_parity,
+    definite_parity,
     max_abs_circle,
     max_abs_interval,
 )
@@ -207,9 +207,7 @@ def cmd_gqsvt(args) -> int:
     if route not in routes + ("both",):
         raise InputError(f"unknown gqsvt route {route!r}; have "
                          "'hermitianization', 'multiplication', 'both'")
-    parity = classify_parity(c).tag
-    if parity == "mixed":
-        raise InputError("gqsvt needs an even or odd poly, not mixed parity")
+    parity = definite_parity(c)  # names the block; ParityError if mixed
     lines = []
     worst = 0.0
     blocks = {}
@@ -217,9 +215,9 @@ def cmd_gqsvt(args) -> int:
         if name == "hermitianization":
             cp, outcome = gqsvt_hermitianization(enc, c), None
         else:
-            cp, outcome = gqsvt_multiplication(enc, c, parity)
+            cp, outcome = gqsvt_multiplication(enc, c)
         blk = extract_svt(cp, parity)
-        oracle = svt_oracle(A, alpha, cp.poly, parity)
+        oracle = svt_oracle(A, alpha, cp.poly)
         r = float(np.linalg.norm(blk - oracle, 2))
         worst = max(worst, r / max(cp.scale_applied, 1e-300))
         blocks[name] = blk / cp.scale_applied

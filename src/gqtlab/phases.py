@@ -9,9 +9,9 @@ realized as the top-left block of an interleaved product
 where R is the single-qubit rotation of `rotation_matrix`.  `solve_phases`
 finds the angles (FFT completion + layer stripping) and checks them;
 `reconstruct_P` multiplies the chain symbolically with polynomial-valued
-entries and is the independent round-trip oracle; `gqsp_matrix` assembles the
-explicit unitary for a given matrix argument, or applies it to a stack of
-columns without forming it.
+entries and is the independent round-trip oracle; `gqsp_matrix` applies the
+circuit for a given matrix argument to a stack of columns without forming
+it (the identity stack gives the explicit unitary).
 """
 
 from __future__ import annotations
@@ -116,12 +116,13 @@ class PhaseFactors:
             "thetas": self.thetas.tolist(),
             "phis": self.phis.tolist(),
             "lambda": float(self.lam),
-            "degree": self.degree,
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PhaseFactors":
         ph = cls(np.asarray(d["thetas"]), np.asarray(d["phis"]), d["lambda"])
+        # Older files also store the degree; a file comes from outside the
+        # program, so a degree that disagrees with the angles is refused.
         if "degree" in d and int(d["degree"]) != ph.degree:
             raise ValueError("degree field inconsistent with angle count")
         return ph
@@ -348,15 +349,15 @@ def _column_defect(Y: np.ndarray, X: np.ndarray) -> float:
 
 
 def gqsp_matrix(ph: PhaseFactors, U: np.ndarray,
-                columns: np.ndarray | None = None) -> np.ndarray:
-    """The 2M x 2M circuit C whose top-left block applies P to U, or C
-    applied to a 2M x k column stack.
+                columns: np.ndarray) -> np.ndarray:
+    """C applied to a 2M x k column stack, where C is the 2M x 2M circuit
+    whose top-left block applies P to U.
 
     The ancilla is the slow tensor factor: diag(z, 1) becomes
     block_diag(U, I), i.e. U is applied when the ancilla is |0>.  The stack
     is kept as two M-row halves: U multiplies the top half (M^2 k per
-    layer), and each rotation mixes the halves entry-wise.  columns=None
-    pushes the identity, which gives C itself in 2 d M^3.
+    layer), and each rotation mixes the halves entry-wise.  Pushing the
+    identity gives C itself in 2 d M^3.
 
     U must be unitary to VALIDATION_TOL * M (ValueError otherwise: U is
     the caller's argument).  The kernel never checks C itself; on every
@@ -372,12 +373,9 @@ def gqsp_matrix(ph: PhaseFactors, U: np.ndarray,
         raise NumericalError(
             f"{ph.degree} layers of unitarity defect {defect:.3e} "
             f"exceed {VALIDATION_TOL:g} * {2 * M}")
-    if columns is None:
-        out = np.eye(2 * M, dtype=complex)
-    else:
-        out = np.array(columns, dtype=complex)
-        if out.ndim != 2 or out.shape[0] != 2 * M:
-            raise ValueError(f"columns must have {2 * M} rows")
+    out = np.array(columns, dtype=complex)
+    if out.ndim != 2 or out.shape[0] != 2 * M:
+        raise ValueError(f"columns must have {2 * M} rows")
     top, bot = out[:M], out[M:]
     Utop, tmp = np.empty_like(top), np.empty_like(top)
     for k in range(ph.degree + 1):

@@ -20,7 +20,6 @@ from numpy.polynomial import polynomial as _poly
 
 __all__ = [
     "PolyCoeffs",
-    "ParityClass",
     "ApproxSpec",
     "InverseApproxResult",
     "DomainError",
@@ -33,16 +32,15 @@ __all__ = [
     "max_abs_interval",
     "max_abs_circle",
     "scaling_factor",
-    "classify_parity",
-    "check_parity",
+    "definite_parity",
     "parity_split",
     "sqrt_substitute_even",
     "sqrt_substitute_odd",
     "approx_inverse",
 ]
 
-# Relative tolerance below which a coefficient counts as zero for parity
-# classification, parity checks and tail trimming.
+# Relative tolerance below which a coefficient counts as zero for the parity
+# rule (`definite_parity`) and tail trimming.
 ZERO_TOL = 1e-12
 
 
@@ -127,24 +125,6 @@ class PolyCoeffs:
                 or pairs.shape[1] != 2):
             raise ValueError("coeffs must be a list of [re, im] number pairs")
         return cls(pairs.astype(float).view(complex)[:, 0])
-
-
-@dataclasses.dataclass(frozen=True)
-class ParityClass:
-    """Which coefficient indices carry weight.
-
-    ``tag`` is even/odd/mixed; ``mod4`` refines odd polynomials whose nonzero
-    indices all sit in one residue class mod 4 (those enjoy beta <= 2).
-    """
-
-    tag: str  # "even" | "odd" | "mixed"
-    mod4: str | None = None  # "mod4_1" | "mod4_3" | None
-
-    def __post_init__(self):
-        if self.tag not in ("even", "odd", "mixed"):
-            raise ValueError(f"bad parity tag {self.tag!r}")
-        if self.mod4 not in (None, "mod4_1", "mod4_3"):
-            raise ValueError(f"bad mod4 tag {self.mod4!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -291,21 +271,6 @@ def scaling_factor(c: PolyCoeffs) -> float:
     return max_abs_circle(c) / denom
 
 
-def classify_parity(c: PolyCoeffs) -> ParityClass:
-    a = np.abs(c.coeffs)
-    idx = np.nonzero(a > ZERO_TOL * a.max())[0]
-    if np.all(idx % 2 == 0):  # the zero polynomial, too
-        return ParityClass("even")
-    if np.all(idx % 2 == 1):
-        mod4 = None
-        if np.all(idx % 4 == 1):
-            mod4 = "mod4_1"
-        elif np.all(idx % 4 == 3):
-            mod4 = "mod4_3"
-        return ParityClass("odd", mod4)
-    return ParityClass("mixed")
-
-
 def parity_split(c: PolyCoeffs) -> tuple[PolyCoeffs, PolyCoeffs]:
     """(even part, odd part); they sum back to c exactly after padding."""
     even = c.coeffs.copy()
@@ -315,16 +280,18 @@ def parity_split(c: PolyCoeffs) -> tuple[PolyCoeffs, PolyCoeffs]:
     return PolyCoeffs(even).trimmed(tol=0.0), PolyCoeffs(odd).trimmed(tol=0.0)
 
 
-def check_parity(c: PolyCoeffs, parity: str):
-    """The one parity rule: ParityError when a coefficient of the other
-    parity exceeds ZERO_TOL * max |a|.  The zero polynomial has both
-    parities; a parity other than 'even'/'odd' is a ValueError."""
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', not {parity!r}")
+def definite_parity(c: PolyCoeffs) -> str:
+    """The one parity rule: "even" or "odd", read from the coefficients
+    that count, those above ZERO_TOL * max |a|; ParityError when both
+    parities count.  The zero polynomial, where none counts, is even."""
     a = np.abs(c.coeffs)
-    other = a[1::2] if parity == "even" else a[0::2]
-    if other.size and other.max() > ZERO_TOL * a.max():
-        raise ParityError(f"coefficients are not {parity} to {ZERO_TOL:g}")
+    counts = a > ZERO_TOL * a.max()
+    if not counts[1::2].any():
+        return "even"
+    if counts[0::2].any():
+        raise ParityError(f"coefficients have mixed parity: even and odd "
+                          f"ones exceed {ZERO_TOL:g} * max |a|")
+    return "odd"
 
 
 def _substitute(w: np.ndarray, u: np.ndarray, first) -> np.ndarray:
@@ -358,8 +325,11 @@ def sqrt_substitute_odd(c_odd: PolyCoeffs) -> PolyCoeffs:
 
 def _sqrt_substitute(c: PolyCoeffs, parity: str) -> PolyCoeffs:
     """Either substitution, or NumericalError naming the degree when q is
-    not finite: q grows like (1 + sqrt 2)^d, and its overflow warns nothing."""
-    check_parity(c, parity)
+    not finite: q grows like (1 + sqrt 2)^d, and its overflow warns nothing.
+    The zero polynomial is even, and either substitute takes it (q = 0)."""
+    if c.coeffs.any() and definite_parity(c) != parity:
+        raise ParityError(f"square-root substitution needs {parity} "
+                          f"coefficients to {ZERO_TOL:g}")
     u = np.array([-1.0, 2.0])  # 2y^2 - 1 = -T_0 + 2 T_1 in x = y^2
     with np.errstate(over="ignore", invalid="ignore"):
         q = (_substitute(c.coeffs[0::2], u, u) if parity == "even"

@@ -2,7 +2,9 @@
 
 Schemas:
     polynomial  {"coeffs": [[re, im], ...], "basis": "chebyshev-monomial-dual"}
-    phases      {"thetas": [...], "phis": [...], "lambda": x, "degree": d}
+    phases      {"thetas": [...], "phis": [...], "lambda": x}
+                (the degree is len(thetas) - 1; an older file's "degree"
+                key is read only to be checked against it)
     matrix      {"rows": R, "cols": C, "data": [[re, im], ...]} row-major
 
 A polynomial or a matrix is read from a decoded JSON object

@@ -36,7 +36,7 @@ from .phases import (
 from .polynomials import (
     NumericalError,
     PolyCoeffs,
-    check_parity,
+    definite_parity,
     eval_cheb,
     sqrt_substitute_even,
     sqrt_substitute_odd,
@@ -177,8 +177,9 @@ def gqet_absorbed_matrix(e: HermitianEncoding,
     left of a layer is block_diag((I - 2 Pi Pi^dag) U, I) = block_diag(-W, I).
     """
     shift = np.where(np.arange(ph.degree + 1) < ph.degree, math.pi, 0.0)
+    W = walk_operator(e)
     return gqsp_matrix(PhaseFactors(ph.thetas, ph.phis + shift, ph.lam),
-                       -walk_operator(e))
+                       -W, np.eye(2 * len(W)))
 
 
 def eigen_oracle(A: np.ndarray, alpha: float, c: PolyCoeffs) -> np.ndarray:
@@ -189,16 +190,16 @@ def eigen_oracle(A: np.ndarray, alpha: float, c: PolyCoeffs) -> np.ndarray:
     return (vecs * pv) @ vecs.conj().T
 
 
-def svt_oracle(A: np.ndarray, alpha: float, c: PolyCoeffs,
-               parity: str) -> np.ndarray:
-    """Reference singular-value transformation from a dense SVD.
+def svt_oracle(A: np.ndarray, alpha: float, c: PolyCoeffs) -> np.ndarray:
+    """Reference singular-value transformation from a dense SVD, in the
+    form of the parity of c (`definite_parity`; the zero polynomial is even).
 
     odd:  sum over singular triples of p(s_i/alpha) u_i v_i^dag  (N_L x N_R);
     even: right-singular-vector form V^dag-conjugated diagonal  (N_R x N_R),
     with p(0) on the padding entries.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
-    check_parity(c, parity)
+    parity = definite_parity(c)
     u, s, vh = np.linalg.svd(A / alpha, full_matrices=True)
     N_L, N_R = A.shape
     k = len(s)
@@ -250,22 +251,22 @@ def extract_svt(cp: CircuitProduct, which: str = "default") -> np.ndarray:
     return _block(cp.operator, *cp.extraction[which])
 
 
-def gqsvt_multiplication(e: ProjectedUnitaryEncoding, c: PolyCoeffs,
-                         parity: str,
+def gqsvt_multiplication(e: ProjectedUnitaryEncoding, c: PolyCoeffs
                          ) -> tuple[CircuitProduct, PostselectOutcome]:
     """Singular-value transformation via the A^dag A product encoding.
 
     The one-extra-qubit product of (U^dag, Pi_R, Pi_L) and (U, Pi_L, Pi_R)
     encodes A^dag A / alpha^2 with matching isometries, so it supports an
-    eigenvalue transformation by q, where q(y^2) = p_even(y) (even input) or
-    y q(y^2) = p_odd(y) (odd input).  Odd polynomials need one final
-    application of A/alpha, realized by composing with the original encoding;
-    the returned stages declare the matching mid-circuit measurement point.
+    eigenvalue transformation by q, where q(y^2) = p_even(y) (even c) or
+    y q(y^2) = p_odd(y) (odd c), the parity read by `definite_parity`.  Odd
+    polynomials need one final application of A/alpha, realized by
+    composing with the original encoding; the returned stages declare the
+    matching mid-circuit measurement point.
     Query count: 2*floor(d/2) applications of U/U^dag, plus 1 for odd.
     q is rescaled in `gqet`, so the circuit applies c times that scale
-    (``poly``); the block is named ``parity`` as well as ``default``.
+    (``poly``); the block is named by its parity as well as ``default``.
     """
-    check_parity(c, parity)
+    parity = definite_parity(c)
     d = c.degree
     q = sqrt_substitute_even(c) if parity == "even" else sqrt_substitute_odd(c)
 

@@ -150,7 +150,7 @@ def test_criterion_3_route_agreement_and_queries():
         e = dilate_general(A, 1.0)
         c = definite_parity_poly(rng, d, parity)
         cp_h = gqsvt_hermitianization(e, c)
-        cp_m, _ = gqsvt_multiplication(e, c, parity)
+        cp_m, _ = gqsvt_multiplication(e, c)
         blk_h = extract_svt(cp_h, parity) / cp_h.scale_applied
         blk_m = extract_svt(cp_m) / cp_m.scale_applied
         res = np.linalg.norm(blk_h - blk_m, 2)
@@ -274,7 +274,7 @@ def test_criterion_8_measure_early_invariance():
         e = dilate_general(A, 1.0)
         c = definite_parity_poly(rng, d, "odd")
         try:
-            cp, _ = gqsvt_multiplication(e, c, "odd")
+            cp, _ = gqsvt_multiplication(e, c)
             x = rng.normal(size=nr) + 1j * rng.normal(size=nr)
             end = simulate_postselect(cp, input=x, schedule="end-only")
             early = simulate_postselect(cp, input=x, schedule="measure-early")
@@ -350,7 +350,7 @@ def test_criterion_10_phase_synthesis_at_paper_degrees(inverse_design):
     c40 = inverse_design(40).poly
     cp = gqsvt_hermitianization(dilate_general(A, 1.0), c40)
     block = float(np.linalg.norm(extract_svt(cp, "odd")
-                                 - svt_oracle(A, 1.0, cp.poly, "odd"), 2))
+                                 - svt_oracle(A, 1.0, cp.poly), 2))
     block /= 1e-8 * cp.degree
     c = scaled_random_poly(rng, 1024)
     t0 = time.time()

@@ -286,8 +286,8 @@ class TestGqsvtCommand:
             columns.append((X.shape, digest(X)))
             return column_check(Y, X)
 
-        def counting_kernel(ph, U, columns=None):
-            pushes.append(columns is not None)
+        def counting_kernel(ph, U, columns):
+            pushes.append(columns.shape)
             return kernel(ph, U, columns=columns)
 
         for mod in (phases, encodings):
@@ -316,7 +316,7 @@ class TestGqsvtCommand:
         # Each eigenvalue circuit pushes its right isometry once (4 of 40
         # columns), and the odd product pushes its own (4 of 80) through the
         # memoised push of the second one: one column check per stack.
-        assert pushes == [True, True]
+        assert pushes == [(40, 4), (40, 4)]
         assert sorted(shape for shape, _ in columns) == [(40, 4), (40, 4),
                                                           (80, 4)]
         assert len(set(columns)) == len(columns)
@@ -414,7 +414,7 @@ class TestZeroMatrixDefaultAlpha:
             assert float(line.split("residual=")[1].split()[0]) < 1e-12
         e = dilate_general(np.zeros((3, 2)), 1.0)
         for cp in (gqsvt_hermitianization(e, c),
-                   gqsvt_multiplication(e, c, "even")[0]):
+                   gqsvt_multiplication(e, c)[0]):
             assert np.allclose(extract_svt(cp, "even"),
                                eval_cheb(cp.poly, 0.0) * np.eye(2),
                                rtol=0.0, atol=1e-12)
@@ -493,6 +493,8 @@ class TestPhasesCommand:
         assert main(["phases", "--config", cfg, "--out", str(out)]) == EXIT_OK
         ph = phases_from_file(str(out))
         assert ph.degree == 2
+        assert sorted(json.loads(out.read_text())) == ["lambda", "phis",
+                                                        "thetas"]
 
     def test_rescales_large_poly(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "p.json", {
@@ -649,7 +651,7 @@ def test_a_failed_check_on_a_computed_value_exits_tolerance(
     from gqtlab import transforms
     kernel = transforms.gqsp_matrix
     monkeypatch.setattr(transforms, "gqsp_matrix",
-                        lambda ph, U, columns=None:
+                        lambda ph, U, columns:
                         (1 + 1e-9) * kernel(ph, U, columns=columns))
     cfg = hermitian_config(tmp_path, [0.1, 0.5, 0.0, -0.2])
     out = tmp_path / "report.json"
@@ -783,7 +785,7 @@ def test_json_encoders_match_the_per_element_form():
                              np.array([-2.5e-310, 0.0, -7.25]), -0.0)
     want = {"thetas": [float(x) for x in ph.thetas],
             "phis": [float(x) for x in ph.phis],
-            "lambda": float(ph.lam), "degree": ph.degree}
+            "lambda": float(ph.lam)}
     assert json.dumps(ph.to_json_dict()) == json.dumps(want)
     assert "-0.0" in json.dumps(c.to_json_dict())
 

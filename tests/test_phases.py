@@ -82,6 +82,16 @@ class TestPhaseFactors:
         assert np.allclose(back.phis, ph.phis)
         assert back.lam == pytest.approx(ph.lam)
 
+    def test_json_holds_the_degree_once(self):
+        # The degree is the angle count less one; an older file's degree
+        # key still loads when it agrees and is refused when it does not.
+        ph = PhaseFactors([0.1, 0.2], [0.3, -0.4], 1.5)
+        d = ph.to_json_dict()
+        assert sorted(d) == ["lambda", "phis", "thetas"]
+        assert PhaseFactors.from_json_dict({**d, "degree": 1}) == ph
+        with pytest.raises(ValueError, match="degree"):
+            PhaseFactors.from_json_dict({**d, "degree": 2})
+
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
             PhaseFactors([0.1], [0.2, 0.3], 0.0)
@@ -283,7 +293,7 @@ class TestGqspMatrix:
     def test_identity_argument(self):
         c = PolyCoeffs([0, 0.9])
         ph = solve_phases(c)
-        G = gqsp_matrix(ph, np.eye(3))
+        G = gqsp_matrix(ph, np.eye(3), np.eye(6))
         assert np.allclose(G[:3, :3], 0.9 * np.eye(3), atol=1e-10)
 
     def test_diagonal_unitary(self):
@@ -292,7 +302,7 @@ class TestGqspMatrix:
         ph = solve_phases(c)
         gammas = rng.uniform(0, 2 * np.pi, 4)
         U = np.diag(np.exp(1j * gammas))
-        blk = gqsp_matrix(ph, U)[:4, :4]
+        blk = gqsp_matrix(ph, U, np.eye(8))[:4, :4]
         assert np.allclose(np.diag(blk), eval_circle(c, gammas), atol=1e-9)
 
     def test_random_unitary_eig_oracle(self):
@@ -301,7 +311,7 @@ class TestGqspMatrix:
         U, _ = np.linalg.qr(X)
         c = scaled_random_poly(rng, 5)
         ph = solve_phases(c)
-        G = gqsp_matrix(ph, U)
+        G = gqsp_matrix(ph, U, np.eye(8))
         w, V = np.linalg.eig(U)
         PU = (V * np.polynomial.polynomial.polyval(w, c.coeffs)) \
             @ np.linalg.inv(V)
@@ -311,7 +321,7 @@ class TestGqspMatrix:
     def test_rejects_nonunitary(self):
         ph = solve_phases(PolyCoeffs([0.5]))
         with pytest.raises(ValueError):
-            gqsp_matrix(ph, np.ones((2, 2)))
+            gqsp_matrix(ph, np.ones((2, 2)), np.eye(4))
 
     def test_rejects_perturbed_factor_on_operator_path(self):
         # Pushing columns forms no circuit, so nothing checks it whole; the
@@ -338,9 +348,9 @@ class TestGqspMatrix:
         ph = random_angles(rng, 5)
         with pytest.raises(NumericalError, match="layers"):
             gqsp_matrix(ph, U, columns=E)
-        # The dense path, columns=None, runs the same certificate.
+        # The dense path, the identity stack, runs the same certificate.
         with pytest.raises(NumericalError, match="layers"):
-            gqsp_matrix(ph, U)
+            gqsp_matrix(ph, U, np.eye(4))
 
 
 def dense_chain(ph: PhaseFactors, V: np.ndarray) -> np.ndarray:
@@ -374,7 +384,7 @@ class TestKernelAgainstDenseChain:
         assert M == 1 or np.linalg.norm(U - U.conj().T) > 0.1  # non-Hermitian
         ph = random_angles(rng, d)
         dense = dense_chain(ph, U)
-        assert np.max(np.abs(gqsp_matrix(ph, U) - dense)) <= 1e-12
+        assert np.max(np.abs(gqsp_matrix(ph, U, np.eye(2 * M)) - dense)) <= 1e-12
         # a column stack goes through the same kernel
         k = max(M // 2, 1)
         E = np.linalg.qr(rng.normal(size=(2 * M, k))

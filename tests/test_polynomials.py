@@ -18,8 +18,7 @@ from gqtlab.polynomials import (
     ParityError,
     PolyCoeffs,
     approx_inverse,
-    check_parity,
-    classify_parity,
+    definite_parity,
     eval_cheb,
     eval_circle,
     max_abs_circle,
@@ -303,10 +302,10 @@ class TestScalingFactor:
 
 class TestParity:
     def test_classify(self):
-        assert classify_parity(PolyCoeffs([0, 1, 0, 0])).tag == "odd"
-        assert classify_parity(PolyCoeffs([0, 1, 0, 0])).mod4 == "mod4_1"
-        assert classify_parity(PolyCoeffs([1, 0, 1])).tag == "even"
-        assert classify_parity(PolyCoeffs([1, 1])).tag == "mixed"
+        assert definite_parity(PolyCoeffs([0, 1, 0, 0])) == "odd"
+        assert definite_parity(PolyCoeffs([1, 0, 1])) == "even"
+        with pytest.raises(ParityError, match="mixed"):
+            definite_parity(PolyCoeffs([1, 1]))
 
     def test_split_examples(self):
         even, odd = parity_split(PolyCoeffs([1, 2, 3]))
@@ -326,28 +325,18 @@ class TestParity:
         assert np.array_equal(total, c.coeffs)
 
     @pytest.mark.parametrize("parity", ["even", "odd"])
-    def test_check_parity_tolerance(self, parity):
-        # ZERO_TOL = 1e-12 of max |a|: 1e-13 of the other parity passes,
-        # 1e-11 is rejected
-        a = np.zeros(6, dtype=complex)
-        start = 0 if parity == "even" else 1
-        a[start::2] = [0.5, -1.0, 0.25]
-        a[1 - start] = 1e-13
-        check_parity(PolyCoeffs(a), parity)
-        a[1 - start] = 1e-11
+    def test_check_parity_tolerance(self, near_definite, parity):
+        # ZERO_TOL = 1e-12 of max |a|: 1e-13 of the other parity keeps the
+        # polynomial definite, 1e-11 makes it mixed
+        assert definite_parity(near_definite(parity, 1e-13)) == parity
         with pytest.raises(ParityError):
-            check_parity(PolyCoeffs(a), parity)
+            definite_parity(near_definite(parity, 1e-11))
 
     def test_check_parity_zero_polynomial(self):
-        for n in (1, 4):
-            check_parity(PolyCoeffs(np.zeros(n)), "even")
-            check_parity(PolyCoeffs(np.zeros(n)), "odd")
-
-    @pytest.mark.parametrize("parity", ["mixed", "Odd", None])
-    def test_check_parity_bad_parity(self, parity):
-        with pytest.raises(ValueError) as info:
-            check_parity(PolyCoeffs([0, 1]), parity)
-        assert not isinstance(info.value, ParityError)
+        # No coefficient counts, so no odd one does: the zero polynomial
+        # is even.
+        for n in (1, 2, 4):
+            assert definite_parity(PolyCoeffs(np.zeros(n))) == "even"
 
 
 class TestSqrtSubstitute:
@@ -393,12 +382,20 @@ class TestSqrtSubstitute:
             sqrt_substitute_odd(PolyCoeffs([1, 1]))
 
     def test_parity_error_at_zero_tol(self):
-        # The substitutes use check_parity, so 1e-11 of the other parity is
-        # rejected (the old 1e-10 rule let it through)
+        # The substitutes use definite_parity, so 1e-11 of the other parity
+        # is rejected (the old 1e-10 rule let it through)
         with pytest.raises(ParityError):
             sqrt_substitute_even(PolyCoeffs([1, 1e-11, 1]))
         with pytest.raises(ParityError):
             sqrt_substitute_odd(PolyCoeffs([1e-11, 1, 0, 1]))
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_zero_polynomial(self, n):
+        # The zero polynomial is even, and either substitute takes it: no
+        # coefficient of the other parity counts, and q = 0.
+        for substitute in (sqrt_substitute_even, sqrt_substitute_odd):
+            q = substitute(PolyCoeffs(np.zeros(n)))
+            assert not q.coeffs.any()
 
 
 class TestApproxInverse:
@@ -413,7 +410,7 @@ class TestApproxInverse:
 
     def test_is_odd_real(self):
         res = approx_inverse(ApproxSpec(kappa=10, eps=1e-3))
-        assert classify_parity(res.poly).tag == "odd"
+        assert definite_parity(res.poly) == "odd"
         assert np.max(np.abs(res.poly.coeffs.imag)) == 0.0
 
 

@@ -1,11 +1,15 @@
 """Rules the source tree keeps, checked on its syntax tree."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import gqtlab
 
 SRC = Path(gqtlab.__file__).parent
+MODULES = ("polynomials", "phases", "serialization", "encodings",
+           "transforms", "bounds")
 
 
 def _called_name(call: ast.Call) -> str | None:
@@ -29,10 +33,7 @@ def test_tolerance_calls_pass_rtol():
 
 
 def test_package_exports_every_module_surface():
-    import importlib
-    modules = ("polynomials", "phases", "serialization", "encodings",
-               "transforms", "bounds")
-    names = [n for m in modules
+    names = [n for m in MODULES
              for n in importlib.import_module(f"gqtlab.{m}").__all__]
     assert [n for n in names if not hasattr(gqtlab, n)] == []
     assert sorted(gqtlab.__all__) == sorted(names)
@@ -53,3 +54,17 @@ def test_no_isinstance_check_on_polycoeffs():
         and len(node.args) == 2 and "PolyCoeffs" in names(node.args[1])
     ]
     assert not found, f"isinstance(..., PolyCoeffs) at {found}"
+
+
+def test_no_exported_function_takes_a_parity():
+    # The coefficients hold a polynomial's parity, and `definite_parity` is
+    # the one function that reads it; a second copy could disagree.
+    found = []
+    for m in MODULES:
+        module = importlib.import_module(f"gqtlab.{m}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if (inspect.isfunction(obj) and name != "definite_parity"
+                    and "parity" in inspect.signature(obj).parameters):
+                found.append(f"{m}.{name}")
+    assert not found, f"functions that take a parity: {found}"

@@ -192,7 +192,7 @@ class TestCircuitProductCheck:
         from gqtlab import transforms
         kernel = transforms.gqsp_matrix
         monkeypatch.setattr(transforms, "gqsp_matrix",
-                            lambda ph, U, columns=None:
+                            lambda ph, U, columns:
                             (1 + 1e-9) * kernel(ph, U, columns=columns))
         cp = gqet(dilate_hermitian(np.array([[0.5]]), 1.0),
                   PolyCoeffs([0, 0.9]))
@@ -214,9 +214,8 @@ class TestCircuitProductCheck:
     def test_route_products_are_read_only(self):
         e = dilate_general(np.array([[0.4, 0.2], [0.1, 0.3]]), 1.0)
         for cp in (gqsvt_hermitianization(e, PolyCoeffs([0, 0.5])),
-                   gqsvt_multiplication(e, PolyCoeffs([0, 0.5]), "odd")[0],
-                   gqsvt_multiplication(e, PolyCoeffs([0.2, 0, 0.5]),
-                                        "even")[0]):
+                   gqsvt_multiplication(e, PolyCoeffs([0, 0.5]))[0],
+                   gqsvt_multiplication(e, PolyCoeffs([0.2, 0, 0.5]))[0]):
             assert not dense_circuit(cp).flags.writeable
 
 
@@ -237,7 +236,7 @@ def _mult(parity):
         a = np.zeros(8 if parity == "odd" else 7, dtype=complex)
         a[1 if parity == "odd" else 0::2] = rng.normal(size=4)
         c = scaled_for_mult(PolyCoeffs(a), parity)
-        return gqsvt_multiplication(dilate_general(A, 1.0), c, parity)[0]
+        return gqsvt_multiplication(dilate_general(A, 1.0), c)[0]
     return build
 
 
@@ -292,8 +291,8 @@ def test_gqet_large_dimension_pushes_columns_only(monkeypatch):
     from gqtlab import transforms
     kernel, stacks = transforms.gqsp_matrix, []
 
-    def recording(ph, U, columns=None):
-        stacks.append(None if columns is None else columns.shape)
+    def recording(ph, U, columns):
+        stacks.append(columns.shape)
         return kernel(ph, U, columns=columns)
 
     monkeypatch.setattr(transforms, "gqsp_matrix", recording)
@@ -321,17 +320,51 @@ class TestOracles:
     def test_svt_odd_identity(self):
         rng = np.random.default_rng(36)
         A = random_contraction(rng, 3, 5)
-        assert np.allclose(svt_oracle(A, 1.0, PolyCoeffs([0, 1]), "odd"), A,
+        assert np.allclose(svt_oracle(A, 1.0, PolyCoeffs([0, 1])), A,
                            atol=1e-12)
 
     def test_svt_even_constant_pad(self):
         A = np.zeros((2, 4))
-        out = svt_oracle(A, 1.0, PolyCoeffs([0.7]), "even")
+        out = svt_oracle(A, 1.0, PolyCoeffs([0.7]))
         assert np.allclose(out, 0.7 * np.eye(4))
 
-    def test_svt_parity_mismatch(self):
+
+class TestParityReadFromCoefficients:
+    """svt_oracle and gqsvt_multiplication read the parity of c by
+    `definite_parity`; a parity nobody states cannot disagree with c."""
+
+    A = np.array([[0.5, 0.1], [0.2, 0.3], [0.0, 0.4]])
+    E = dilate_general(A, 1.0)
+
+    def test_mixed_raises(self):
+        # The rule itself: TestParity::test_classify.
+        c = PolyCoeffs([0.3, 0.5])
+        with pytest.raises(ParityError, match="mixed"):
+            svt_oracle(self.A, 1.0, c)
+        with pytest.raises(ParityError, match="mixed"):
+            gqsvt_multiplication(self.E, c)
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_zero_tol(self, near_definite, parity):
+        # 1e-13 relative weight in the other parity runs as definite on
+        # both singular-value functions; 1e-11 is mixed.
+        c = near_definite(parity, 1e-13)
+        cp, _ = gqsvt_multiplication(self.E, c)
+        ref = svt_oracle(self.A, 1.0, cp.poly)
+        assert ref.shape == ((3, 2) if parity == "odd" else (2, 2))
+        assert sorted(cp.extraction) == ["default", parity]
+        assert np.linalg.norm(extract_svt(cp, parity) - ref, 2) <= 1e-8 * 5
+        c = near_definite(parity, 1e-11)
         with pytest.raises(ParityError):
-            svt_oracle(np.eye(2), 1.0, PolyCoeffs([0, 1]), "even")
+            svt_oracle(self.A, 1.0, c)
+        with pytest.raises(ParityError):
+            gqsvt_multiplication(self.E, c)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_zero_polynomial_is_even(self, n):
+        # The even form: N_R x N_R, p(0) = 0 everywhere.
+        out = svt_oracle(self.A, 1.0, PolyCoeffs(np.zeros(n)))
+        assert out.shape == (2, 2) and not out.any()
 
 
 class TestHermitianizationRoute:
@@ -349,13 +382,13 @@ class TestHermitianizationRoute:
     def test_odd_block(self):
         from gqtlab.polynomials import parity_split
         _, odd = parity_split(self.cp.poly)
-        ref = svt_oracle(self.A, 1.0, odd, "odd")
+        ref = svt_oracle(self.A, 1.0, odd)
         assert np.linalg.norm(extract_svt(self.cp, "odd") - ref, 2) <= 1e-10
 
     def test_even_block(self):
         from gqtlab.polynomials import parity_split
         even, _ = parity_split(self.cp.poly)
-        ref = svt_oracle(self.A, 1.0, even, "even")
+        ref = svt_oracle(self.A, 1.0, even)
         assert np.linalg.norm(extract_svt(self.cp, "even") - ref, 2) <= 1e-10
 
     def test_upper_left_block(self):
@@ -391,7 +424,7 @@ class TestHermitianizationRoute:
 class TestMultiplicationRoute:
     def test_t2_scalar(self):
         e = dilate_general(np.array([[0.6]]), 1.0)
-        cp, out = gqsvt_multiplication(e, PolyCoeffs([0, 0, 0.3]), "even")
+        cp, out = gqsvt_multiplication(e, PolyCoeffs([0, 0, 0.3]))
         blk = extract_svt(cp)
         # 0.3 * T2(0.6) = 0.3 * (2*0.36 - 1)
         assert blk[0, 0] == pytest.approx(-0.084, abs=1e-10)
@@ -401,7 +434,7 @@ class TestMultiplicationRoute:
         rng = np.random.default_rng(39)
         A = random_contraction(rng, 2, 3)
         e = dilate_general(A, 1.0)
-        cp, _ = gqsvt_multiplication(e, PolyCoeffs([0, 0.8]), "odd")
+        cp, _ = gqsvt_multiplication(e, PolyCoeffs([0, 0.8]))
         blk = extract_svt(cp) / cp.scale_applied
         assert np.linalg.norm(blk - 0.8 * A, 2) < 1e-9
 
@@ -412,15 +445,17 @@ class TestMultiplicationRoute:
         a = np.zeros(6)
         a[1::2] = rng.normal(size=3)
         c = scaled_for_mult(PolyCoeffs(a.astype(complex)), "odd")
-        cp, _ = gqsvt_multiplication(e, c, "odd")
+        cp, _ = gqsvt_multiplication(e, c)
         assert cp.queries_U == 5 // 2 + 1
         assert cp.queries_U_dagger == 5 // 2
+        assert sorted(cp.extraction) == ["default", "odd"]
         a = np.zeros(9)
         a[0::2] = rng.normal(size=5)
         c = scaled_for_mult(PolyCoeffs(a.astype(complex)), "even")
-        cp, _ = gqsvt_multiplication(e, c, "even")
+        cp, _ = gqsvt_multiplication(e, c)
         assert cp.queries_U == 8 // 2
         assert cp.queries_U_dagger == 8 // 2
+        assert sorted(cp.extraction) == ["default", "even"]
 
     def test_matches_hermitianization(self):
         rng = np.random.default_rng(41)
@@ -429,7 +464,7 @@ class TestMultiplicationRoute:
         a = np.zeros(8, dtype=complex)
         a[1::2] = rng.normal(size=4) + 1j * rng.normal(size=4)
         c = PolyCoeffs(a).scaled(0.5)
-        cp_m, _ = gqsvt_multiplication(e, c, "odd")
+        cp_m, _ = gqsvt_multiplication(e, c)
         cp_h = gqsvt_hermitianization(e, c)
         blk_m = extract_svt(cp_m) / cp_m.scale_applied
         blk_h = extract_svt(cp_h, "odd") / cp_h.scale_applied
@@ -454,17 +489,7 @@ class TestMultiplicationRoute:
         e = dilate_general(A, 1.0)
         res = approx_inverse(ApproxSpec(kappa=10, eps=1e-3))
         with pytest.raises(ZeroProbabilityError):
-            gqsvt_multiplication(e, res.poly, "odd")
-
-    def test_parity_mismatch(self):
-        e = dilate_general(np.array([[0.5]]), 1.0)
-        with pytest.raises(ParityError):
-            gqsvt_multiplication(e, PolyCoeffs([0, 0.5]), "even")
-
-    def test_bad_parity_string(self):
-        e = dilate_general(np.array([[0.5]]), 1.0)
-        with pytest.raises(ValueError):
-            gqsvt_multiplication(e, PolyCoeffs([0, 0.5]), "mixed")
+            gqsvt_multiplication(e, res.poly)
 
 
 class TestAppliedPolynomial:
@@ -491,18 +516,18 @@ class TestAppliedPolynomial:
         if route == "hermitianization":
             cp = gqsvt_hermitianization(e, c)
         else:
-            cp, _ = gqsvt_multiplication(e, c, parity)
+            cp, _ = gqsvt_multiplication(e, c)
         assert cp.scale_applied < 0.5
         assert np.array_equal(cp.poly.coeffs, c.scaled(cp.scale_applied).coeffs)
         blk = extract_svt(cp, parity)
-        ref = svt_oracle(A, 1.0, cp.poly, parity)
+        ref = svt_oracle(A, 1.0, cp.poly)
         assert np.linalg.norm(blk - ref, 2) <= 1e-8 * d
 
 
 class TestSimulatePostselect:
     def test_scalar_odd_stage_probs(self):
         e = dilate_general(np.array([[0.6]]), 1.0)
-        cp, out = gqsvt_multiplication(e, PolyCoeffs([0, 0.5]), "odd")
+        cp, out = gqsvt_multiplication(e, PolyCoeffs([0, 0.5]))
         # q = 0.5 constant, then one application of A: probs 0.25, 0.36
         assert out.stage_probs[0] == pytest.approx(0.25, abs=1e-10)
         assert out.stage_probs[1] == pytest.approx(0.36, abs=1e-10)
@@ -515,7 +540,7 @@ class TestSimulatePostselect:
         a = np.zeros(6, dtype=complex)
         a[1::2] = rng.normal(size=3)
         c = PolyCoeffs(a).scaled(0.4)
-        cp, _ = gqsvt_multiplication(e, c, "odd")
+        cp, _ = gqsvt_multiplication(e, c)
         x = rng.normal(size=4) + 1j * rng.normal(size=4)
         end = simulate_postselect(cp, input=x, schedule="end-only")
         early = simulate_postselect(cp, input=x, schedule="measure-early")
