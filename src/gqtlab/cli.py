@@ -198,16 +198,17 @@ def cmd_gqet(args) -> int:
 
 def cmd_gqsvt(args) -> int:
     cfg = _load_config(args)
-    A = _load(cfg, "matrix")
-    alpha = _alpha(cfg, A)
-    enc = dilate_general(A, alpha)
+    # The cheap input checks come first: a refused config costs no SVD.
     c = _load(cfg, "poly")
+    parity = definite_parity(c)  # names the block; ParityError if mixed
     routes = ("hermitianization", "multiplication")
     route = cfg.get("route", "both")
     if route not in routes + ("both",):
         raise InputError(f"unknown gqsvt route {route!r}; have "
                          "'hermitianization', 'multiplication', 'both'")
-    parity = definite_parity(c)  # names the block; ParityError if mixed
+    A = _load(cfg, "matrix")
+    alpha = _alpha(cfg, A)
+    enc = dilate_general(A, alpha)
     lines = []
     worst = 0.0
     blocks = {}

@@ -66,8 +66,10 @@ def _block(U, E_L: np.ndarray, E_R: np.ndarray) -> np.ndarray:
     return E_L.conj().T @ (U @ E_R)
 
 
-def _validate_core(U, Pi_L, Pi_R, alpha, hermitian: bool) -> list[str]:
-    """The problems of an encoding, or [] when it holds to tolerance.
+def _validate_core(U, Pi_L, Pi_R, alpha, hermitian: bool,
+                   ) -> tuple[list[str], tuple]:
+    """The problems of an encoding ([] when it holds to tolerance), and the
+    Gram defects it measured: (delta_U, delta_L, delta_R).
 
     The block norm needs no SVD when the defects already measured settle
     it: with delta_U = ||U^dag U - I||_F and delta_L, delta_R the isometry
@@ -81,10 +83,10 @@ def _validate_core(U, Pi_L, Pi_R, alpha, hermitian: bool) -> list[str]:
     problems = []
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         problems.append(f"U is {U.shape}, not square")
-        return problems
+        return problems, ()
     M = U.shape[0]
-    delta = _unitary_defect(U)  # delta_U, then plus delta_L and delta_R
-    if not delta <= VALIDATION_TOL * max(M, 1):
+    defects = [_unitary_defect(U)]
+    if not defects[0] <= VALIDATION_TOL * max(M, 1):
         problems.append(f"U is not unitary to {VALIDATION_TOL:g} * {M}")
     if hermitian and np.linalg.norm(U - U.conj().T) > VALIDATION_TOL * max(M, 1):
         problems.append(f"U is not Hermitian to {VALIDATION_TOL:g} * {M}")
@@ -96,51 +98,56 @@ def _validate_core(U, Pi_L, Pi_R, alpha, hermitian: bool) -> list[str]:
             problems.append(f"{name} has {Pi.shape[0]} rows, expected {M}")
             continue
         N = Pi.shape[1]
-        iso_delta = np.linalg.norm(Pi.conj().T @ Pi - np.eye(N))
-        if iso_delta > VALIDATION_TOL:
+        defects.append(float(np.linalg.norm(Pi.conj().T @ Pi - np.eye(N))))
+        if defects[-1] > VALIDATION_TOL:
             problems.append(f"{name} is not an isometry to 1e-10")
-        delta += iso_delta
     if not 0 < alpha < math.inf:
         problems.append("alpha must be positive and finite")
-    if not problems and not delta <= 1e-9:
+    if not problems and not sum(defects) <= 1e-9:
         if np.linalg.norm(_block(U, Pi_L, Pi_R), 2) > 1 + 1e-9:
             problems.append("encoded matrix has spectral norm above 1 + 1e-9")
-    return problems
+    return problems, tuple(defects)
 
 
 @dataclasses.dataclass(frozen=True)
 class ProjectedUnitaryEncoding:
-    """U with Pi_L^dag U Pi_R = A/alpha."""
+    """U with Pi_L^dag U Pi_R = A/alpha.
+
+    `defects` holds (delta_U, delta_L, delta_R): the Gram defects
+    ||U^dag U - I||_F, ||Pi_L^dag Pi_L - I||_F and ||Pi_R^dag Pi_R - I||_F
+    that the check at construction measured, or, for an encoding derived
+    from a checked one (`adjoint`, `hermitianize`), the values that follow
+    exactly from the checked one's.  Each unitary is measured once, and
+    what is built from it reads the measurement."""
 
     U: np.ndarray
     Pi_L: np.ndarray
     Pi_R: np.ndarray
     alpha: float
+    defects: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         U = _freeze(self.U)
         Pi_L = _freeze(self.Pi_L)
         Pi_R = _freeze(self.Pi_R)
-        problems = _validate_core(U, Pi_L, Pi_R, self.alpha,
-                                  isinstance(self, HermitianEncoding))
+        problems, defects = _validate_core(U, Pi_L, Pi_R, self.alpha,
+                                           isinstance(self, HermitianEncoding))
         if problems:
             raise EncodingValidationError("; ".join(problems))
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "Pi_L", Pi_L)
         object.__setattr__(self, "Pi_R", Pi_R)
         object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "defects", defects)
 
     def adjoint(self) -> ProjectedUnitaryEncoding:
         """(U^dag, Pi_R, Pi_L, alpha), encoding A^dag/alpha, with no check of
         its own: for square U, ||U U^dag - I||_F = ||U^dag U - I||_F, the
         isometries are the same pair swapped and the encoded block has the
         same spectral norm, so the check of this encoding covers it."""
-        adj = object.__new__(type(self))
-        for name, value in (("U", _freeze(self.U.conj().T)),
-                            ("Pi_L", self.Pi_R), ("Pi_R", self.Pi_L),
-                            ("alpha", self.alpha)):
-            object.__setattr__(adj, name, value)
-        return adj
+        delta_U, delta_L, delta_R = self.defects
+        return _derived(type(self), _freeze(self.U.conj().T), self.Pi_R,
+                        self.Pi_L, self.alpha, (delta_U, delta_R, delta_L))
 
     @property
     def M(self) -> int:
@@ -165,6 +172,18 @@ class HermitianEncoding(ProjectedUnitaryEncoding):
     @property
     def Pi(self) -> np.ndarray:
         return self.Pi_L
+
+
+def _derived(cls, U, Pi_L, Pi_R, alpha, defects):
+    """An encoding of type `cls` from read-only parts, with no check of its
+    own.  The caller derives it from a checked encoding and passes the
+    defects that follow exactly from that encoding's, so the check would
+    measure the same values and give the same verdict."""
+    enc = object.__new__(cls)
+    for name, value in (("U", U), ("Pi_L", Pi_L), ("Pi_R", Pi_R),
+                        ("alpha", alpha), ("defects", defects)):
+        object.__setattr__(enc, name, value)
+    return enc
 
 
 @dataclasses.dataclass(frozen=True)
@@ -275,19 +294,36 @@ def reflection(Pi: np.ndarray) -> np.ndarray:
     return 2.0 * (Pi @ Pi.conj().T) - np.eye(M)
 
 
+def _coordinate_rows(Pi: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The rows r where Pi is nonzero, and whether Pi[r] is the identity,
+    as for the coordinate isometries every constructor builds."""
+    r = np.flatnonzero(Pi.any(axis=1))
+    return r, len(r) == Pi.shape[1] and np.array_equal(Pi[r], np.eye(len(r)))
+
+
 def walk_operator(e: HermitianEncoding) -> np.ndarray:
     """Qubitized operator R_Pi U = 2 Pi (Pi^dag U) - U.
 
     Only the rows r where Pi is nonzero change sign twice, so W is -U with
-    rows r replaced by 2 Pi_r (Pi_r^dag U_r) - U_r: O(|r| N M), N^2 M for
-    the coordinate isometries the constructors build, where it equals
-    reflection(Pi) @ U exactly.
+    rows r replaced by 2 Pi_r (Pi_r^dag U_r) - U_r: O(|r| N M).  For a
+    coordinate isometry (Pi[r] = I) those rows are U[r] itself, so W is U
+    with its other rows negated, copied with no product; it equals
+    reflection(Pi) @ U, and its Gram equals U's bit for bit, which is why
+    gqet hands the kernel the encoding's defect (`_walk_defect`).
     """
     Pi, U = e.Pi, e.U
-    r = np.flatnonzero(Pi.any(axis=1))
+    r, coordinate = _coordinate_rows(Pi)
     W = -U
-    W[r] = 2.0 * (Pi[r] @ (Pi[r].conj().T @ U[r])) - U[r]
+    W[r] = U[r] if coordinate else (
+        2.0 * (Pi[r] @ (Pi[r].conj().T @ U[r])) - U[r])
     return W
+
+
+def _walk_defect(e: HermitianEncoding) -> float | None:
+    """||W^dag W - I||_F of W = walk_operator(e) when it follows from e's
+    defect, else None.  For a coordinate Pi, W negates rows of U and so
+    has U's Gram; any other Pi forms W by products, to be measured."""
+    return e.defects[0] if _coordinate_rows(e.Pi)[1] else None
 
 
 def qubitized_eigenpairs(e: HermitianEncoding) -> list[QubitizedPair]:
@@ -351,7 +387,15 @@ def controlled_walk(e: HermitianEncoding, decomposed: bool = False) -> np.ndarra
 
 
 def hermitianize(e: ProjectedUnitaryEncoding) -> HermitianEncoding:
-    """Embed A into the Hermitian [[0, A], [A^dag, 0]] at the same alpha."""
+    """Embed A into the Hermitian [[0, A], [A^dag, 0]] at the same alpha.
+
+    The result inherits the check of e, as `adjoint` does, and runs no Gram
+    and no SVD.  U_bar = [[0, U], [U^dag, 0]] is Hermitian by construction,
+    and U_bar^dag U_bar = diag(U U^dag, U^dag U), so its defect is
+    sqrt(2) delta_U for square U.  Pi_bar = diag(Pi_L, Pi_R) has defect
+    hypot(delta_L, delta_R), judged against the isometry tolerance here,
+    and the encoded block has the norm of e's.
+    """
     M = e.M
     Z = np.zeros((M, M))
     U_bar = np.block([[Z, e.U], [e.U.conj().T, Z]])
@@ -359,7 +403,14 @@ def hermitianize(e: ProjectedUnitaryEncoding) -> HermitianEncoding:
         [e.Pi_L, np.zeros((M, e.N_R))],
         [np.zeros((M, e.N_L)), e.Pi_R],
     ])
-    return HermitianEncoding(U_bar, Pi_bar, e.alpha)
+    delta_U, delta_L, delta_R = e.defects
+    delta_Pi = math.hypot(delta_L, delta_R)
+    if delta_Pi > VALIDATION_TOL:
+        raise EncodingValidationError("Pi is not an isometry to 1e-10")
+    for a in (U_bar, Pi_bar):
+        a.flags.writeable = False
+    return _derived(HermitianEncoding, U_bar, Pi_bar, Pi_bar, e.alpha,
+                    (math.sqrt(2.0) * delta_U, delta_Pi, delta_Pi))
 
 
 def _padded(U, x: np.ndarray) -> np.ndarray:

@@ -48,6 +48,9 @@ _MAX_GRID = 1 << 20
 # The one unitarity rule: a unitary of dimension dim passes when its defect
 # (`_unitary_defect`, or `_column_defect` of the columns it pushed) is at
 # most VALIDATION_TOL * dim.  Encodings, circuits and gqsp_matrix all use it.
+# Each unitary is measured once: a matrix whose defect follows exactly from
+# a measured one's (an adjoint, a Hermitianized encoding, a walk operator on
+# a coordinate isometry) inherits that value instead of a Gram of its own.
 VALIDATION_TOL = 1e-10
 
 
@@ -348,8 +351,8 @@ def _column_defect(Y: np.ndarray, X: np.ndarray) -> float:
     return float(np.linalg.norm(Y.conj().T @ Y - X.conj().T @ X))
 
 
-def gqsp_matrix(ph: PhaseFactors, U: np.ndarray,
-                columns: np.ndarray) -> np.ndarray:
+def gqsp_matrix(ph: PhaseFactors, U: np.ndarray, columns: np.ndarray,
+                defect: float | None = None) -> np.ndarray:
     """C applied to a 2M x k column stack, where C is the 2M x 2M circuit
     whose top-left block applies P to U.
 
@@ -363,9 +366,13 @@ def gqsp_matrix(ph: PhaseFactors, U: np.ndarray,
     the caller's argument).  The kernel never checks C itself; on every
     call it certifies the product of its d checked layers:
     d * ||U^dag U - I||_F <= VALIDATION_TOL * 2M, or NumericalError.
+    ``defect`` is ||U^dag U - I||_F when the caller already holds it (gqet
+    passes the defect a walk operator inherits from its encoding); both
+    checks then read it, and a bare U (None) is measured here.
     """
     U = np.asarray(U, dtype=complex)
-    defect = _unitary_defect(U)
+    if defect is None:
+        defect = _unitary_defect(U)
     M = U.shape[0] if U.ndim else 0
     if not defect <= VALIDATION_TOL * M:
         raise ValueError(f"U is not unitary to {VALIDATION_TOL:g} * {M}")

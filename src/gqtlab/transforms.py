@@ -21,6 +21,7 @@ from .encodings import (
     _block,
     _block_product,
     _freeze,
+    _walk_defect,
     hermitianize,
     multiply,
     walk_operator,
@@ -151,15 +152,18 @@ def gqet(e: HermitianEncoding, c: PolyCoeffs) -> CircuitProduct:
 
     The circuit is the signal-processing chain run on the qubitized walk
     operator; extraction isometry |0> (x) Pi on both sides.  Polynomials are
-    scaled by `rescale_to_margin` first (scale recorded in metadata).
+    scaled by `rescale_to_margin` first (scale recorded in metadata).  The
+    kernel's checks read the walk's defect from e when it follows from it.
     """
     c, scale = rescale_to_margin(c)
     ph = solve_phases(c)
     W = walk_operator(e)
+    defect = _walk_defect(e)  # None: the kernel measures W
     E = np.vstack([e.Pi, np.zeros_like(e.Pi)])  # |0> (x) Pi
     # gqsp_matrix is looked up at each push, so a rebound kernel is the one
     # that runs.
-    op = _Operator(lambda X: gqsp_matrix(ph, W, columns=X), 2 * len(W))
+    op = _Operator(lambda X: gqsp_matrix(ph, W, columns=X, defect=defect),
+                   2 * len(W))
     return CircuitProduct(
         operator=op, queries_U=ph.degree, queries_U_dagger=0,
         degree=ph.degree, route="gqet", scale_applied=scale,

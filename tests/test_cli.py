@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import time
@@ -35,6 +36,25 @@ def hermitian_config(tmp_path, coeffs, n=3, seed=7, alpha=None):
     if alpha is not None:
         cfg["alpha"] = alpha
     return write_config(tmp_path, "gqet.json", cfg)
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def count_unitarity_checks(monkeypatch) -> list:
+    """Every unitarity check goes through phases._unitary_defect; record
+    (dimension, content digest) of each matrix it measures from now on."""
+    from gqtlab import encodings
+    squares, check = [], phases._unitary_defect
+
+    def counting(U):
+        squares.append((U.shape[0], _digest(U)))
+        return check(U)
+
+    for mod in (phases, encodings):
+        monkeypatch.setattr(mod, "_unitary_defect", counting)
+    return squares
 
 
 class TestGqetCommand:
@@ -100,6 +120,14 @@ class TestGqetCommand:
             "poly": PolyCoeffs([0, 0.5]).to_json_dict(),
         })
         assert main(["gqet", "--config", cfg]) == expected
+
+    def test_checks_only_the_dilation(self, tmp_path, capsys, monkeypatch):
+        # The walk operator inherits the defect of the dilation U: one Gram,
+        # of the 6 x 6 U.
+        squares = count_unitarity_checks(monkeypatch)
+        cfg = hermitian_config(tmp_path, [0.1, 0.5, 0.0, -0.2])
+        assert main(["gqet", "--config", cfg]) == EXIT_OK
+        assert [dim for dim, _ in squares] == [6]
 
     def test_missing_config(self, capsys):
         assert main(["gqet", "--config", "/nonexistent.json"]) == EXIT_INPUT
@@ -265,33 +293,24 @@ class TestGqsvtCommand:
 
     def test_odd_both_checks_each_matrix_once(self, tmp_path, capsys,
                                               monkeypatch):
-        # Every unitarity check goes through phases._unitary_defect and every
-        # check of pushed columns through phases._column_defect; count what
-        # they see, by content, over one odd --route both op.
-        import hashlib
-        from gqtlab import encodings, transforms
+        # Count, by content, what the unitarity check and the check of
+        # pushed columns (phases._column_defect) see over one odd --route
+        # both op.
+        from gqtlab import transforms
 
-        def digest(a):
-            return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-
-        squares, columns, pushes = [], [], []
-        square_check, column_check = phases._unitary_defect, phases._column_defect
+        columns, pushes = [], []
+        column_check = phases._column_defect
         kernel = transforms.gqsp_matrix
 
-        def counting_square(U):
-            squares.append((U.shape[0], digest(U)))
-            return square_check(U)
-
         def counting_columns(Y, X):
-            columns.append((X.shape, digest(X)))
+            columns.append((X.shape, _digest(X)))
             return column_check(Y, X)
 
-        def counting_kernel(ph, U, columns):
+        def counting_kernel(ph, U, columns, **inherited):
             pushes.append(columns.shape)
-            return kernel(ph, U, columns=columns)
+            return kernel(ph, U, columns=columns, **inherited)
 
-        for mod in (phases, encodings):
-            monkeypatch.setattr(mod, "_unitary_defect", counting_square)
+        squares = count_unitarity_checks(monkeypatch)
         for mod in (phases, transforms):
             monkeypatch.setattr(mod, "_column_defect", counting_columns)
         monkeypatch.setattr(transforms, "gqsp_matrix", counting_kernel)
@@ -308,10 +327,11 @@ class TestGqsvtCommand:
         })
         assert main(["gqsvt", "--config", cfg]) == EXIT_OK
         dims = sorted(dim for dim, _ in squares)
-        # U (10), Hermitianized U, the product U and both walk operators
-        # (20); U^dag inherits the check of U, and no circuit is formed, so
-        # none is checked whole
-        assert dims == [10, 20, 20, 20, 20]
+        # U (10) and the product U (20), formed by gemms.  U^dag and the
+        # Hermitianized U inherit the check of U, each walk operator (on a
+        # coordinate isometry) that of its encoding, and no circuit is
+        # formed, so none is checked whole.
+        assert dims == [10, 20]
         assert len(set(squares)) == len(squares)
         # Each eigenvalue circuit pushes its right isometry once (4 of 40
         # columns), and the odd product pushes its own (4 of 80) through the
@@ -320,6 +340,39 @@ class TestGqsvtCommand:
         assert sorted(shape for shape, _ in columns) == [(40, 4), (40, 4),
                                                           (80, 4)]
         assert len(set(columns)) == len(columns)
+
+    def test_hermitianization_checks_only_u(self, tmp_path, capsys,
+                                            monkeypatch):
+        # The Hermitianized U inherits sqrt(2) delta_U and its walk operator
+        # that value: one Gram, of the dilation U (10 x 10).
+        squares = count_unitarity_checks(monkeypatch)
+        rng = np.random.default_rng(11)
+        A = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        cfg = write_config(tmp_path, "c.json", {
+            "matrix": matrix_to_json(A),
+            "poly": PolyCoeffs([0, 0.5, 0, -0.3]).to_json_dict(),
+            "route": "hermitianization",
+        })
+        assert main(["gqsvt", "--config", cfg]) == EXIT_OK
+        assert [dim for dim, _ in squares] == [10]
+
+    @pytest.mark.parametrize("cfg", [
+        {"poly": PolyCoeffs([0.3, 0.5]).to_json_dict()},  # mixed parity
+        {"poly": PolyCoeffs([0, 0.5]).to_json_dict(), "route": "bogus"},
+    ])
+    def test_refused_poly_or_route_builds_no_encoding(self, tmp_path, capsys,
+                                                      monkeypatch, cfg):
+        # The poly, its parity and the route are checked before the matrix
+        # is read, its default alpha (an SVD) taken and the dilation built.
+        from gqtlab import cli
+        calls = []
+        monkeypatch.setattr(cli, "dilate_general",
+                            lambda *args: calls.append(args))
+        path = write_config(tmp_path, "c.json", {
+            "matrix": matrix_to_json(np.array([[0.6]])), **cfg})
+        assert main(["gqsvt", "--config", path]) == EXIT_INPUT
+        assert capsys.readouterr().err.count("\n") == 1
+        assert calls == []
 
     def test_vanishing_postselection_exits_tolerance(self, tmp_path, capsys):
         # An odd d = 33 polynomial scaled so that its square-root substitute
@@ -651,8 +704,9 @@ def test_a_failed_check_on_a_computed_value_exits_tolerance(
     from gqtlab import transforms
     kernel = transforms.gqsp_matrix
     monkeypatch.setattr(transforms, "gqsp_matrix",
-                        lambda ph, U, columns:
-                        (1 + 1e-9) * kernel(ph, U, columns=columns))
+                        lambda ph, U, columns, **inherited:
+                        (1 + 1e-9) * kernel(ph, U, columns=columns,
+                                            **inherited))
     cfg = hermitian_config(tmp_path, [0.1, 0.5, 0.0, -0.2])
     out = tmp_path / "report.json"
     assert main(["gqet", "--config", cfg, "--out", str(out)]) == EXIT_TOLERANCE

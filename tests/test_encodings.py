@@ -375,6 +375,127 @@ class TestHermitianize:
         assert np.allclose(vals, expected, atol=1e-10)
 
 
+class TestInheritedDefects:
+    """Hermitianized encodings and walk operators on coordinate isometries
+    take the defects that follow from the checked U instead of measuring
+    their own; a general isometry still has its walk measured."""
+
+    @staticmethod
+    def general(case):
+        rng = np.random.default_rng(68)
+        shape = {"wide": (3, 5), "tall": (5, 3), "square": (4, 4),
+                 "rank_deficient": (5, 4), "stretched": (5, 4)}[case]
+        A = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if case == "rank_deficient":
+            A[:, 2:] = A[:, :2] @ rng.normal(size=(2, 2))  # rank 2
+        e = dilate_general(A, 1.2 * np.linalg.norm(A, 2))
+        if case == "stretched":  # delta_U = 2e-11 * 3 = 6e-11, far above roundoff
+            e = ProjectedUnitaryEncoding(e.U * (1 + 1e-11), e.Pi_L, e.Pi_R,
+                                         e.alpha)
+        return e
+
+    @pytest.mark.parametrize("case", ["wide", "tall", "square",
+                                      "rank_deficient", "stretched"])
+    def test_hermitianized_defects_match_measured(self, case):
+        from gqtlab.phases import _unitary_defect
+        e = self.general(case)
+        assert e.defects[0] == _unitary_defect(e.U)
+        h = hermitianize(e)
+        assert abs(h.defects[0] - _unitary_defect(h.U)) <= 1e-14 * h.M
+        iso = np.linalg.norm(h.Pi.conj().T @ h.Pi - np.eye(h.N_L))
+        assert h.defects[1:] == (iso, iso)
+        # the checked construction of the same matrices agrees
+        checked = HermitianEncoding(h.U, h.Pi, h.alpha)
+        assert abs(h.defects[0] - checked.defects[0]) <= 1e-14 * h.M
+
+    def test_hermitianize_runs_no_check(self, monkeypatch):
+        from gqtlab import encodings
+        e = self.general("wide")
+        M, Z = e.M, np.zeros((e.M, e.M))
+        checked = HermitianEncoding(
+            np.block([[Z, e.U], [e.U.conj().T, Z]]),
+            np.block([[e.Pi_L, np.zeros((M, e.N_R))],
+                      [np.zeros((M, e.N_L)), e.Pi_R]]),
+            e.alpha)
+        calls = []
+        monkeypatch.setattr(encodings, "_unitary_defect",
+                            lambda U: calls.append("gram"))
+        for name in ("norm", "svd", "eigh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name,
+                lambda *a, _n=name, _r=real, **k: calls.append(_n) or _r(*a, **k))
+        h = hermitianize(e)
+        monkeypatch.undo()
+        assert calls == []
+        assert type(h) is HermitianEncoding and h.alpha == checked.alpha
+        for name in ("U", "Pi_L", "Pi_R"):
+            assert np.array_equal(getattr(h, name), getattr(checked, name))
+            assert not getattr(h, name).flags.writeable
+
+    def test_hermitianize_judges_the_derived_isometry(self):
+        # Pi_L and Pi_R each 0.8e-10 off isometric pass alone, but
+        # diag(Pi_L, Pi_R) is hypot(0.8e-10, 0.8e-10) = 1.13e-10 off: refused,
+        # as the checked construction refuses it.
+        t = math.sqrt(1 + 0.8e-10) - 1  # (1 + t)^2 - 1 = 0.8e-10
+        Pi = np.array([[1.0 + t], [0.0]])
+        X = np.array([[0.0, 1.0], [1.0, 0.0]])
+        e = ProjectedUnitaryEncoding(X, Pi, Pi, 1.0)
+        assert e.defects[1] == pytest.approx(0.8e-10, rel=1e-5)
+        with pytest.raises(EncodingValidationError, match="isometry"):
+            hermitianize(e)
+        Z = np.zeros((2, 2))
+        with pytest.raises(EncodingValidationError, match="isometry"):
+            HermitianEncoding(np.block([[Z, X], [X, Z]]),
+                              np.block([[Pi, 0 * Pi], [0 * Pi, Pi]]), 1.0)
+
+    def test_adjoint_swaps_the_isometry_defects(self):
+        rng = np.random.default_rng(69)
+        U = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        Pi_L = np.eye(4)[:, :2] * (1 + 1e-11)
+        e = ProjectedUnitaryEncoding(U, Pi_L, np.eye(4)[:, :3], 1.0)
+        assert e.adjoint().defects == (e.defects[0], e.defects[2],
+                                       e.defects[1])
+
+    @pytest.mark.parametrize("build", ["hermitianize", "multiply"])
+    @pytest.mark.parametrize("case", ["wide", "tall", "square"])
+    def test_coordinate_walk_has_the_gram_of_u(self, build, case):
+        from gqtlab.encodings import _walk_defect
+        from gqtlab.phases import _unitary_defect
+        g = self.general(case)
+        e = hermitianize(g) if build == "hermitianize" else multiply(
+            g.adjoint(), g)
+        W = walk_operator(e)
+        # bit for bit: W is U with rows negated
+        assert _unitary_defect(W) == _unitary_defect(e.U)
+        assert _walk_defect(e) == e.defects[0]
+        if build == "multiply":  # measured, not derived
+            assert e.defects[0] == _unitary_defect(e.U)
+
+    def test_general_isometry_walk_is_measured(self, monkeypatch):
+        from gqtlab import phases, transforms
+        from gqtlab.encodings import _walk_defect
+        from gqtlab.polynomials import PolyCoeffs
+        rng = np.random.default_rng(70)
+        e = dilate_hermitian(random_hermitian(rng, 4), 9.0)
+        Q = random_isometry(rng, 8, 8)
+        r = HermitianEncoding(Q @ e.U @ Q.conj().T, Q @ e.Pi, 9.0)
+        assert _walk_defect(r) is None
+        W = walk_operator(r)
+        measured, check = [], phases._unitary_defect
+        monkeypatch.setattr(phases, "_unitary_defect",
+                            lambda U: measured.append(U.copy()) or check(U))
+        c = PolyCoeffs([0.1, 0.4, 0.2])
+        transforms.extract_svt(transforms.gqet(r, c))
+        assert len(measured) == 1 and np.array_equal(measured[0], W)
+        # a walk off unitary on that path is refused by the kernel
+        bad = W.copy()
+        bad[0, 0] += 1e-8
+        monkeypatch.setattr(transforms, "walk_operator", lambda e: bad)
+        with pytest.raises(ValueError, match="unitary"):
+            transforms.extract_svt(transforms.gqet(r, c))
+
+
 class TestMultiply:
     def test_unitary_squares_to_identity(self):
         X = np.array([[0.0, 1.0], [1.0, 0.0]])

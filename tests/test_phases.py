@@ -352,6 +352,24 @@ class TestGqspMatrix:
         with pytest.raises(NumericalError, match="layers"):
             gqsp_matrix(ph, U, np.eye(4))
 
+    def test_given_defect_is_the_one_checked(self, monkeypatch):
+        # A defect the caller holds replaces the kernel's Gram in both
+        # checks: for an exactly unitary U, 0.9e-10 passes 4 layers and
+        # fails 5 (the certificate), and 3e-10 fails the factor check.
+        from gqtlab import phases
+        rng = np.random.default_rng(28)
+        U = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+        E = np.eye(4)[:, :1]
+        grams = []
+        monkeypatch.setattr(phases, "_unitary_defect",
+                            lambda U: grams.append(U) or 0.0)
+        gqsp_matrix(random_angles(rng, 4), U, E, defect=0.9e-10)
+        with pytest.raises(NumericalError, match="layers"):
+            gqsp_matrix(random_angles(rng, 5), U, E, defect=0.9e-10)
+        with pytest.raises(ValueError, match="unitary"):
+            gqsp_matrix(random_angles(rng, 1), U, E, defect=3e-10)
+        assert grams == []
+
 
 def dense_chain(ph: PhaseFactors, V: np.ndarray) -> np.ndarray:
     """Reference: the chain as full 2M x 2M products, kron(R, I) and

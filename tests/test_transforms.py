@@ -192,8 +192,9 @@ class TestCircuitProductCheck:
         from gqtlab import transforms
         kernel = transforms.gqsp_matrix
         monkeypatch.setattr(transforms, "gqsp_matrix",
-                            lambda ph, U, columns:
-                            (1 + 1e-9) * kernel(ph, U, columns=columns))
+                            lambda ph, U, columns, **inherited:
+                            (1 + 1e-9) * kernel(ph, U, columns=columns,
+                                                **inherited))
         cp = gqet(dilate_hermitian(np.array([[0.5]]), 1.0),
                   PolyCoeffs([0, 0.9]))
         with pytest.raises(NumericalError, match="isometric"):
@@ -291,9 +292,9 @@ def test_gqet_large_dimension_pushes_columns_only(monkeypatch):
     from gqtlab import transforms
     kernel, stacks = transforms.gqsp_matrix, []
 
-    def recording(ph, U, columns):
+    def recording(ph, U, columns, **inherited):
         stacks.append(columns.shape)
-        return kernel(ph, U, columns=columns)
+        return kernel(ph, U, columns=columns, **inherited)
 
     monkeypatch.setattr(transforms, "gqsp_matrix", recording)
     rng = np.random.default_rng(48)
