@@ -132,21 +132,22 @@ class BoundReport:
         return max((r[5] for r in self.rows), default=0.0)
 
 
-# Sweep sampling: one batched pass over all trials.  The sampled rows are
-# stacked into one flat coefficient vector, so the per-row checks (real
-# coefficients, trimmed degree) are segment reductions, and the bound is a
-# table lookup per distinct degree.  A row of len coefficients gets
-# G = max(64, 16 * 2^ceil(log2(len - 1))) circle points, at least 16 per
-# period of its top harmonic (the density 4096 points give degree 256), and
-# G >= len, so no row is cropped.  A vectorized parabolic refinement then
-# reads the peak.  Stated accuracy, measured on random rows of degree 1 to
-# 2400 against a 2^20-point scan: both maxima within 1e-2 relative (worst
-# seen 8.6e-3 for max |Re P|, 1.5e-3 for max |P|).  The coefficients are
-# real, so P(e^{-it}) = conj P(e^{it}) and the half circle t in [0, pi] (one
-# rfft per row) holds both maxima; the parabola at t = 0 and t = pi reads the
-# mirrored neighbour by index.  Rows of one G go through the FFT in blocks of
-# 64 * 4096 points.  The corollary bound exceeds the true maximum by a large
-# factor, so grid resolution is not the binding accuracy constraint here.
+# Sweep sampling: the rows are grouped by circle grid, and each FFT block of
+# one grid is a 2-D array padded only to its own longest row, so the per-row
+# checks (real coefficients, trimmed degree) and both maxima are row
+# reductions of it, and the bound is a table lookup per distinct degree.  A
+# row of len coefficients gets G = max(64, 16 * 2^ceil(log2(len - 1))) circle
+# points, at least 16 per period of its top harmonic (the density 4096 points
+# give degree 256), and G >= len, so no row is cropped.  A vectorized
+# parabolic refinement then reads the peak.  Stated accuracy, measured on
+# random rows of degree 1 to 2400 against a 2^20-point scan: both maxima
+# within 1e-2 relative (worst seen 8.6e-3 for max |Re P|, 1.5e-3 for max
+# |P|).  The coefficients are real, so P(e^{-it}) = conj P(e^{it}) and the
+# half circle t in [0, pi] (one rfft per row) holds both maxima; the parabola
+# at t = 0 and t = pi reads the mirrored neighbour by index.  A block holds
+# at most 64 * 4096 points, or one row.  The corollary bound exceeds the true
+# maximum by a large factor, so grid resolution is not the binding accuracy
+# constraint here.
 _SWEEP_DENSITY = 16
 _SWEEP_BLOCK_POINTS = 64 * 4096
 
@@ -157,29 +158,6 @@ def _sweep_grid(lengths: np.ndarray) -> np.ndarray:
     # exponent frexp returns for it (0 for 0).
     _, bits = np.frexp(np.maximum(lengths - 2, 0))
     return np.maximum(64, _SWEEP_DENSITY << bits.astype(np.intp))
-
-
-def _batched_circle_max(coeffs: np.ndarray, lengths: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """(max |P|, max |Re P|) on the circle for a batch of real coefficient rows.
-
-    Row i holds lengths[i] coefficients, padded with zeros to the batch
-    width; without lengths, every row fills the width.
-    """
-    if lengths is None:
-        lengths = np.full(len(coeffs), coeffs.shape[1])
-    grid = _sweep_grid(lengths)
-    max_abs = np.empty(len(coeffs))
-    max_re = np.empty(len(coeffs))
-    for g in np.unique(grid).tolist():
-        rows = np.flatnonzero(grid == g)
-        block = max(_SWEEP_BLOCK_POINTS // g, 1)
-        for s in range(0, len(rows), block):
-            r = rows[s:s + block]
-            vals = np.fft.rfft(coeffs[r, :g], g, axis=1)
-            max_abs[r] = _parabolic_peak(np.abs(vals))
-            max_re[r] = _parabolic_peak(np.abs(vals.real))
-    return max_abs, max_re
 
 
 def _parabolic_peak(y: np.ndarray) -> np.ndarray:
@@ -211,32 +189,34 @@ def verify_beta_bound(sampler: Callable[[np.random.Generator], PolyCoeffs],
     Rows with M <= 0 are skipped.
     """
     rng = np.random.default_rng(seed)
-    # One sampler call per trial keeps each sampler's RNG stream.  The dels
-    # free each flat-sized buffer before the next one is allocated.
+    # One sampler call per trial keeps each sampler's RNG stream.
     parts = [sampler(rng).coeffs for _ in range(trials)]
     lengths = np.fromiter(map(len, parts), dtype=np.intp, count=trials)
-    flat = np.concatenate(parts)
-    del parts
-    starts = np.zeros(trials, dtype=np.intp)
-    np.cumsum(lengths[:-1], out=starts[1:])
-
-    mag = np.abs(flat)
-    scale = np.maximum.reduceat(mag, starts)
-    if np.any(np.maximum.reduceat(np.abs(flat.imag), starts)
-              > 1e-12 * np.maximum(scale, 1e-300)):
-        raise ValueError("sampler must yield real coefficients")
-    # PolyCoeffs.trimmed().degree: the offset of the last entry of a row
-    # above ZERO_TOL * scale, or 0 when none is.
-    above = mag > np.repeat(ZERO_TOL * scale, lengths)
-    del mag
-    last = np.maximum.reduceat(np.where(above, np.arange(len(flat)), -1), starts)
-    N = np.maximum(last - starts, 1)
-
-    # The rows in row-major order, each padded with zeros.
-    batch = np.zeros((trials, int(lengths.max())))
-    batch[np.arange(batch.shape[1]) < lengths[:, None]] = flat.real
-    del flat
-    max_abs, M = _batched_circle_max(batch, lengths)
+    grid = _sweep_grid(lengths)
+    N = np.empty(trials, dtype=np.intp)
+    M = np.empty(trials)
+    max_abs = np.empty(trials)
+    for g in np.unique(grid).tolist():
+        group = np.flatnonzero(grid == g)
+        step = max(_SWEEP_BLOCK_POINTS // g, 1)
+        for s in range(0, len(group), step):
+            r = group[s:s + step]
+            cols = np.arange(lengths[r].max())
+            block = np.zeros((len(r), len(cols)), dtype=complex)
+            block[cols < lengths[r, None]] = np.concatenate(
+                [parts[i] for i in r.tolist()])
+            mag = np.abs(block)
+            scale = mag.max(axis=1)
+            if np.any(np.abs(block.imag).max(axis=1)
+                      > 1e-12 * np.maximum(scale, 1e-300)):
+                raise ValueError("sampler must yield real coefficients")
+            # PolyCoeffs.trimmed().degree: the index of the last entry of a
+            # row above ZERO_TOL * scale, or 0 when none is.
+            above = mag > ZERO_TOL * scale[:, None]
+            N[r] = np.maximum(np.where(above, cols, -1).max(axis=1), 1)
+            vals = np.fft.rfft(block.real, g, axis=1)
+            max_abs[r] = _parabolic_peak(np.abs(vals))
+            M[r] = _parabolic_peak(np.abs(vals.real))
 
     keep = ~(M <= 0)  # a NaN M is kept, and BoundParams' check rejects it
     N, M, max_abs = N[keep], M[keep], max_abs[keep]

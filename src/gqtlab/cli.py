@@ -77,12 +77,21 @@ def _load_config(args) -> dict:
 
 
 def _number(value, name: str, kind=float):
-    """A scalar config field converted by `kind`; InputError if it is not a
-    number (a list or an object would otherwise raise TypeError)."""
+    """A scalar config field converted by `kind`.  It must be a JSON number,
+    not a string or a boolean, and for an int field an integral one (1e3
+    reads as 1000); InputError otherwise."""
+    if kind is int:
+        ok = isinstance(value, int) or (isinstance(value, float)
+                                        and value.is_integer())
+    else:
+        ok = isinstance(value, (int, float))
+    if isinstance(value, bool) or not ok:
+        noun = "an integer" if kind is int else "a number"
+        raise InputError(f"{name} must be {noun}, not {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name} must be a number, not {value!r}") from exc
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise InputError(f"{name} must be within the float range") from exc
 
 
 def _load(cfg: dict, key: str):
@@ -226,8 +235,9 @@ def cmd_gqsvt(args) -> int:
                f"queries_U_dagger={cp.queries_U_dagger} "
                f"scale={cp.scale_applied:.6g}")
         if outcome is not None and parity == "odd":
+            probs = ", ".join(f"{p:.6g}" for p in outcome.stage_probs)
             msg += (f" success_prob={outcome.success_prob:.6g} "
-                    f"stage_probs={tuple(round(p, 6) for p in outcome.stage_probs)}")
+                    f"stage_probs=({probs})")
         lines.append(msg)
         d = cp.degree
     if len(blocks) == 2:

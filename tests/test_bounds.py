@@ -183,9 +183,9 @@ def parabola_peak(y):
 
 
 def padded_circle_max(coeffs, lengths=None, grid=row_grid):
-    """Reference for `_batched_circle_max`, row by row: one rfft of each row
-    on its own grid, the half circle padded at each end with a copy of its
-    mirrored neighbour."""
+    """Reference for the sweep's circle maxima, row by row: one rfft of each
+    row on its own grid, the half circle padded at each end with a copy of
+    its mirrored neighbour."""
     if lengths is None:
         lengths = [coeffs.shape[1]] * len(coeffs)
     max_abs, max_re = np.empty(len(coeffs)), np.empty(len(coeffs))
@@ -237,6 +237,15 @@ def listed_sampler(polys):
     return lambda rng: PolyCoeffs(next(it))
 
 
+def sweep_maxima(rows):
+    """(max |P|, max |Re P|) of each row, read from the max_circle and
+    max_interval columns of verify_beta_bound's report."""
+    rep = verify_beta_bound(listed_sampler(rows), len(rows))
+    assert len(rep.rows) == len(rows)
+    return (np.array([r[2] for r in rep.rows]),
+            np.array([r[1] for r in rep.rows]))
+
+
 class TestBatchedSweepEqualsPerRow:
     @pytest.mark.parametrize("name", sorted(_SAMPLERS))
     @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -283,8 +292,8 @@ class TestBatchedSweepEqualsPerRow:
 
 
 def full_circle_max(coeffs, lengths):
-    """Reference for `_batched_circle_max`: one complex FFT of each row on
-    its whole circle grid, the parabola wrapping around its ends."""
+    """Reference for the sweep's circle maxima: one complex FFT of each row
+    on its whole circle grid, the parabola wrapping around its ends."""
     def wrapped_peak(y):
         j = int(np.argmax(y))
         ym, y0, yp = (y[(j + s) % len(y)] for s in (-1, 0, 1))
@@ -315,7 +324,7 @@ class TestHalfCircleSweep:
         # Each row on the grid of the batch width, and on that of its own
         # length, which puts the rows in several groups.
         for lengths in (np.full(rows, dmax + 1), degrees + 1):
-            got = bounds._batched_circle_max(batch, lengths)
+            got = sweep_maxima([r[:n] for r, n in zip(batch, lengths)])
             want = full_circle_max(batch, lengths)
             for g, w, p in zip(got, want, padded_circle_max(batch, lengths)):
                 assert g.shape == (rows,)
@@ -328,29 +337,17 @@ class TestHalfCircleSweep:
         batch = np.zeros((4, 9))
         batch[0], batch[1] = 1.0, (-1.0) ** np.arange(9)
         batch[2, :3], batch[3, :3] = (0.3, 1.0, 0.2), (0.3, -1.0, 0.2)
-        got = bounds._batched_circle_max(batch)
+        got = sweep_maxima(batch)
         want = full_circle_max(batch, [9] * 4)
         for g, w, p in zip(got, want, padded_circle_max(batch)):
             assert np.max(np.abs(g - w) / w) <= 1e-12
             assert np.array_equal(g, p)
         assert got[0] == pytest.approx([9.0, 9.0, 1.5, 1.5], rel=1e-12)
 
-    def test_memory_of_the_benchmark_sweep(self):
-        # 4000 rows of degree 256: a single FFT of the whole batch would
-        # hold over 100 MB.
-        batch = np.random.default_rng(9).normal(size=(4000, 257))
-        tracemalloc.start()
-        try:
-            bounds._batched_circle_max(batch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64e6
-
     def test_memory_of_the_benchmark_bound_sweep(self):
-        # The benchmark's largest op: 4000 trials of degree <= 256.  The
-        # coefficients are stacked flat (~8 MB complex); a padded complex
-        # (trials, 257) batch would add 16 MB on top of the real one.
+        # The benchmark's largest op: 4000 trials of degree <= 256, whose
+        # coefficients (~8 MB complex) the sweep holds; a single FFT of the
+        # whole batch would hold over 100 MB.
         sampler = _SAMPLERS["random"](256)
         tracemalloc.start()
         try:
@@ -377,7 +374,7 @@ class TestDegreeAdaptedGrid:
         batch = np.zeros((500, 400))
         for i, n in enumerate(lengths):
             batch[i, :n] = rng.normal(size=n)
-        got = bounds._batched_circle_max(batch, lengths)
+        got = sweep_maxima([r[:n] for r, n in zip(batch, lengths)])
         fixed = padded_circle_max(batch, lengths, grid=lambda n: 4096)
         kept = (lengths >= 130) & (lengths <= 257)
         for g, f in zip(got, fixed):
@@ -390,7 +387,7 @@ class TestDegreeAdaptedGrid:
         rng = np.random.default_rng(N)
         batch = rng.normal(size=(8, N + 1))
         batch[0, 1:N] = 0.0  # a constant plus the top monomial
-        got = bounds._batched_circle_max(batch)
+        got = sweep_maxima(batch)
         for i, row in enumerate(batch):
             vals = np.fft.rfft(row, 2 ** 20)
             want = np.max(np.abs(vals)), np.max(np.abs(vals.real))
@@ -429,15 +426,29 @@ class TestDegreeAdaptedGrid:
     def test_memory_of_high_degree_rows(self):
         # 100 rows of degree 5000 get 131072 points each: one FFT of the
         # whole batch would hold over 100 MB, while blocks of 64 * 4096
-        # points hold what a block of 64 rows of degree 256 holds.
+        # points hold what a block of 64 rows of degree 256 holds.  The
+        # PolyCoeffs are built first, so only the sweep's buffers count.
         batch = np.random.default_rng(10).normal(size=(100, 5001))
+        polys = iter([PolyCoeffs(row) for row in batch])
         tracemalloc.start()
         try:
-            bounds._batched_circle_max(batch)
+            verify_beta_bound(lambda rng: next(polys), len(batch))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 12e6
+
+    def test_memory_at_the_top_paper_degree(self):
+        # 1000 trials of degree <= 2400: each grid block is padded only to
+        # its own longest row, not to the longest row of the sweep.
+        sampler = _SAMPLERS["random"](2400)
+        tracemalloc.start()
+        try:
+            verify_beta_bound(sampler, 1000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
 
 
 class TestBernstein:

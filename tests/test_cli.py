@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import time
 import warnings
 
@@ -229,6 +230,25 @@ class TestGqsvtCommand:
         text = capsys.readouterr().out
         assert "route agreement" in text
         assert "success_prob" in text
+
+    def test_small_stage_probabilities_are_printed(self, tmp_path, capsys):
+        # q = 5e-4 on A = 0.6: the first stage passes with p = 2.5e-7, which
+        # six decimals would print as 0.
+        cfg = write_config(tmp_path, "c.json", {
+            "matrix": matrix_to_json(np.array([[0.6]])),
+            "poly": PolyCoeffs([0, 5e-4]).to_json_dict(),
+            "alpha": 1.0,
+            "route": "both",
+        })
+        assert main(["gqsvt", "--config", cfg]) == EXIT_OK
+        line, = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("multiplication:")]
+        success = float(line.split("success_prob=")[1].split()[0])
+        probs = [float(p) for p in
+                 line.split("stage_probs=(")[1].rstrip(")").split(", ")]
+        assert len(probs) == 2 and 0 < probs[0] < 5e-7
+        assert all(p > 0 for p in probs)
+        assert math.prod(probs) == pytest.approx(success, rel=1e-5)
 
     def test_even_query_halving(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
@@ -729,22 +749,53 @@ def test_main_runs_the_handler_bound_at_call_time(monkeypatch):
 _ONE_BY_ONE = {"rows": 1, "cols": 1, "data": [[0.5, 0.0]]}
 
 
-@pytest.mark.parametrize("command, cfg", [
-    ("phases", {"poly": _POLY, "margin": [0.1]}),
+@pytest.mark.parametrize("command, cfg, err", [
+    ("phases", {"poly": _POLY, "margin": [0.1]}, "margin must be a number"),
     ("gqsvt", {"matrix": _ONE_BY_ONE, "poly": _POLY, "parity": "odd",
-               "alpha": [1]}),
-    ("gqet", {"matrix": _ONE_BY_ONE, "poly": _POLY, "alpha": None}),
-    ("bounds", {"trials": [3]}),
-    ("scaling-table", {"rows": [[10, 1e-3]]}),
-    ("scaling-table", {"rows": [{"kappa": "ten", "eps": 1e-3}]}),
-    ("scaling-table", {"rows": 5}),
+               "alpha": [1]}, "alpha must be a number"),
+    ("gqet", {"matrix": _ONE_BY_ONE, "poly": _POLY, "alpha": None},
+     "alpha must be a number"),
+    ("bounds", {"trials": [3]}, "trials must be an integer"),
+    ("scaling-table", {"rows": [[10, 1e-3]]}, "rows must be a list"),
+    ("scaling-table", {"rows": [{"kappa": "ten", "eps": 1e-3}]},
+     "kappa must be a number"),
+    ("scaling-table", {"rows": 5}, "rows must be a list"),
+    # A string is not read as the number it spells, a fraction is not
+    # truncated to an int field, and a boolean is not read as 0 or 1.
+    ("bounds", {"trials": "12"}, "trials must be an integer, not '12'"),
+    ("scaling-table", {"rows": [{"kappa": 10, "eps": "1e-3"}]},
+     "eps must be a number, not '1e-3'"),
+    ("phases", {"poly": _POLY, "margin": "1e-3"},
+     "margin must be a number, not '1e-3'"),
+    ("bounds", {"trials": 2.7}, "trials must be an integer, not 2.7"),
+    ("bounds", {"max_degree": 8.9}, "max_degree must be an integer, not 8.9"),
+    ("bounds", {"trials": True}, "trials must be an integer, not True"),
+    ("gqet", {"matrix": _ONE_BY_ONE, "poly": _POLY, "alpha": False},
+     "alpha must be a number, not False"),
+    ("scaling-table", {"rows": [{"kappa": 10 ** 400, "eps": 1e-3}]},
+     "kappa must be within the float range"),
 ], ids=["phases-margin-list", "gqsvt-alpha-list", "gqet-alpha-null",
         "bounds-trials-list", "scaling-row-list",
-        "scaling-kappa-string", "scaling-rows-number"])
-def test_wrong_type_scalar_is_an_input_error(tmp_path, capsys, command, cfg):
+        "scaling-kappa-string", "scaling-rows-number", "bounds-trials-string",
+        "scaling-eps-string", "phases-margin-string", "bounds-trials-fraction",
+        "bounds-max-degree-fraction", "bounds-trials-boolean",
+        "gqet-alpha-boolean", "scaling-kappa-beyond-float"])
+def test_wrong_type_scalar_is_an_input_error(tmp_path, capsys, command, cfg,
+                                             err):
     argv = [command, "--config", write_config(tmp_path, "c.json", cfg)]
     assert main(argv) == EXIT_INPUT
-    assert capsys.readouterr().err.startswith("input error:")
+    text = capsys.readouterr().err
+    assert text.startswith(f"input error: {err}") and text.count("\n") == 1
+
+
+def test_an_integral_float_is_an_int_field(tmp_path, capsys):
+    cfg = write_config(tmp_path, "b.json", {"trials": 1e3, "max_degree": 8.0})
+    out = tmp_path / "rows.csv"
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("trials=1000 ")
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 1000
+    assert max(int(r.split(",")[0]) for r in rows) <= 8
 
 
 @pytest.mark.parametrize("command", ["gqet", "gqsvt"])
