@@ -1,11 +1,10 @@
-"""Closed-form scaling-factor bounds and their empirical verification.
+"""Closed-form scaling-factor bound and its empirical verification.
 
 For a real-coefficient polynomial p of degree N with |Re p| <= M on the unit
 circle, |p| on the circle is bounded by an explicit Hilbert-transform
-estimate.  This module evaluates the estimate (theorem form with a free
-mollifier width delta, corollary forms with the width case split baked in,
-plus the linearized simplification), and runs randomized sweeps confirming
-that sampled polynomials never violate it.
+estimate.  This module evaluates the estimate in its corollary closed form
+(the mollifier-width case split baked in), and runs randomized sweeps
+confirming that sampled polynomials never violate it.
 """
 
 from __future__ import annotations
@@ -16,19 +15,13 @@ from typing import Callable
 
 import numpy as np
 
-from .polynomials import ZERO_TOL, PolyCoeffs, max_abs_circle
+from .polynomials import ZERO_TOL, PolyCoeffs
 
 __all__ = [
-    "BoundParams",
     "BoundReport",
     "g1_constant",
-    "g_lemma",
-    "hilbert_theorem_bound",
     "corollary_bound",
     "verify_beta_bound",
-    "bernstein_check",
-    "norm2_torus",
-    "norm2_torus_derivative",
 ]
 
 
@@ -37,89 +30,22 @@ def g1_constant() -> float:
     return math.log(math.sin(0.5)) / math.log(0.5)
 
 
-def g_lemma(x) -> np.ndarray:
-    """g(x) = log(sin(x/2)) / log(x/2) on (0, 1]; increasing, g(0+) = 1."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0) or np.any(x > 1):
-        raise ValueError("g is evaluated on (0, 1]")
-    return np.log(np.sin(x / 2)) / np.log(x / 2)
+def corollary_bound(N: int, M: float) -> float:
+    """Circle-norm bound for degree-N polynomials with |Re p| <= M:
 
+        M (1 + (g1/pi)(4 L + h)),   L = log(2 N^2),
+        h = sqrt(4 + 4 L + 2 L^2).
 
-# Torus L2 convention: ||f||_{2,T}^2 = integral over [-pi, pi) of |f|^2
-# d theta (no 1/(2 pi) prefactor), so by Parseval ||f||_2^2 = 2 pi sum |a_n|^2
-# for f(theta) = sum a_n e^{i n theta}.  Only inequality directions are
-# tested, which are insensitive to this choice once used consistently.
-
-def norm2_torus(c: PolyCoeffs) -> float:
-    return math.sqrt(2.0 * math.pi * float(np.sum(np.abs(c.coeffs) ** 2)))
-
-
-def norm2_torus_derivative(c: PolyCoeffs) -> float:
-    n = np.arange(len(c.coeffs))
-    return math.sqrt(2.0 * math.pi * float(np.sum((n * np.abs(c.coeffs)) ** 2)))
-
-
-@dataclasses.dataclass(frozen=True)
-class BoundParams:
-    """Inputs of the circle-norm bounds."""
-
-    N: int
-    M: float
-    im_p0: float = 0.0
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-        if not self.M > 0:
-            raise ValueError("M must be positive")
-        if self.im_p0 < 0:
-            raise ValueError("im_p0 is an absolute value, must be >= 0")
-
-
-def hilbert_theorem_bound(delta: float, norm_inf_f: float,
-                          norm_2_fprime: float) -> float:
-    """Mollified Hilbert-transform estimate with explicit width delta:
-
-        g1 (4/pi) |log(d/2)| ||f||_inf
-          + g1 (sqrt(2d)/pi) sqrt(2 - 2 log(d/2) + log^2(d/2)) ||f'||_2.
+    The mollifier-width case split (delta = 1 vs N^-2) is already folded
+    into this closed form.
     """
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
-    if norm_inf_f < 0 or norm_2_fprime < 0:
-        raise ValueError("norms must be nonnegative")
-    g1 = g1_constant()
-    L = math.log(delta / 2.0)
-    return (g1 * (4.0 / math.pi) * abs(L) * norm_inf_f
-            + g1 * (math.sqrt(2.0 * delta) / math.pi)
-            * math.sqrt(2.0 - 2.0 * L + L * L) * norm_2_fprime)
-
-
-def _h(x: float) -> float:
-    return math.sqrt(4.0 + 4.0 * x + 2.0 * x * x)
-
-
-def corollary_bound(params: BoundParams, form: str = "real") -> float:
-    """Circle-norm bound for degree-N polynomials with |Re p| <= M.
-
-    form='real':       M (1 + (g1/pi)(4 L + h(L))),   L = log(2 N^2);
-    form='complex':    adds |Im p(0)| inside the parenthesis;
-    form='simplified': linearizes h, M (1 + (g1/pi)(h(log 2) - sqrt(2) log 2
-                       + (4 + sqrt(2)) L)), an over-approximation for N >= 1.
-    The mollifier-width case split (delta = 1 vs N^-2) is already folded into
-    these closed forms.
-    """
-    g1 = g1_constant()
-    L = math.log(2.0 * params.N ** 2)
-    if form == "real":
-        return params.M * (1.0 + (g1 / math.pi) * (4.0 * L + _h(L)))
-    if form == "complex":
-        return params.M * (1.0 + params.im_p0
-                           + (g1 / math.pi) * (4.0 * L + _h(L)))
-    if form == "simplified":
-        l2 = math.log(2.0)
-        core = _h(l2) - math.sqrt(2.0) * l2 + (4.0 + math.sqrt(2.0)) * L
-        return params.M * (1.0 + (g1 / math.pi) * core)
-    raise ValueError(f"unknown form {form!r}")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if not M > 0:
+        raise ValueError("M must be positive")
+    L = math.log(2.0 * N ** 2)
+    h = math.sqrt(4.0 + 4.0 * L + 2.0 * L * L)
+    return M * (1.0 + (g1_constant() / math.pi) * (4.0 * L + h))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -218,15 +144,14 @@ def verify_beta_bound(sampler: Callable[[np.random.Generator], PolyCoeffs],
             max_abs[r] = _parabolic_peak(np.abs(vals))
             M[r] = _parabolic_peak(np.abs(vals.real))
 
-    keep = ~(M <= 0)  # a NaN M is kept, and BoundParams' check rejects it
+    keep = ~(M <= 0)  # a NaN M is kept, so the check below rejects it
     N, M, max_abs = N[keep], M[keep], max_abs[keep]
     if np.any(np.isnan(M)):
         raise ValueError("M must be positive")
     # corollary_bound is M times a factor of N alone, and at M = 1.0 it is
     # that factor, so M * factor[N] equals the per-row bound bit for bit.
     degrees, inverse = np.unique(N, return_inverse=True)
-    factor = np.array([corollary_bound(BoundParams(N=int(n), M=1.0))
-                       for n in degrees])
+    factor = np.array([corollary_bound(int(n), 1.0) for n in degrees])
     bound = M * factor[inverse]
     # For real coefficients p(cos t) = Re P(e^{it}), so the interval
     # maximum coincides with M and needs no separate scan.
@@ -236,13 +161,3 @@ def verify_beta_bound(sampler: Callable[[np.random.Generator], PolyCoeffs],
     violations = int(np.count_nonzero(max_abs > bound * (1.0 + 1e-9)))
     rows = zip(*(a.tolist() for a in (N, M, max_abs, beta, bound, ratio)))
     return BoundReport(tuple(rows), violations)
-
-
-def bernstein_check(c: PolyCoeffs) -> bool:
-    """||f'||_inf <= N ||f||_inf for f(theta) = P(e^{i theta})."""
-    c = c.trimmed()
-    N = max(c.degree, 1)
-    deriv = PolyCoeffs(np.arange(len(c.coeffs)) * c.coeffs)
-    lhs = max_abs_circle(deriv)
-    rhs = N * max_abs_circle(c)
-    return lhs <= rhs * (1.0 + 1e-9) + 1e-12

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import serialization as ser
+from .serialization import _number
 from .encodings import dilate_general, dilate_hermitian
 from .phases import (
     DEFAULT_MARGIN,
@@ -74,24 +75,6 @@ def _load_config(args) -> dict:
     if not isinstance(cfg, dict):
         raise InputError("config must be a JSON object")
     return cfg
-
-
-def _number(value, name: str, kind=float):
-    """A scalar config field converted by `kind`.  It must be a JSON number,
-    not a string or a boolean, and for an int field an integral one (1e3
-    reads as 1000); InputError otherwise."""
-    if kind is int:
-        ok = isinstance(value, int) or (isinstance(value, float)
-                                        and value.is_integer())
-    else:
-        ok = isinstance(value, (int, float))
-    if isinstance(value, bool) or not ok:
-        noun = "an integer" if kind is int else "a number"
-        raise InputError(f"{name} must be {noun}, not {value!r}")
-    try:
-        return kind(value)
-    except OverflowError as exc:  # a JSON integer beyond the float range
-        raise InputError(f"{name} must be within the float range") from exc
 
 
 def _load(cfg: dict, key: str):
@@ -159,6 +142,10 @@ def cmd_scaling_table(args) -> int:
                      {"kappa": 200, "eps": 1e-4}, {"kappa": 300, "eps": 1e-4}]
     if not isinstance(grid, list) or not all(isinstance(r, dict) for r in grid):
         raise InputError("rows must be a list of {kappa, eps} objects")
+    for i, r in enumerate(grid):
+        for key in ("kappa", "eps"):
+            if key not in r:
+                raise InputError(f"rows[{i}] is missing {key!r}")
     grid = [(_number(r["kappa"], "kappa"), _number(r["eps"], "eps"))
             for r in grid]
     rows = []
@@ -284,7 +271,7 @@ def cmd_bounds(args) -> int:
     if dmax < 1:
         raise InputError("max_degree must be at least 1")
     name = cfg.get("sampler", "random")
-    if name not in _SAMPLERS:
+    if not isinstance(name, str) or name not in _SAMPLERS:
         raise InputError(f"unknown sampler {name!r}; have {sorted(_SAMPLERS)}")
     report = bounds_mod.verify_beta_bound(_SAMPLERS[name](dmax), trials,
                                           seed=args.seed)

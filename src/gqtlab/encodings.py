@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 
@@ -20,19 +19,11 @@ from .phases import VALIDATION_TOL, _unitary_defect
 __all__ = [
     "ProjectedUnitaryEncoding",
     "HermitianEncoding",
-    "QubitizedPair",
     "EncodingValidationError",
     "SubnormalizationError",
-    "DegenerateBranchError",
-    "NearDegenerateWarning",
-    "encoded_matrix",
     "dilate_hermitian",
     "dilate_general",
-    "reflection",
     "walk_operator",
-    "qubitized_eigenpairs",
-    "coding_subspace_decomposition",
-    "controlled_walk",
     "hermitianize",
     "multiply",
 ]
@@ -44,14 +35,6 @@ class EncodingValidationError(ValueError):
 
 class SubnormalizationError(ValueError):
     """alpha smaller than the spectral norm of the matrix to encode."""
-
-
-class DegenerateBranchError(ValueError):
-    """Operation needs a non-degenerate qubitized pair."""
-
-
-class NearDegenerateWarning(UserWarning):
-    """sin(gamma) too small for the closed-form eigenvectors."""
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -186,33 +169,6 @@ def _derived(cls, U, Pi_L, Pi_R, alpha, defects):
     return enc
 
 
-@dataclasses.dataclass(frozen=True)
-class QubitizedPair:
-    """Walk-operator eigendata sourced from one eigenvalue of A/alpha.
-
-    Non-degenerate pairs carry two eigenvectors with eigenvalues
-    e^{+i gamma}, e^{-i gamma}; the degenerate branch (gamma in {0, pi})
-    carries a single vector, and `degenerate` reads that count.
-    """
-
-    gamma: float
-    eigvals: tuple
-    eigvecs: tuple
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma <= math.pi:
-            raise ValueError("gamma must lie in [0, pi]")
-
-    @property
-    def degenerate(self) -> bool:
-        return len(self.eigvecs) == 1
-
-
-def encoded_matrix(e: ProjectedUnitaryEncoding) -> np.ndarray:
-    """A/alpha = Pi_L^dag U Pi_R."""
-    return _block(e.U, e.Pi_L, e.Pi_R)
-
-
 def _selector(M: int, N: int) -> np.ndarray:
     """Isometry onto the first N coordinates of dimension M."""
     Pi = np.zeros((M, N), dtype=complex)
@@ -287,13 +243,6 @@ def dilate_general(A: np.ndarray, alpha: float) -> ProjectedUnitaryEncoding:
         U, _selector(N_L + N_R, N_L), _selector(N_L + N_R, N_R), alpha)
 
 
-def reflection(Pi: np.ndarray) -> np.ndarray:
-    """-(I - 2 Pi Pi^dag): +1 on the range of Pi, -1 on its complement."""
-    Pi = np.asarray(Pi, dtype=complex)
-    M = Pi.shape[0]
-    return 2.0 * (Pi @ Pi.conj().T) - np.eye(M)
-
-
 def _coordinate_rows(Pi: np.ndarray) -> tuple[np.ndarray, bool]:
     """The rows r where Pi is nonzero, and whether Pi[r] is the identity,
     as for the coordinate isometries every constructor builds."""
@@ -308,7 +257,7 @@ def walk_operator(e: HermitianEncoding) -> np.ndarray:
     rows r replaced by 2 Pi_r (Pi_r^dag U_r) - U_r: O(|r| N M).  For a
     coordinate isometry (Pi[r] = I) those rows are U[r] itself, so W is U
     with its other rows negated, copied with no product; it equals
-    reflection(Pi) @ U, and its Gram equals U's bit for bit, which is why
+    (2 Pi Pi^dag - I) @ U, and its Gram equals U's bit for bit, which is why
     gqet hands the kernel the encoding's defect (`_walk_defect`).
     """
     Pi, U = e.Pi, e.U
@@ -324,66 +273,6 @@ def _walk_defect(e: HermitianEncoding) -> float | None:
     defect, else None.  For a coordinate Pi, W negates rows of U and so
     has U's Gram; any other Pi forms W by products, to be measured."""
     return e.defects[0] if _coordinate_rows(e.Pi)[1] else None
-
-
-def qubitized_eigenpairs(e: HermitianEncoding) -> list[QubitizedPair]:
-    """Walk-operator eigenpairs derived from the eigenpairs of A/alpha.
-
-    For each eigenpair (x, v) of A/alpha with gamma = arccos(x), the vectors
-    (e^{+-i gamma} I - U) Pi v / (sqrt(2) sin gamma) are eigenvectors of
-    R_Pi U with eigenvalues e^{+-i gamma}; when x = +-1 the single vector
-    Pi v is kept with eigenvalue x.
-    """
-    enc = encoded_matrix(e)
-    vals, vecs = np.linalg.eigh(enc)
-    U, Pi = e.U, e.Pi
-    pairs = []
-    for x, v in zip(vals, vecs.T):
-        x = float(np.clip(x, -1.0, 1.0))
-        gamma = math.acos(x)
-        pv = Pi @ v
-        if abs(math.sin(gamma)) < 1e-6:
-            warnings.warn(
-                f"sin(gamma)={math.sin(gamma):.2e}; using the degenerate "
-                "single-vector branch", NearDegenerateWarning, stacklevel=2)
-            pairs.append(QubitizedPair(gamma, (complex(x),), (pv,)))
-            continue
-        norm = math.sqrt(2.0) * math.sin(gamma)
-        plus = (np.exp(1j * gamma) * pv - U @ pv) / norm
-        minus = (np.exp(-1j * gamma) * pv - U @ pv) / norm
-        pairs.append(QubitizedPair(
-            gamma, (np.exp(1j * gamma), np.exp(-1j * gamma)), (plus, minus)))
-    return pairs
-
-
-def coding_subspace_decomposition(pair: QubitizedPair) -> np.ndarray:
-    """Recover Pi v from the eigenvector pair: (v_plus - v_minus)/(sqrt(2) i)."""
-    if pair.degenerate:
-        raise DegenerateBranchError(
-            "decomposition needs a non-degenerate pair")
-    plus, minus = pair.eigvecs
-    return (plus - minus) / (math.sqrt(2.0) * 1j)
-
-
-def controlled_walk(e: HermitianEncoding, decomposed: bool = False) -> np.ndarray:
-    """|0><0| (x) R_Pi U + |1><1| (x) I on control (x) system.
-
-    With decomposed=True the same matrix is assembled from three factors:
-    anti-controlled U, the projector-controlled reflection
-    I - 2|0><0| (x) Pi Pi^dag, and -Z on the control.  Both forms agree to
-    float roundoff.
-    """
-    M = e.M
-    eyeM = np.eye(M)
-    if not decomposed:
-        W = walk_operator(e)
-        return np.block([[W, np.zeros((M, M))], [np.zeros((M, M)), eyeM]])
-    anti_U = np.block([[e.U, np.zeros((M, M))], [np.zeros((M, M)), eyeM]])
-    P = e.Pi @ e.Pi.conj().T
-    ctrl_refl = np.eye(2 * M) - 2.0 * np.block(
-        [[P, np.zeros((M, M))], [np.zeros((M, M)), np.zeros((M, M))]])
-    minus_Z = np.kron(np.diag([-1.0, 1.0]), eyeM)
-    return ctrl_refl @ minus_Z @ anti_U
 
 
 def hermitianize(e: ProjectedUnitaryEncoding) -> HermitianEncoding:

@@ -16,24 +16,19 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import polynomial as _poly
 
 __all__ = [
     "PolyCoeffs",
     "ApproxSpec",
     "InverseApproxResult",
     "DomainError",
-    "DegeneratePolynomialError",
     "ParityError",
     "NumericalError",
     "ApproximationError",
     "eval_cheb",
-    "eval_circle",
     "max_abs_interval",
     "max_abs_circle",
-    "scaling_factor",
     "definite_parity",
-    "parity_split",
     "sqrt_substitute_even",
     "sqrt_substitute_odd",
     "approx_inverse",
@@ -46,10 +41,6 @@ ZERO_TOL = 1e-12
 
 class DomainError(ValueError):
     """Evaluation point outside the allowed domain."""
-
-
-class DegeneratePolynomialError(ValueError):
-    """Polynomial too close to zero for the requested operation."""
 
 
 class ParityError(ValueError):
@@ -161,12 +152,6 @@ def eval_cheb(c: PolyCoeffs, x):
     return _cheb.chebval(xa, c.coeffs)
 
 
-def eval_circle(c: PolyCoeffs, theta):
-    """P(e^{i theta}) = sum a_n e^{i n theta}."""
-    z = np.exp(1j * np.asarray(theta, dtype=float))
-    return _poly.polyval(z, c.coeffs)
-
-
 # Both sup norms are max |Q(e^{i theta})| for one polynomial Q of degree D:
 # Q = P on the circle (D = d), and on the interval the palindromic
 # Q = (a_d, .., a_1, 2 a_0, a_1, .., a_d) / 2 (D = 2d), as
@@ -260,24 +245,6 @@ def max_abs_interval(c: PolyCoeffs) -> float:
 def max_abs_circle(c: PolyCoeffs) -> float:
     """max over theta of |P(e^{i theta})|, by the FFT peak search above."""
     return _sup_abs(c.coeffs, False)
-
-
-def scaling_factor(c: PolyCoeffs) -> float:
-    """beta = max|P| on the circle / max|p| on [-1,1]; >= 1 up to roundoff."""
-    denom = max_abs_interval(c)
-    if denom < 1e-14:
-        raise DegeneratePolynomialError(
-            "interval sup-norm below 1e-14; scaling factor undefined")
-    return max_abs_circle(c) / denom
-
-
-def parity_split(c: PolyCoeffs) -> tuple[PolyCoeffs, PolyCoeffs]:
-    """(even part, odd part); they sum back to c exactly after padding."""
-    even = c.coeffs.copy()
-    odd = c.coeffs.copy()
-    even[1::2] = 0.0
-    odd[0::2] = 0.0
-    return PolyCoeffs(even).trimmed(tol=0.0), PolyCoeffs(odd).trimmed(tol=0.0)
 
 
 def definite_parity(c: PolyCoeffs) -> str:

@@ -5,7 +5,8 @@ Schemas:
     phases      {"thetas": [...], "phis": [...], "lambda": x}
                 (the degree is len(thetas) - 1; an older file's "degree"
                 key is read only to be checked against it)
-    matrix      {"rows": R, "cols": C, "data": [[re, im], ...]} row-major
+    matrix      {"rows": R, "cols": C, "data": [[re, im], ...]} row-major,
+                R and C integers by the rule of `_number`
 
 A polynomial or a matrix is read from a decoded JSON object
 (`PolyCoeffs.from_json_dict`, `matrix_from_json`), never from a path;
@@ -24,8 +25,6 @@ from .phases import PhaseFactors
 __all__ = [
     "matrix_to_json",
     "matrix_from_json",
-    "save_json",
-    "load_json",
     "phases_from_file",
     "phases_to_file",
 ]
@@ -40,8 +39,27 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _number(value, name: str, kind=float):
+    """A scalar JSON field converted by `kind`.  It must be a JSON number,
+    not a string or a boolean, and for an int field an integral one (1e3
+    reads as 1000); ValueError otherwise."""
+    if kind is int:
+        ok = isinstance(value, int) or (isinstance(value, float)
+                                        and value.is_integer())
+    else:
+        ok = isinstance(value, (int, float))
+    if isinstance(value, bool) or not ok:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {noun}, not {value!r}")
+    try:
+        return kind(value)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ValueError(f"{name} must be within the float range") from exc
+
+
 def matrix_from_json(d: dict) -> np.ndarray:
-    rows, cols = int(d["rows"]), int(d["cols"])
+    rows = _number(d["rows"], "rows", int)
+    cols = _number(d["cols"], "cols", int)
     data = np.asarray(d["data"])
     if data.dtype.kind not in "iuf" or data.shape != (rows * cols, 2):
         raise ValueError(f"matrix data must be rows*cols = {rows * cols} "
@@ -52,17 +70,9 @@ def matrix_from_json(d: dict) -> np.ndarray:
     return data.astype(float).view(complex).reshape(rows, cols)
 
 
-def save_json(obj: dict, path: str | Path):
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
-
-
-def load_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
-
-
 def phases_from_file(path: str | Path) -> PhaseFactors:
-    return PhaseFactors.from_json_dict(load_json(path))
+    return PhaseFactors.from_json_dict(json.loads(Path(path).read_text()))
 
 
 def phases_to_file(ph: PhaseFactors, path: str | Path):
-    save_json(ph.to_json_dict(), path)
+    Path(path).write_text(json.dumps(ph.to_json_dict(), indent=2) + "\n")

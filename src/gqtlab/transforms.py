@@ -48,14 +48,12 @@ __all__ = [
     "PostselectOutcome",
     "ZeroProbabilityError",
     "gqet",
-    "gqet_absorbed_matrix",
     "eigen_oracle",
     "svt_oracle",
     "gqsvt_hermitianization",
     "extract_svt",
     "gqsvt_multiplication",
     "simulate_postselect",
-    "qsvt_equivalence_check",
 ]
 
 
@@ -168,22 +166,6 @@ def gqet(e: HermitianEncoding, c: PolyCoeffs) -> CircuitProduct:
         operator=op, queries_U=ph.degree, queries_U_dagger=0,
         degree=ph.degree, route="gqet", scale_applied=scale,
         extraction={"default": (E, E)}, poly=c, phases=ph)
-
-
-def gqet_absorbed_matrix(e: HermitianEncoding,
-                         ph: PhaseFactors) -> np.ndarray:
-    """The same circuit with the walk reflection folded into the rotations.
-
-    Each anti-controlled walk factor splits as
-    (I - 2|0><0| (x) Pi Pi^dag) * (-Z (x) I) * anti-controlled-U, and the
-    -Z on the ancilla is absorbed into the rotation to its right by the
-    shift phi -> phi + pi (every rotation except the last one).  What is
-    left of a layer is block_diag((I - 2 Pi Pi^dag) U, I) = block_diag(-W, I).
-    """
-    shift = np.where(np.arange(ph.degree + 1) < ph.degree, math.pi, 0.0)
-    W = walk_operator(e)
-    return gqsp_matrix(PhaseFactors(ph.thetas, ph.phis + shift, ph.lam),
-                       -W, np.eye(2 * len(W)))
 
 
 def eigen_oracle(A: np.ndarray, alpha: float, c: PolyCoeffs) -> np.ndarray:
@@ -376,29 +358,3 @@ def _qsvt_circuit(phis: np.ndarray, e: ProjectedUnitaryEncoding,
         r = np.repeat([np.exp(-0.5j * phi), np.exp(0.5j * phi)], k)
         Y = U @ (Y * r + Pi @ ((Pi.conj().T @ Y) * (r.conj() - r)))
     return np.vstack([Y[:, :k] + Y[:, k:], Y[:, :k] - Y[:, k:]]) / math.sqrt(2.0)
-
-
-def qsvt_equivalence_check(e: ProjectedUnitaryEncoding,
-                           phis: np.ndarray) -> tuple[bool, float]:
-    """Alternating-U/U^dag circuit vs its two-register Hermitianized form.
-
-    The Hermitianized circuit is `_qsvt_circuit` run on `hermitianize(e)`,
-    on flag (x) direction (x) system: U_bar = [[0, U], [U^dag, 0]] toggles
-    the direction qubit, so with it initialized to |1> the phase rotations
-    controlled by Pi_bar Pi_bar^dag see Pi_R and Pi_L alternately and the
-    whole circuit reduces to the same kernel run on e.  Returns
-    (pass, residual) where the residual compares the full circuit
-    restricted to the deterministic direction track against the reduced
-    circuit, at 1e-10.
-    """
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    M = e.M
-    # Direction |1> in; out on |1> after an even number of toggles, else |0>.
-    track_in = np.eye(2 * M)[:, M:]
-    track_out = track_in if len(phis) % 2 == 0 else np.eye(2 * M)[:, :M]
-    E_in = np.kron(np.eye(2), track_in)
-    E_out = np.kron(np.eye(2), track_out)
-    full = _qsvt_circuit(phis, hermitianize(e), E_in)
-    reduced = _qsvt_circuit(phis, e, np.eye(2 * M))
-    residual = float(np.linalg.norm(full - E_out @ reduced, 2))
-    return residual <= 1e-10, residual

@@ -4,22 +4,15 @@ import time
 
 import numpy as np
 
-from gqtlab.bounds import bernstein_check, g1_constant, verify_beta_bound
-from gqtlab.encodings import (
-    dilate_general,
-    dilate_hermitian,
-    qubitized_eigenpairs,
-    walk_operator,
-)
+from gqtlab.bounds import g1_constant, verify_beta_bound
+from gqtlab.encodings import dilate_general, dilate_hermitian, walk_operator
 from gqtlab.phases import complementary_polynomial, reconstruct_P, solve_phases
 from gqtlab.polynomials import (
     ApproxSpec,
     PolyCoeffs,
     approx_inverse,
-    eval_circle,
     max_abs_circle,
     max_abs_interval,
-    parity_split,
     sqrt_substitute_even,
     sqrt_substitute_odd,
 )
@@ -30,9 +23,15 @@ from gqtlab.transforms import (
     gqet,
     gqsvt_hermitianization,
     gqsvt_multiplication,
-    qsvt_equivalence_check,
     simulate_postselect,
     svt_oracle,
+)
+from reference import (
+    bernstein_check,
+    eval_circle,
+    parity_split,
+    qsvt_equivalence_check,
+    qubitized_eigenpairs,
 )
 
 

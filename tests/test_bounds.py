@@ -6,19 +6,10 @@ import numpy as np
 import pytest
 
 from gqtlab import bounds
-from gqtlab.bounds import (
-    BoundParams,
-    bernstein_check,
-    corollary_bound,
-    g1_constant,
-    g_lemma,
-    hilbert_theorem_bound,
-    norm2_torus,
-    norm2_torus_derivative,
-    verify_beta_bound,
-)
+from gqtlab.bounds import corollary_bound, g1_constant, verify_beta_bound
 from gqtlab.cli import _SAMPLERS
 from gqtlab.polynomials import PolyCoeffs, max_abs_circle
+from reference import bernstein_check, g_lemma, hilbert_theorem_bound
 
 
 class TestG1:
@@ -80,43 +71,33 @@ class TestCorollaryBound:
         L = math.log(2)
         expected = 1 + g1_constant() / math.pi * (
             4 * L + math.sqrt(4 + 4 * L + 2 * L * L))
-        assert corollary_bound(BoundParams(N=1, M=1.0)) == pytest.approx(
-            expected, abs=1e-15)
+        assert corollary_bound(1, 1.0) == pytest.approx(expected, abs=1e-15)
 
-    def test_complex_reduces_to_real(self):
-        p = BoundParams(N=7, M=2.5, im_p0=0.0)
-        assert corollary_bound(p, form="complex") == pytest.approx(
-            corollary_bound(p, form="real"), abs=1e-15)
-
-    def test_complex_adds_imaginary_part(self):
-        p = BoundParams(N=7, M=2.0, im_p0=0.3)
-        assert corollary_bound(p, form="complex") == pytest.approx(
-            corollary_bound(p, form="real") + 2.0 * 0.3, abs=1e-12)
-
-    def test_simplified_dominates(self):
-        for N in range(1, 10 ** 4 + 1):
-            p = BoundParams(N=N, M=1.0)
-            assert corollary_bound(p, "simplified") >= corollary_bound(
-                p, "real") - 1e-12
+    def test_is_the_theorem_at_width_n_minus_2(self):
+        # delta = N^-2, ||f||_inf = M and ||f'||_2 = N M, plus Re p's M.
+        rng = np.random.default_rng(53)
+        for _ in range(25):
+            N = int(rng.integers(1, 10 ** 4))
+            M = float(rng.uniform(1e-3, 10))
+            assert corollary_bound(N, M) == pytest.approx(
+                M + hilbert_theorem_bound(N ** -2.0, M, N * M), rel=1e-13)
 
     def test_monotone_in_n_linear_in_m(self):
         prev = 0.0
         for N in range(1, 1001):
-            b = corollary_bound(BoundParams(N=N, M=1.0))
+            b = corollary_bound(N, 1.0)
             assert b >= prev
             prev = b
-        assert corollary_bound(BoundParams(N=5, M=3.0)) == pytest.approx(
-            3 * corollary_bound(BoundParams(N=5, M=1.0)), rel=1e-14)
+        assert corollary_bound(5, 3.0) == pytest.approx(
+            3 * corollary_bound(5, 1.0), rel=1e-14)
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            BoundParams(N=0, M=1.0)
-        with pytest.raises(ValueError):
-            BoundParams(N=1, M=0.0)
-        with pytest.raises(ValueError):
-            BoundParams(N=1, M=1.0, im_p0=-0.1)
-        with pytest.raises(ValueError):
-            corollary_bound(BoundParams(N=1, M=1.0), form="imagined")
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            corollary_bound(0, 1.0)
+        with pytest.raises(ValueError, match="M must be positive"):
+            corollary_bound(1, 0.0)
+        with pytest.raises(ValueError, match="M must be positive"):
+            corollary_bound(1, math.nan)
 
 
 def cheb_monomial_sampler(rng):
@@ -199,7 +180,7 @@ def padded_circle_max(coeffs, lengths=None, grid=row_grid):
 
 def per_row_verify_beta_bound(sampler, trials, seed=0):
     """Reference for `verify_beta_bound`: the same sweep, row by row, with a
-    PolyCoeffs, a circle scan, a BoundParams and a corollary_bound per row."""
+    PolyCoeffs, a circle scan and a corollary_bound per row."""
     rng = np.random.default_rng(seed)
     polys = [sampler(rng) for _ in range(trials)]
     rows = []
@@ -213,7 +194,7 @@ def per_row_verify_beta_bound(sampler, trials, seed=0):
         M, max_abs = float(M), float(max_abs)
         if M <= 0:
             continue
-        bound = corollary_bound(BoundParams(N=N, M=M))
+        bound = corollary_bound(N, M)
         beta = max_abs / M if M > 1e-14 else float("nan")
         ratio = max_abs / bound
         if max_abs > bound * (1.0 + 1e-9):
@@ -467,14 +448,3 @@ class TestBernstein:
             d = int(rng.integers(1, 33))
             a = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
             assert bernstein_check(PolyCoeffs(a))
-
-
-class TestTorusNorms:
-    def test_parseval_single_mode(self):
-        assert norm2_torus(PolyCoeffs([0, 0, 3.0])) == pytest.approx(
-            3.0 * math.sqrt(2 * math.pi), abs=1e-14)
-
-    def test_derivative_weights(self):
-        c = PolyCoeffs([1.0, 0, 2.0])
-        assert norm2_torus_derivative(c) == pytest.approx(
-            math.sqrt(2 * math.pi * 16.0), abs=1e-12)

@@ -209,6 +209,9 @@ def test_json_decoding_is_exact():
     M = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
     back = matrix_from_json(json.loads(json.dumps(matrix_to_json(M))))
     assert back.shape == (3, 4) and np.array_equal(back, M)
+    # An integral float is an integer dimension.
+    d = {**matrix_to_json(M), "rows": 3.0, "cols": 4.0}
+    assert np.array_equal(matrix_from_json(d), M)
     c = PolyCoeffs(M[0])
     back = PolyCoeffs.from_json_dict(json.loads(json.dumps(c.to_json_dict())))
     assert np.array_equal(back.coeffs, c.coeffs)
@@ -774,12 +777,29 @@ _ONE_BY_ONE = {"rows": 1, "cols": 1, "data": [[0.5, 0.0]]}
      "alpha must be a number, not False"),
     ("scaling-table", {"rows": [{"kappa": 10 ** 400, "eps": 1e-3}]},
      "kappa must be within the float range"),
+    # A sampler name that is not a string is refused, not hashed.
+    ("bounds", {"sampler": ["random"], "trials": 3},
+     "unknown sampler ['random']"),
+    ("bounds", {"sampler": {}, "trials": 3}, "unknown sampler {}"),
+    ("scaling-table", {"rows": [{"kappa": 10}]}, "rows[0] is missing 'eps'"),
+    # Matrix dimensions follow the integer rule: not truncated, not a
+    # boolean or a string.
+    ("gqet", {"matrix": {"rows": 2.9, "cols": 2,
+                         "data": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                  [0.5, 0.0]]}, "poly": _POLY},
+     "bad matrix input: rows must be an integer, not 2.9"),
+    ("gqet", {"matrix": {"rows": True, "cols": "1", "data": [[0.5, 0.0]]},
+              "poly": _POLY},
+     "bad matrix input: rows must be an integer, not True"),
 ], ids=["phases-margin-list", "gqsvt-alpha-list", "gqet-alpha-null",
         "bounds-trials-list", "scaling-row-list",
         "scaling-kappa-string", "scaling-rows-number", "bounds-trials-string",
         "scaling-eps-string", "phases-margin-string", "bounds-trials-fraction",
         "bounds-max-degree-fraction", "bounds-trials-boolean",
-        "gqet-alpha-boolean", "scaling-kappa-beyond-float"])
+        "gqet-alpha-boolean", "scaling-kappa-beyond-float",
+        "bounds-sampler-list", "bounds-sampler-object",
+        "scaling-row-missing-eps", "gqet-rows-fraction",
+        "gqet-rows-boolean"])
 def test_wrong_type_scalar_is_an_input_error(tmp_path, capsys, command, cfg,
                                              err):
     argv = [command, "--config", write_config(tmp_path, "c.json", cfg)]

