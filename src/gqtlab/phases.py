@@ -351,6 +351,31 @@ def _column_defect(Y: np.ndarray, X: np.ndarray) -> float:
     return float(np.linalg.norm(Y.conj().T @ Y - X.conj().T @ X))
 
 
+def _nonzero_blocks(U: np.ndarray) -> tuple[np.ndarray, str | None]:
+    """U as the blocks the kernel multiplies, and the structure that lets
+    it, read from U's entries by exact comparisons (O(M^2)).  With
+    N = M/2 and U = [[B, S], [S', B']]:
+
+      "commuting"     B' = B and S' = -S (U commutes with iY (x) I, as the
+                      walk of a `dilate_hermitian` encoding does):
+                      the stack (B + iS, B - iS), for
+                      U = T diag(B + iS, B - iS) T^dag,
+                      T = [[I, I], [iI, -iI]] / sqrt 2;
+      "off-diagonal"  B = B' = 0 (the walk of a `hermitianize` encoding):
+                      the stack (S, S'), applied to the swapped halves;
+      None            any other U: U itself.
+    """
+    M = len(U)
+    if M and not M % 2:
+        N = M // 2
+        B, S = U[:N, :N], U[:N, N:]
+        if not B.any() and not U[N:, N:].any():
+            return np.stack([S, U[N:, :N]]), "off-diagonal"
+        if np.array_equal(U[N:, N:], B) and np.array_equal(U[N:, :N], -S):
+            return np.stack([B + 1j * S, B - 1j * S]), "commuting"
+    return U, None
+
+
 def gqsp_matrix(ph: PhaseFactors, U: np.ndarray, columns: np.ndarray,
                 defect: float | None = None) -> np.ndarray:
     """C applied to a 2M x k column stack, where C is the 2M x 2M circuit
@@ -358,9 +383,14 @@ def gqsp_matrix(ph: PhaseFactors, U: np.ndarray, columns: np.ndarray,
 
     The ancilla is the slow tensor factor: diag(z, 1) becomes
     block_diag(U, I), i.e. U is applied when the ancilla is |0>.  The stack
-    is kept as two M-row halves: U multiplies the top half (M^2 k per
-    layer), and each rotation mixes the halves entry-wise.  Pushing the
-    identity gives C itself in 2 d M^3.
+    is kept as two M-row halves: U multiplies the top half, and each
+    rotation mixes the halves entry-wise.  A general U costs M^2 k per
+    layer, so pushing the identity gives C itself in 2 d M^3.  A U of one
+    of the two structures of `_nonzero_blocks` runs as its two N x N
+    blocks, N = M/2, in M^2 k / 2 per layer (d M^3 for C): a J-commuting
+    U on the stack turned in place by T^dag before the layers and by T
+    after them (T of `_nonzero_blocks`), an off-diagonal U on the swapped
+    halves of the top half.
 
     U must be unitary to VALIDATION_TOL * M (ValueError otherwise: U is
     the caller's argument).  The kernel never checks C itself; on every
@@ -380,14 +410,27 @@ def gqsp_matrix(ph: PhaseFactors, U: np.ndarray, columns: np.ndarray,
         raise NumericalError(
             f"{ph.degree} layers of unitarity defect {defect:.3e} "
             f"exceed {VALIDATION_TOL:g} * {2 * M}")
-    out = np.array(columns, dtype=complex)
+    # C order, so that the reshapes below are views of the stack.
+    out = np.array(columns, dtype=complex, order="C")
     if out.ndim != 2 or out.shape[0] != 2 * M:
         raise ValueError(f"columns must have {2 * M} rows")
-    top, bot = out[:M], out[M:]
+    blocks, structure = _nonzero_blocks(U)
+    # (ancilla, [block,] row, column): views of the C-ordered stack.
+    top, bot = out.reshape((2,) + blocks.shape[:-1] + out.shape[1:])
+    operand = top[::-1] if structure == "off-diagonal" else top
     Utop, tmp = np.empty_like(top), np.empty_like(top)
+    if structure == "commuting":
+        # The walk-register halves (x0, x1) of both ancilla halves, turned
+        # in place by T^dag: ((x0 - i x1), (x0 + i x1)) / sqrt 2.  The loop's
+        # scratch buffer holds i x1, so no stack-sized temporary is made.
+        x0, x1 = out.reshape(2, 2, out.size // 4).swapaxes(0, 1)
+        ix1 = np.multiply(x1, 1j, out=tmp.reshape(x1.shape))
+        np.add(x0, ix1, out=x1)
+        x0 -= ix1
+        out *= math.sqrt(0.5)
     for k in range(ph.degree + 1):
         if k:
-            np.matmul(U, top, out=Utop)
+            np.matmul(blocks, operand, out=Utop)
         else:
             Utop[...] = top
         r = rotation_matrix(ph.thetas[k], ph.phis[k], 0.0 if k else ph.lam)
@@ -395,4 +438,10 @@ def gqsp_matrix(ph: PhaseFactors, U: np.ndarray, columns: np.ndarray,
         top += np.multiply(bot, r[0, 1], out=tmp)
         bot *= r[1, 1]
         bot += np.multiply(Utop, r[1, 0], out=tmp)
+    if structure == "commuting":
+        # and back by T: (y0 + y1, i (y0 - y1)) / sqrt 2.
+        diff = np.subtract(x0, x1, out=tmp.reshape(x1.shape))
+        x0 += x1
+        np.multiply(diff, 1j, out=x1)
+        out *= math.sqrt(0.5)
     return out

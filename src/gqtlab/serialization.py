@@ -6,7 +6,7 @@ Schemas:
                 (the degree is len(thetas) - 1; an older file's "degree"
                 key is read only to be checked against it)
     matrix      {"rows": R, "cols": C, "data": [[re, im], ...]} row-major,
-                R and C integers by the rule of `_number`
+                R and C positive integers by the rule of `_number`
 
 A polynomial or a matrix is read from a decoded JSON object
 (`PolyCoeffs.from_json_dict`, `matrix_from_json`), never from a path;
@@ -60,6 +60,9 @@ def _number(value, name: str, kind=float):
 def matrix_from_json(d: dict) -> np.ndarray:
     rows = _number(d["rows"], "rows", int)
     cols = _number(d["cols"], "cols", int)
+    for name, n in (("rows", rows), ("cols", cols)):
+        if n < 1:
+            raise ValueError(f"{name} must be at least 1, not {n}")
     data = np.asarray(d["data"])
     if data.dtype.kind not in "iuf" or data.shape != (rows * cols, 2):
         raise ValueError(f"matrix data must be rows*cols = {rows * cols} "

@@ -3,7 +3,8 @@
 Each is a dense, direct form of something the library computes another way
 (qubitized eigenpairs against `walk_operator`, the rotation-absorbed circuit
 against `gqet`, the two-register QSVT circuit against `_qsvt_circuit`, the
-Hilbert-transform theorem against `corollary_bound`), or
+Hilbert-transform theorem against `corollary_bound`, the one-block layer loop
+against `gqsp_matrix`), or
 a value the tests read that the library never needs (the encoded block, P on
 the circle, the parity halves).  Nothing in `src/` imports this module.
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from gqtlab.bounds import g1_constant
 from gqtlab.encodings import HermitianEncoding, hermitianize, walk_operator
-from gqtlab.phases import PhaseFactors, gqsp_matrix
+from gqtlab.phases import PhaseFactors, gqsp_matrix, rotation_matrix
 from gqtlab.polynomials import PolyCoeffs, max_abs_circle
 from gqtlab.transforms import _qsvt_circuit
 
@@ -181,6 +182,30 @@ def controlled_walk(e: HermitianEncoding, decomposed: bool = False) -> np.ndarra
 # ---------------------------------------------------------------------------
 # Circuits: the same transformation assembled another way.
 # ---------------------------------------------------------------------------
+
+def gqsp_layers(ph: PhaseFactors, U: np.ndarray,
+                columns: np.ndarray) -> np.ndarray:
+    """The gqsp_matrix layer loop on all of U, with no checks: each layer
+    multiplies the top M-row half of the stack by U and mixes the halves
+    entry-wise with the rotation.  The kernel runs a U of exact block
+    structure as two half-size blocks, and any other U by this arithmetic."""
+    U = np.asarray(U, dtype=complex)
+    M = len(U)
+    out = np.array(columns, dtype=complex)
+    top, bot = out[:M], out[M:]
+    Utop, tmp = np.empty_like(top), np.empty_like(top)
+    for k in range(ph.degree + 1):
+        if k:
+            np.matmul(U, top, out=Utop)
+        else:
+            Utop[...] = top
+        r = rotation_matrix(ph.thetas[k], ph.phis[k], 0.0 if k else ph.lam)
+        np.multiply(Utop, r[0, 0], out=top)
+        top += np.multiply(bot, r[0, 1], out=tmp)
+        bot *= r[1, 1]
+        bot += np.multiply(Utop, r[1, 0], out=tmp)
+    return out
+
 
 def gqet_absorbed_matrix(e: HermitianEncoding,
                          ph: PhaseFactors) -> np.ndarray:

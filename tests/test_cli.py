@@ -791,6 +791,19 @@ _ONE_BY_ONE = {"rows": 1, "cols": 1, "data": [[0.5, 0.0]]}
     ("gqet", {"matrix": {"rows": True, "cols": "1", "data": [[0.5, 0.0]]},
               "poly": _POLY},
      "bad matrix input: rows must be an integer, not True"),
+    # and they are positive: -1 x -1 and -2 x -2 have the size of their
+    # data, and 0 rows or columns hold no matrix.
+    ("gqet", {"matrix": {"rows": -1, "cols": -1, "data": [[0.5, 0.0]]},
+              "poly": _POLY},
+     "bad matrix input: rows must be at least 1, not -1"),
+    ("gqet", {"matrix": {"rows": -2, "cols": -2,
+                         "data": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                  [0.5, 0.0]]}, "poly": _POLY},
+     "bad matrix input: rows must be at least 1, not -2"),
+    ("gqet", {"matrix": {"rows": 0, "cols": 1, "data": []}, "poly": _POLY},
+     "bad matrix input: rows must be at least 1, not 0"),
+    ("gqsvt", {"matrix": {"rows": 1, "cols": 0, "data": []}, "poly": _POLY},
+     "bad matrix input: cols must be at least 1, not 0"),
 ], ids=["phases-margin-list", "gqsvt-alpha-list", "gqet-alpha-null",
         "bounds-trials-list", "scaling-row-list",
         "scaling-kappa-string", "scaling-rows-number", "bounds-trials-string",
@@ -799,7 +812,8 @@ _ONE_BY_ONE = {"rows": 1, "cols": 1, "data": [[0.5, 0.0]]}
         "gqet-alpha-boolean", "scaling-kappa-beyond-float",
         "bounds-sampler-list", "bounds-sampler-object",
         "scaling-row-missing-eps", "gqet-rows-fraction",
-        "gqet-rows-boolean"])
+        "gqet-rows-boolean", "gqet-dims-minus-one", "gqet-dims-minus-two",
+        "gqet-zero-rows", "gqsvt-zero-cols"])
 def test_wrong_type_scalar_is_an_input_error(tmp_path, capsys, command, cfg,
                                              err):
     argv = [command, "--config", write_config(tmp_path, "c.json", cfg)]

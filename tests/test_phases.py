@@ -7,7 +7,14 @@ from numpy.polynomial import chebyshev
 from hypothesis import given, settings, strategies as st
 
 from gqtlab import phases
-from gqtlab.encodings import HermitianEncoding
+from gqtlab.encodings import (
+    HermitianEncoding,
+    dilate_general,
+    dilate_hermitian,
+    hermitianize,
+    multiply,
+    walk_operator,
+)
 from gqtlab.phases import (
     CompletionError,
     DEFAULT_MARGIN,
@@ -28,7 +35,7 @@ from gqtlab.polynomials import (
     approx_inverse,
     max_abs_circle,
 )
-from reference import eval_circle, gqet_absorbed_matrix
+from reference import eval_circle, gqet_absorbed_matrix, gqsp_layers
 
 CIRCLE_4096 = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
 
@@ -423,6 +430,107 @@ class TestKernelAgainstDenseChain:
         W = (2.0 * Pi @ Pi.conj().T - np.eye(M)) @ U
         absorbed = gqet_absorbed_matrix(e, ph)
         assert np.max(np.abs(absorbed - dense_chain(ph, W))) <= 1e-12
+
+
+def random_unitary(rng, n):
+    return np.linalg.qr(rng.normal(size=(n, n))
+                        + 1j * rng.normal(size=(n, n)))[0]
+
+
+def j_commuting(rng, N):
+    """T diag(G1, G2) T^dag, T = [[I, I], [iI, -iI]] / sqrt 2, assembled
+    from its blocks so that it commutes with iY (x) I bit for bit:
+    B = (G1 + G2) / 2 and S = (G1 - G2) / 2i."""
+    G1, G2 = random_unitary(rng, N), random_unitary(rng, N)
+    B, S = (G1 + G2) / 2, (G1 - G2) / 2j
+    return np.block([[B, S], [-S, B]])
+
+
+def off_diagonal(rng, N):
+    Z = np.zeros((N, N))
+    return np.block([[Z, random_unitary(rng, N)],
+                     [random_unitary(rng, N), Z]])
+
+
+def x_commuting(rng, N):
+    """[[B, S], [S, B]]: one sign away from J-commuting, so one block."""
+    G1, G2 = random_unitary(rng, N), random_unitary(rng, N)
+    B, S = (G1 + G2) / 2, (G1 - G2) / 2
+    return np.block([[B, S], [S, B]])
+
+
+def unstructured(rng, N):
+    return random_unitary(rng, 2 * N)
+
+
+class TestStructuredKernel:
+    """gqsp_matrix runs a J-commuting or an off-diagonal U as two N x N
+    blocks, and any other U by the one-block loop of `gqsp_layers`."""
+
+    N = 6
+    STRUCTURED = [j_commuting, off_diagonal]
+    ONE_BLOCK = [x_commuting, unstructured]
+
+    def stack(self, rng, k):
+        M = 2 * self.N
+        if k == 2 * M:
+            return np.eye(2 * M)
+        X = rng.normal(size=(2 * M, k)) + 1j * rng.normal(size=(2 * M, k))
+        return np.linalg.qr(X)[0]
+
+    @pytest.mark.parametrize("build", STRUCTURED + ONE_BLOCK)
+    @pytest.mark.parametrize("d", [0, 1, 5, 64])
+    @pytest.mark.parametrize("k", [1, N, 4 * N])
+    def test_matches_the_one_block_loop(self, build, d, k):
+        rng = np.random.default_rng(300 + 7 * d + k)
+        U = build(rng, self.N)
+        ph, E = random_angles(rng, d), self.stack(rng, k)
+        got, want = gqsp_matrix(ph, U, E), gqsp_layers(ph, U, E)
+        if build in self.STRUCTURED:
+            assert phases._nonzero_blocks(U)[1] is not None
+            assert np.max(np.abs(got - want)) <= 1e-13
+        else:
+            assert phases._nonzero_blocks(U)[1] is None
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("build, entry", [
+        (j_commuting, (6, 7)),    # lower-right block
+        (j_commuting, (7, 0)),    # lower-left block
+        (off_diagonal, (0, 1)),   # upper-left block
+        (off_diagonal, (11, 6)),  # lower-right block
+    ])
+    def test_one_ulp_off_is_one_block(self, build, entry):
+        rng = np.random.default_rng(310)
+        U = build(rng, self.N)
+        U[entry] = complex(np.nextafter(U[entry].real, np.inf), U[entry].imag)
+        assert phases._nonzero_blocks(U)[1] is None
+        ph, E = random_angles(rng, 5), self.stack(rng, self.N)
+        assert np.array_equal(gqsp_matrix(ph, U, E), gqsp_layers(ph, U, E))
+
+    @pytest.mark.parametrize("build", STRUCTURED + ONE_BLOCK)
+    def test_fortran_ordered_columns(self, build):
+        rng = np.random.default_rng(320)
+        U = build(rng, self.N)
+        ph, E = random_angles(rng, 5), self.stack(rng, self.N)
+        F = np.asfortranarray(E)
+        assert F.flags.f_contiguous and not F.flags.c_contiguous
+        assert np.array_equal(gqsp_matrix(ph, U, F), gqsp_matrix(ph, U, E))
+
+    def test_walks_of_the_constructors(self):
+        # The saving rests on exact structure in the walks the constructors
+        # build: the walk of dilate_hermitian commutes with iY (x) I, the
+        # walk of a Hermitianized encoding has zero diagonal blocks, and the
+        # walk of a product encoding has neither.
+        rng = np.random.default_rng(330)
+        X = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        A = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        e = dilate_general(A, 1.1 * np.linalg.norm(A, 2))
+        H = X + X.conj().T
+        walks = [walk_operator(dilate_hermitian(H, np.linalg.norm(H, 2))),
+                 walk_operator(hermitianize(e)),
+                 walk_operator(multiply(e.adjoint(), e))]
+        assert [phases._nonzero_blocks(W)[1] for W in walks] == [
+            "commuting", "off-diagonal", None]
 
 
 @settings(max_examples=20, deadline=None)
