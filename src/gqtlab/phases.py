@@ -8,10 +8,11 @@ realized as the top-left block of an interleaved product
 
 where R is the single-qubit rotation of `rotation_matrix`.  `solve_phases`
 finds the angles (FFT completion + layer stripping) and checks them;
-`reconstruct_P` multiplies the chain symbolically with polynomial-valued
-entries and is the independent round-trip oracle; `gqsp_matrix` applies the
-circuit for a given matrix argument to a stack of columns without forming
-it (the identity stack gives the explicit unitary).
+`reconstruct_P` multiplies the chain symbolically, with polynomial-valued
+entries, as an FFT product tree in O(d log^2 d), and is the independent
+round-trip oracle; `gqsp_matrix` applies the circuit for a given matrix
+argument to a stack of columns without forming it (the identity stack
+gives the explicit unitary).
 """
 
 from __future__ import annotations
@@ -131,38 +132,79 @@ class PhaseFactors:
         return ph
 
 
-def rotation_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
+def rotation_matrix(theta: float | np.ndarray, phi: float | np.ndarray,
+                    lam: float | np.ndarray) -> np.ndarray:
     """A layer's rotation from its three angles:
-    [[e^{i(lam+phi)} cos, e^{i phi} sin], [e^{i lam} sin, -cos]] of theta."""
-    ct, st = math.cos(theta), math.sin(theta)
-    return np.array([
-        [np.exp(1j * (lam + phi)) * ct, np.exp(1j * phi) * st],
-        [np.exp(1j * lam) * st, -ct],
-    ])
+    [[e^{i(lam+phi)} cos, e^{i phi} sin], [e^{i lam} sin, -cos]] of theta.
+
+    Arrays of angles broadcast against each other and give the (..., 2, 2)
+    stack of their rotations, each entry bit-identical to the scalar call."""
+    theta, phi, lam = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (theta, phi, lam)))
+    ct, st = np.cos(theta), np.sin(theta)
+    r = np.empty(theta.shape + (2, 2), dtype=complex)
+    r[..., 0, 0] = np.exp(1j * (lam + phi)) * ct
+    r[..., 0, 1] = np.exp(1j * phi) * st
+    r[..., 1, 0] = np.exp(1j * lam) * st
+    r[..., 1, 1] = -ct
+    return r
+
+
+def _layer_rotations(ph: PhaseFactors) -> np.ndarray:
+    """The chain's d + 1 rotations R(theta_k, phi_k, lambda_k) as a
+    (d + 1, 2, 2) stack, from one call; lambda_k is lambda at k = 0 and 0
+    above it."""
+    lams = np.zeros(ph.degree + 1)
+    lams[0] = ph.lam
+    return rotation_matrix(ph.thetas, ph.phis, lams)
 
 
 def _reconstruct_PQ(ph: PhaseFactors) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient recursion induced on the chain's first column (P, Q).
+    """The chain's first column (P, Q), multiplied as a product tree.
 
-    In place: zbuf[0] stays 0 and zbuf[1:k+2] holds P_k, so zbuf[:k+1] is
-    z P_{k-1}; qbuf[k] is still 0 when qbuf[:k+1] is read as Q_{k-1}
-    padded.  Each layer evaluates the recursion of `reconstruct_P` on those
-    padded arrays with the same operations, scalar on the left."""
+    A run of m consecutive layers R_k diag(z, 1) is N(z) diag(z, 1), with N
+    a 2x2 matrix polynomial of m coefficients; a leaf is N = R_k, and the
+    lambda layer R_0 is the first leaf, so the first column of the tree's N
+    is the chain's first column without its top layer.  Neighbours multiply
+    as N_later diag(z, 1) N_earlier: row 0 of N_earlier moves up one
+    coefficient, and the 2m-coefficient product is exact as a cyclic
+    convolution of length 2m, so each level is one FFT of all its pairs, an
+    entry-wise 2x2 product and one inverse FFT.  An odd count carries its
+    last (latest) node up unchanged.  ceil(log2 d) levels: O(d log^2 d)
+    flops in O(log d) numpy calls.
+
+    The top layer d is applied to that column by the recursion of
+    `reconstruct_P`, so degrees 0 and 1 take no FFT and give the
+    recursion's values bit for bit; above that the sums run in another
+    order and (P, Q) agree with the recursion to rounding."""
     d = ph.degree
-    zbuf = np.zeros(d + 2, dtype=complex)
-    qbuf = np.zeros(d + 1, dtype=complex)
-    t1, t2 = np.empty(d + 1, dtype=complex), np.empty(d + 1, dtype=complex)
-    zbuf[1] = np.exp(1j * (ph.lam + ph.phis[0])) * math.cos(ph.thetas[0])
-    qbuf[0] = np.exp(1j * ph.lam) * math.sin(ph.thetas[0])
-    for k in range(1, d + 1):
-        ct, st = math.cos(ph.thetas[k]), math.sin(ph.thetas[k])
-        zP, Qp = zbuf[:k + 1], qbuf[:k + 1]
-        a, b = t1[:k + 1], t2[:k + 1]
-        np.add(np.multiply(ct, zP, out=a), np.multiply(st, Qp, out=b), out=a)
-        np.subtract(np.multiply(st, zP, out=b), np.multiply(ct, Qp, out=Qp),
-                    out=Qp)
-        np.multiply(np.exp(1j * ph.phis[k]), a, out=zbuf[1:k + 2])
-    return zbuf[1:], qbuf
+    r = _layer_rotations(ph)
+    # (node, row, column, coefficient)
+    nodes, m = r[:max(d, 1), :, :, None], 1
+    while len(nodes) > 1:
+        pairs, odd = divmod(len(nodes), 2)
+        # (pair, [earlier, later], row, column, coefficient) on 2m points
+        src = nodes[:2 * pairs].reshape(pairs, 2, 2, 2, m)
+        f = np.zeros((pairs, 2, 2, 2, 2 * m), dtype=complex)
+        f[:, 1, :, :, :m] = src[:, 1]
+        f[:, 0, 0, :, 1:m + 1] = src[:, 0, 0]
+        f[:, 0, 1, :, :m] = src[:, 0, 1]
+        f = np.fft.fft(f)
+        later, earlier = f[:, 1], f[:, 0]
+        up = np.empty((pairs + odd, 2, 2, 2 * m), dtype=complex)
+        up[:pairs] = np.fft.ifft(later[:, :, :1] * earlier[:, None, 0]
+                                 + later[:, :, 1:] * earlier[:, None, 1])
+        if odd:
+            up[pairs, :, :, :m] = nodes[-1]
+            up[pairs, :, :, m:] = 0.0
+        nodes, m = up, 2 * m
+    if not d:
+        return nodes[0, 0, 0], nodes[0, 1, 0]
+    ct, st = math.cos(ph.thetas[d]), math.sin(ph.thetas[d])
+    zP, Qp = np.zeros(d + 1, dtype=complex), np.zeros(d + 1, dtype=complex)
+    zP[1:], Qp[:d] = nodes[0, 0, 0, :d], nodes[0, 1, 0, :d]
+    return (np.exp(1j * ph.phis[d]) * (ct * zP + st * Qp),
+            st * zP - ct * Qp)
 
 
 def reconstruct_P(ph: PhaseFactors) -> PolyCoeffs:
@@ -428,12 +470,11 @@ def gqsp_matrix(ph: PhaseFactors, U: np.ndarray, columns: np.ndarray,
         np.add(x0, ix1, out=x1)
         x0 -= ix1
         out *= math.sqrt(0.5)
-    for k in range(ph.degree + 1):
+    for k, r in enumerate(_layer_rotations(ph)):
         if k:
             np.matmul(blocks, operand, out=Utop)
         else:
             Utop[...] = top
-        r = rotation_matrix(ph.thetas[k], ph.phis[k], 0.0 if k else ph.lam)
         np.multiply(Utop, r[0, 0], out=top)
         top += np.multiply(bot, r[0, 1], out=tmp)
         bot *= r[1, 1]
