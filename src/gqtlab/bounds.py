@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .polynomials import ZERO_TOL, PolyCoeffs
+from .polynomials import ZERO_TOL
 
 __all__ = [
     "BoundReport",
@@ -58,22 +58,26 @@ class BoundReport:
         return max((r[5] for r in self.rows), default=0.0)
 
 
-# Sweep sampling: the rows are grouped by circle grid, and each FFT block of
-# one grid is a 2-D array padded only to its own longest row, so the per-row
-# checks (real coefficients, trimmed degree) and both maxima are row
-# reductions of it, and the bound is a table lookup per distinct degree.  A
-# row of len coefficients gets G = max(64, 16 * 2^ceil(log2(len - 1))) circle
-# points, at least 16 per period of its top harmonic (the density 4096 points
-# give degree 256), and G >= len, so no row is cropped.  A vectorized
-# parabolic refinement then reads the peak.  Stated accuracy, measured on
-# random rows of degree 1 to 2400 against a 2^20-point scan: both maxima
-# within 1e-2 relative (worst seen 8.6e-3 for max |Re P|, 1.5e-3 for max
-# |P|).  The coefficients are real, so P(e^{-it}) = conj P(e^{it}) and the
-# half circle t in [0, pi] (one rfft per row) holds both maxima; the parabola
-# at t = 0 and t = pi reads the mirrored neighbour by index.  A block holds
-# at most 64 * 4096 points, or one row.  The corollary bound exceeds the true
-# maximum by a large factor, so grid resolution is not the binding accuracy
-# constraint here.
+# Sweep sampling: the sampler yields one 1-D coefficient row per trial,
+# normally float64.  The rows are grouped by circle grid, and each FFT block
+# of one grid is a float64 2-D array built straight from its rows and padded
+# only to its own longest row, so the per-row checks (finite coefficients,
+# real coefficients, trimmed degree) and both maxima are row reductions of
+# it, and the bound is a table lookup per distinct degree.  A complex row is
+# accepted when each imaginary part is at most 1e-12 of the row's largest
+# |a|, and then its real part is used; a non-finite row is refused.  A row
+# of len coefficients gets G = max(64, 16 * 2^ceil(log2(len - 1))) circle
+# points, at least 16 per period of its top harmonic (the density 4096
+# points give degree 256), and G >= len, so no row is cropped.  A
+# vectorized parabolic refinement then reads the peak.  Stated accuracy,
+# measured on random rows of degree 1 to 2400 against a 2^20-point scan:
+# both maxima within 1e-2 relative (worst seen 8.6e-3 for max |Re P|, 1.5e-3
+# for max |P|).  The coefficients are real, so P(e^{-it}) = conj P(e^{it})
+# and the half circle t in [0, pi] (one rfft per row) holds both maxima; the
+# parabola at t = 0 and t = pi reads the mirrored neighbour by index.  A
+# block holds at most 64 * 4096 points, or one row.  The corollary bound
+# exceeds the true maximum by a large factor, so grid resolution is not the
+# binding accuracy constraint here.
 _SWEEP_DENSITY = 16
 _SWEEP_BLOCK_POINTS = 64 * 4096
 
@@ -105,19 +109,25 @@ def _parabolic_peak(y: np.ndarray) -> np.ndarray:
     return np.where(denom < 0, np.maximum(peak, y0), y0)
 
 
-def verify_beta_bound(sampler: Callable[[np.random.Generator], PolyCoeffs],
+def verify_beta_bound(sampler: Callable[[np.random.Generator], np.ndarray],
                       trials: int, seed: int = 0) -> BoundReport:
     """Check max|P| <= the real-form corollary bound with M = max|Re P| over
     random samples.
 
-    The sampler must yield real-coefficient polynomials; complex polynomials
+    The sampler yields one row per trial: the coefficients a_0..a_d of a
+    real polynomial as a non-empty 1-D array, normally float64.  A row with
+    a non-finite coefficient raises ValueError ("finite"); a complex row is
+    read as its real part when every imaginary part is at most 1e-12 of the
+    row's largest |a|, and raises ValueError otherwise.  Complex polynomials
     are covered by splitting into real and imaginary parts before sampling.
     Rows with M <= 0 are skipped.
     """
     rng = np.random.default_rng(seed)
     # One sampler call per trial keeps each sampler's RNG stream.
-    parts = [sampler(rng).coeffs for _ in range(trials)]
+    parts = [sampler(rng) for _ in range(trials)]
     lengths = np.fromiter(map(len, parts), dtype=np.intp, count=trials)
+    if np.any(lengths < 1):
+        raise ValueError("coefficient vector must be 1-D and non-empty")
     grid = _sweep_grid(lengths)
     N = np.empty(trials, dtype=np.intp)
     M = np.empty(trials)
@@ -127,20 +137,27 @@ def verify_beta_bound(sampler: Callable[[np.random.Generator], PolyCoeffs],
         step = max(_SWEEP_BLOCK_POINTS // g, 1)
         for s in range(0, len(group), step):
             r = group[s:s + step]
-            cols = np.arange(lengths[r].max())
-            block = np.zeros((len(r), len(cols)), dtype=complex)
-            block[cols < lengths[r, None]] = np.concatenate(
-                [parts[i] for i in r.tolist()])
+            width = int(lengths[r].max())
+            flat = np.concatenate([parts[i] for i in r.tolist()])
+            block = np.zeros((len(r), width), np.result_type(flat, float))
+            block[np.arange(width) < lengths[r, None]] = flat
             mag = np.abs(block)
             scale = mag.max(axis=1)
-            if np.any(np.abs(block.imag).max(axis=1)
-                      > 1e-12 * np.maximum(scale, 1e-300)):
-                raise ValueError("sampler must yield real coefficients")
+            # The largest |a| of a float row is finite exactly when the row
+            # is; NaN compares below every tolerance and would read as zero.
+            if not np.isfinite(scale).all():
+                raise ValueError("coefficients must be finite")
+            if block.dtype.kind == "c":
+                if np.any(np.abs(block.imag).max(axis=1)
+                          > 1e-12 * np.maximum(scale, 1e-300)):
+                    raise ValueError("sampler must yield real coefficients")
+                block = block.real
             # PolyCoeffs.trimmed().degree: the index of the last entry of a
-            # row above ZERO_TOL * scale, or 0 when none is.
-            above = mag > ZERO_TOL * scale[:, None]
-            N[r] = np.maximum(np.where(above, cols, -1).max(axis=1), 1)
-            vals = np.fft.rfft(block.real, g, axis=1)
+            # row above ZERO_TOL * scale, or 0 when none is (scale == 0).
+            last = width - 1 - np.argmax(
+                mag[:, ::-1] > ZERO_TOL * scale[:, None], axis=1)
+            N[r] = np.maximum(np.where(scale > 0, last, 0), 1)
+            vals = np.fft.rfft(block, g, axis=1)
             max_abs[r] = _parabolic_peak(np.abs(vals))
             M[r] = _parabolic_peak(np.abs(vals.real))
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -119,12 +120,18 @@ def _write_out(text: str, out: str | None):
 
 
 def _csv(rows: list, header: list[str]) -> str:
-    """CSV text of int and float rows: floats as FMT, ints as str.  None of
-    these strings holds a comma or quote, so no field needs quoting."""
-    lines = [",".join(header)]
-    lines += [",".join([FMT % v if isinstance(v, float) else str(v)
-                        for v in row]) for row in rows]
-    return "\n".join(lines) + "\n"
+    """CSV text of int and float rows: floats (np.float64 too) as FMT, every
+    other value as str.  None of these strings holds a comma or quote, so no
+    field needs quoting.  Each run of rows with the same value types is one
+    `%` over its flattened values."""
+    parts = [",".join(header) + "\n"]
+    for types, run in itertools.groupby(rows,
+                                        lambda row: tuple(map(type, row))):
+        line = ",".join([FMT if issubclass(t, float) else "%s"
+                         for t in types]) + "\n"
+        run = list(run)
+        parts.append((line * len(run)) % tuple(itertools.chain(*run)))
+    return "".join(parts)
 
 
 def cmd_scaling_table(args) -> int:
@@ -240,9 +247,10 @@ def cmd_gqsvt(args) -> int:
     return EXIT_OK if worst <= tol else EXIT_TOLERANCE
 
 
+# Each sampler draws one float64 coefficient row per call.
 _SAMPLERS = {
-    "random": lambda dmax: lambda rng: PolyCoeffs(
-        rng.normal(size=int(rng.integers(1, dmax + 1)) + 1)),
+    "random": lambda dmax: lambda rng: rng.normal(
+        size=int(rng.integers(1, dmax + 1)) + 1),
     "mod4": lambda dmax: lambda rng: _mod4_sample(rng, dmax),
     "chebyshev": lambda dmax: lambda rng: _cheb_monomial_sample(rng, dmax),
 }
@@ -252,14 +260,14 @@ def _mod4_sample(rng, dmax):
     d = int(rng.integers(0, (dmax - 1) // 4 + 1)) * 4 + 1  # 1 <= d <= dmax
     a = np.zeros(d + 1)
     a[1::4] = rng.normal(size=len(a[1::4]))
-    return PolyCoeffs(a)
+    return a
 
 
 def _cheb_monomial_sample(rng, dmax):
     n = int(rng.integers(0, dmax + 1))
     a = np.zeros(n + 1)
     a[n] = 1.0
-    return PolyCoeffs(a)
+    return a
 
 
 def cmd_bounds(args) -> int:

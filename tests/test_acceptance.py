@@ -295,13 +295,13 @@ def test_criterion_8_measure_early_invariance():
 def test_criterion_9_bound_suite():
     def random_real(rng):
         d = int(rng.integers(1, 65))
-        return PolyCoeffs(rng.normal(size=d + 1).astype(complex))
+        return rng.normal(size=d + 1)
 
     def mod4(rng):
         d = int(rng.integers(1, 17)) * 4 + 1
         a = np.zeros(d + 1)
         a[1::4] = rng.normal(size=len(a[1::4]))
-        return PolyCoeffs(a.astype(complex))
+        return a
 
     rep = verify_beta_bound(random_real, 10 ** 4, seed=109)
     rep4 = verify_beta_bound(mod4, 500, seed=110)

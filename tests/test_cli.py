@@ -15,7 +15,7 @@ from gqtlab.encodings import (
     EncodingValidationError, dilate_general, dilate_hermitian)
 from gqtlab.polynomials import PolyCoeffs, eval_cheb
 from gqtlab.serialization import (
-    matrix_from_json, matrix_to_json, phases_from_file)
+    matrix_from_json, matrix_to_json, phases_from_file, phases_to_file)
 from gqtlab.transforms import (
     extract_svt, gqet, gqsvt_hermitianization, gqsvt_multiplication)
 
@@ -937,6 +937,12 @@ def test_csv_matches_csv_writer():
     rows = [(i, floats[i], -i, floats[-1 - i], 2 ** 70, 3.0)
             for i in range(len(floats))]
     rows += [(0, 1.5, 2, 0.0, -1, float("nan"))]
+    # numpy scalars, as a row built without .tolist() holds them: an
+    # np.float64 is a float and prints through FMT, an np.int64 through str.
+    rows += [(np.int64(i), np.float64(v), np.int64(-i), np.float64(-v),
+              np.int64(2 ** 62), np.float64(1 / 3)) for i, v in
+             enumerate(floats)]
+    rows += [(1, np.float64(0.1), np.int64(3), 0.2, 4, np.float64("nan"))]
     header = ["degree", "max_interval", "max_circle", "beta", "bound", "ratio"]
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -945,3 +951,102 @@ def test_csv_matches_csv_writer():
         w.writerow([FMT % v if isinstance(v, float) else v for v in row])
     assert _csv(rows, header) == buf.getvalue()
     assert _csv([], header) == ",".join(header) + "\n"
+
+
+# sha256 of (stdout, --out file) of each run, recorded before the sweep held
+# its rows as float64 and before _csv formatted whole runs of rows at once
+# (numpy 2.4, x86-64): the outputs must not change by a byte.
+_PINNED = {
+    ("random", 64): (
+        "03fb933036a2beaf005997e9a207b7006e5081d461db55ab683b7649e170ac50",
+        "4707dbbcf4ed6c1054b5f294f90424d99ac8855c3a5ac5b571736c1d76f17eca"),
+    ("random", 256): (
+        "03fb933036a2beaf005997e9a207b7006e5081d461db55ab683b7649e170ac50",
+        "7a43bd38e8799b926c951833d0006e2086d2b85a5209898d831ab84b58e6f091"),
+    ("mod4", 64): (
+        "c82519c95b9f1bd5c4ec8cf8c43321b094b41e8ad37c3ab264441de99dd61b63",
+        "3f30ccd737d40c66d02cf64ac3877fb7ee6147b022f8dc058508545fa504765f"),
+    ("mod4", 256): (
+        "c82519c95b9f1bd5c4ec8cf8c43321b094b41e8ad37c3ab264441de99dd61b63",
+        "6ff7a501646f2d6e012a76670f0ee906983605ffec92c0729af98432ee4bd74b"),
+    ("chebyshev", 64): (
+        "fa07caea4830bd32e417481e5d0d50cb2f5b4f95ad30033526e3fe10bb5480ea",
+        "22ee57f4772cdff9d80a77d2fff97a80ca0b1f0a7996f53a1654800f258b8393"),
+    ("chebyshev", 256): (
+        "fa07caea4830bd32e417481e5d0d50cb2f5b4f95ad30033526e3fe10bb5480ea",
+        "3f994cfd3e9f764c7f59af6105608dc4aab0d4811fd52a9efade46dd04f6bbe4"),
+    "scaling-table": (
+        "4d9721148701473d573a53266d249e836e1f37dfa788798bbd4a8b11f555e67b",
+        "7671f8b6077e3d16cda1358a43cf21354c15f4656c86b90b44d9d988ebf24d2b"),
+}
+
+
+@pytest.mark.parametrize("key", list(_PINNED), ids=str)
+def test_outputs_are_pinned(tmp_path, capsys, key):
+    out = tmp_path / "out.csv"
+    if key == "scaling-table":
+        argv = ["scaling-table"]
+    else:
+        sampler, dmax = key
+        argv = ["bounds", "--seed", "7", "--config", write_config(
+            tmp_path, "b.json",
+            {"sampler": sampler, "max_degree": dmax, "trials": 1000})]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    stdout = capsys.readouterr().out.encode()
+    assert (hashlib.sha256(stdout).hexdigest(),
+            hashlib.sha256(out.read_bytes()).hexdigest()) == _PINNED[key]
+
+
+@pytest.mark.parametrize("rows, err", [
+    ([[1.0, 0.5], [np.nan, 1.0]], "finite"),
+    ([[1.0, -np.inf]], "finite"),
+    ([[1.0, 0.5], [1.0, 0.5 + 1.1e-12j, -0.25]], "real coefficients"),
+    ([[1.0, 0.5 + 0.9e-12j, -0.25]], None),
+])
+def test_bounds_checks_each_sampled_row(tmp_path, capsys, monkeypatch, rows,
+                                        err):
+    # A row that is not finite, or complex beyond 1e-12 of its largest
+    # |a|, is an input error; an imaginary part under that is dropped.
+    from gqtlab import cli
+    it = iter(rows)
+    monkeypatch.setitem(cli._SAMPLERS, "random",
+                        lambda dmax: lambda rng: np.asarray(next(it)))
+    cfg = write_config(tmp_path, "b.json", {"trials": len(rows)})
+    code = main(["bounds", "--config", cfg])
+    captured = capsys.readouterr()
+    if err is None:
+        assert code == EXIT_OK and "violations=0" in captured.out
+    else:
+        assert code == EXIT_INPUT
+        assert captured.err.startswith("input error:") and err in captured.err
+
+
+class _Angles:
+    """Stands in for PhaseFactors, whose angles are mapped to (-pi, pi]:
+    -0.0 and 5e-324 would read 0.0 there."""
+
+    def __init__(self, d):
+        self.d = d
+
+    def to_json_dict(self):
+        return self.d
+
+
+def test_phase_files_are_the_indented_json_dump(tmp_path):
+    rng = np.random.default_rng(3)
+    cases = []
+    for degree in (0, 1, 55, 553):
+        t, p = rng.uniform(-math.pi, math.pi, size=(2, degree + 1))
+        t[-1] = math.pi
+        cases.append(phases.PhaseFactors(t, p, rng.uniform(-1, 1)))
+    cases.append(_Angles({"thetas": [-0.0, 5e-324, math.pi],
+                          "phis": [5e-324, -0.0, -math.pi], "lambda": -0.0}))
+    cases.append(_Angles({"thetas": [math.pi], "phis": [-0.0],
+                          "lambda": 5e-324}))
+    path = tmp_path / "angles.json"
+    for ph in cases:
+        phases_to_file(ph, path)
+        want = json.dumps(ph.to_json_dict(), indent=2) + "\n"
+        assert path.read_bytes() == want.encode()
+        assert phases_from_file(path) == phases.PhaseFactors(
+            *(ph.to_json_dict()[k] for k in ("thetas", "phis", "lambda")))
