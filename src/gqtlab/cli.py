@@ -46,6 +46,7 @@ from .polynomials import (
     max_abs_interval,
 )
 from .transforms import (
+    _oracle_svd,
     eigen_oracle,
     extract_svt,
     gqet,
@@ -212,6 +213,9 @@ def cmd_gqsvt(args) -> int:
     A = _load(cfg, "matrix")
     alpha = _alpha(cfg, A)
     enc = dilate_general(A, alpha)
+    # One SVD of A/alpha serves both routes' oracles; the dilation's own
+    # stays apart, so the oracle checks it independently.
+    svd = _oracle_svd(A, alpha)
     lines = []
     worst = 0.0
     blocks = {}
@@ -221,7 +225,7 @@ def cmd_gqsvt(args) -> int:
         else:
             cp, outcome = gqsvt_multiplication(enc, c)
         blk = extract_svt(cp, parity)
-        oracle = svt_oracle(A, alpha, cp.poly)
+        oracle = svt_oracle(A, alpha, cp.poly, svd)
         r = float(np.linalg.norm(blk - oracle, 2))
         worst = max(worst, r / max(cp.scale_applied, 1e-300))
         blocks[name] = blk / cp.scale_applied

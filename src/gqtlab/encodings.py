@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .phases import VALIDATION_TOL, _unitary_defect
+from .phases import VALIDATION_TOL, _coordinate_rows, _unitary_defect
 
 __all__ = [
     "ProjectedUnitaryEncoding",
@@ -45,8 +45,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def _block(U, E_L: np.ndarray, E_R: np.ndarray) -> np.ndarray:
     """E_L^dag U E_R, the one block reader.  U is a matrix or an operator on
-    column stacks (anything with `@`); it is applied to E_R only."""
-    return E_L.conj().T @ (U @ E_R)
+    column stacks (anything with `@`); an operator is applied to E_R only.
+    A coordinate isometry is read by index (`_coordinate_rows`): E_L^dag Y
+    is the rows r_L of Y, and a matrix U times E_R its columns r_R, with
+    the same values as the products."""
+    r_L, coordinate_L = _coordinate_rows(E_L)
+    r_R, coordinate_R = _coordinate_rows(E_R)
+    Y = (U[:, r_R] if coordinate_R and isinstance(U, np.ndarray)
+         else U @ E_R)
+    return Y[r_L] if coordinate_L else E_L.conj().T @ Y
 
 
 def _validate_core(U, Pi_L, Pi_R, alpha, hermitian: bool,
@@ -80,8 +87,9 @@ def _validate_core(U, Pi_L, Pi_R, alpha, hermitian: bool,
         if Pi.shape[0] != M:
             problems.append(f"{name} has {Pi.shape[0]} rows, expected {M}")
             continue
-        N = Pi.shape[1]
-        defects.append(float(np.linalg.norm(Pi.conj().T @ Pi - np.eye(N))))
+        # a coordinate Pi has Pi^dag Pi = I exactly
+        defects.append(0.0 if _coordinate_rows(Pi)[1] else float(
+            np.linalg.norm(Pi.conj().T @ Pi - np.eye(Pi.shape[1]))))
         if defects[-1] > VALIDATION_TOL:
             problems.append(f"{name} is not an isometry to 1e-10")
     if not 0 < alpha < math.inf:
@@ -243,13 +251,6 @@ def dilate_general(A: np.ndarray, alpha: float) -> ProjectedUnitaryEncoding:
         U, _selector(N_L + N_R, N_L), _selector(N_L + N_R, N_R), alpha)
 
 
-def _coordinate_rows(Pi: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The rows r where Pi is nonzero, and whether Pi[r] is the identity,
-    as for the coordinate isometries every constructor builds."""
-    r = np.flatnonzero(Pi.any(axis=1))
-    return r, len(r) == Pi.shape[1] and np.array_equal(Pi[r], np.eye(len(r)))
-
-
 def walk_operator(e: HermitianEncoding) -> np.ndarray:
     """Qubitized operator R_Pi U = 2 Pi (Pi^dag U) - U.
 
@@ -357,6 +358,13 @@ def multiply(e1: ProjectedUnitaryEncoding,
     |0> (x) Pi_{2,R}.  Unitary dimension is 2*max(M1, M2): the smaller
     encoding is padded by an identity direct summand first.  When e1 is the
     adjoint of e2, U_bar is Hermitian and a HermitianEncoding is returned.
+
+    For that adjoint pair on a coordinate isometry Pi = Pi_{1,R} = Pi_{2,L}
+    with rows r, U_bar = [[G, H], [H, G]] with the two Grams
+    G = U[r]^dag U[r] = U^dag P U and H = U[~r]^dag U[~r] = U^dag (I - P) U
+    of U = U2: M^3 instead of the product's 8 M^3.  Any other pair is
+    formed by `_block_product`.  Either way the result is checked at
+    construction, so its defect is measured.
     """
     if e1.N_R != e2.N_L:
         raise ValueError(
@@ -365,9 +373,19 @@ def multiply(e1: ProjectedUnitaryEncoding,
     adjoint = (e1.M == e2.M and np.array_equal(e1.Pi_L, e2.Pi_R)
                and np.array_equal(e1.Pi_R, e2.Pi_L)
                and np.array_equal(e1.U, e2.U.conj().T))
+    alpha = e1.alpha * e2.alpha
+    if adjoint:
+        r, coordinate = _coordinate_rows(e2.Pi_L)
+        if coordinate:
+            other = np.ones(e2.M, dtype=bool)
+            other[r] = False
+            G, H = (X.conj().T @ X for X in (e2.U[r], e2.U[other]))
+            return HermitianEncoding(np.block([[G, H], [H, G]]),
+                                     np.pad(e2.Pi_R, ((0, e2.M), (0, 0))),
+                                     alpha)
     apply, Pi_L, Pi_R = _block_product(e1.U, e1.Pi_L, e1.Pi_R,
                                        e2.U, e2.Pi_L, e2.Pi_R)
     U = apply(np.eye(len(Pi_L), dtype=complex))
     if adjoint:  # then Pi_L == Pi_R
-        return HermitianEncoding(U, Pi_L, e1.alpha * e2.alpha)
-    return ProjectedUnitaryEncoding(U, Pi_L, Pi_R, e1.alpha * e2.alpha)
+        return HermitianEncoding(U, Pi_L, alpha)
+    return ProjectedUnitaryEncoding(U, Pi_L, Pi_R, alpha)

@@ -378,19 +378,75 @@ def solve_phases(c: PolyCoeffs) -> PhaseFactors:
     return ph
 
 
+def _coordinate_rows(X: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The rows r where X is nonzero, and whether X[r] is the identity, as
+    for the coordinate isometries every constructor builds.  Such an X is
+    read by index: X^dag Y is Y[r] and X^dag X is I, exactly, since a
+    product with 0/1 entries rounds nothing."""
+    r = np.flatnonzero(X.any(axis=1))
+    return r, len(r) == X.shape[1] and np.array_equal(X[r], np.eye(len(r)))
+
+
+def _paired_blocks(U: np.ndarray) -> tuple | None:
+    """Two N x N blocks (a, b), N = M/2, with ||U^dag U - I||_F =
+    hypot(||a^dag a - I||_F, ||b^dag b - I||_F), when U has one of two
+    exact 2x2-block structures up to the signs of its rows; else None.
+
+    The blocks are read from the bottom half [C, D]; each top row must be
+    +-1 times the matching row of
+
+      [D, C]   (U commutes with X (x) I, as the product of `multiply` and
+               its walk): a = D + C, b = D - C, since
+               U = (H (x) I) diag(a, b) (H (x) I) for the Hadamard H;
+      [D, -C]  (U commutes with iY (x) I once rows are negated, as
+               `dilate_hermitian`'s U and its walk, with B = D, S = -C):
+               a = B + iS, b = B - iS (T of `_nonzero_blocks`).
+
+    Negating rows leaves U^dag U unchanged, so a matrix and its walk on a
+    coordinate isometry, which differ only in the signs of rows, get the
+    same bits.  The comparisons are exact and O(M^2).
+    """
+    M = len(U)
+    if not M or M % 2:
+        return None
+    N = M // 2
+    C, D = U[N:, :N], U[N:, N:]
+    top_D, top_C = U[:N, :N], U[:N, N:]
+    same_D, neg_D = (top_D == D).all(1), (top_D == -D).all(1)
+    if not (same_D | neg_D).all():
+        return None
+    same_C, neg_C = (top_C == C).all(1), (top_C == -C).all(1)
+    if ((same_D & same_C) | (neg_D & neg_C)).all():
+        return D + C, D - C
+    if ((same_D & neg_C) | (neg_D & same_C)).all():
+        return D - 1j * C, D + 1j * C
+    return None
+
+
 def _unitary_defect(U: np.ndarray) -> float:
-    """||U^dag U - I||_F for square U, inf otherwise: the one unitarity check."""
+    """||U^dag U - I||_F for square U, inf otherwise: the one unitarity
+    check.  A U with a structure of `_paired_blocks` costs two N^3 Grams of
+    its blocks, N = M/2, instead of one M^3 Gram of U."""
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         return math.inf
-    return float(np.linalg.norm(U.conj().T @ U - np.eye(len(U))))
+    blocks = _paired_blocks(U)
+    if blocks is None:
+        return float(np.linalg.norm(U.conj().T @ U - np.eye(len(U))))
+    eye = np.eye(len(U) // 2)
+    return math.hypot(*(float(np.linalg.norm(x.conj().T @ x - eye))
+                        for x in blocks))
 
 
 def _column_defect(Y: np.ndarray, X: np.ndarray) -> float:
     """||Y^dag Y - X^dag X||_F, inf on a shape mismatch: the check that a
-    unitary pushed the columns X to Y.  O(rows * k^2) for k columns."""
+    unitary pushed the columns X to Y.  O(rows * k^2) for k columns; a
+    coordinate X has X^dag X = I exactly, so it needs no product."""
     if Y.shape != X.shape:
         return math.inf
-    return float(np.linalg.norm(Y.conj().T @ Y - X.conj().T @ X))
+    gram = Y.conj().T @ Y
+    if X.ndim == 2 and _coordinate_rows(X)[1]:
+        return float(np.linalg.norm(gram - np.eye(X.shape[1])))
+    return float(np.linalg.norm(gram - X.conj().T @ X))
 
 
 def _nonzero_blocks(U: np.ndarray) -> tuple[np.ndarray, str | None]:

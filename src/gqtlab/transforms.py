@@ -176,18 +176,20 @@ def eigen_oracle(A: np.ndarray, alpha: float, c: PolyCoeffs) -> np.ndarray:
     return (vecs * pv) @ vecs.conj().T
 
 
-def svt_oracle(A: np.ndarray, alpha: float, c: PolyCoeffs) -> np.ndarray:
+def svt_oracle(A: np.ndarray, alpha: float, c: PolyCoeffs,
+               svd: tuple | None = None) -> np.ndarray:
     """Reference singular-value transformation from a dense SVD, in the
     form of the parity of c (`definite_parity`; the zero polynomial is even).
 
     odd:  sum over singular triples of p(s_i/alpha) u_i v_i^dag  (N_L x N_R);
     even: right-singular-vector form V^dag-conjugated diagonal  (N_R x N_R),
     with p(0) on the padding entries.
+    ``svd`` is `_oracle_svd(A, alpha)` when the caller already holds it, so
+    oracles of several polynomials for one A share one decomposition.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
     parity = definite_parity(c)
-    u, s, vh = np.linalg.svd(A / alpha, full_matrices=True)
-    N_L, N_R = A.shape
+    u, s, vh = _oracle_svd(A, alpha) if svd is None else svd
+    N_L, N_R = len(u), len(vh)
     k = len(s)
     ps = eval_cheb(c, np.clip(s, -1.0, 1.0))
     if parity == "odd":
@@ -198,6 +200,12 @@ def svt_oracle(A: np.ndarray, alpha: float, c: PolyCoeffs) -> np.ndarray:
     diag = np.full(N_R, pad, dtype=complex)
     diag[:k] = ps
     return vh.conj().T @ np.diag(diag) @ vh
+
+
+def _oracle_svd(A: np.ndarray, alpha: float) -> tuple:
+    """The full SVD (u, s, vh) of A/alpha that `svt_oracle` reads."""
+    A = np.atleast_2d(np.asarray(A, dtype=complex))
+    return np.linalg.svd(A / alpha, full_matrices=True)
 
 
 def gqsvt_hermitianization(e: ProjectedUnitaryEncoding,

@@ -3,12 +3,17 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gqtlab
 from gqtlab import phases
 from gqtlab.cli import EXIT_INPUT, EXIT_OK, EXIT_TOLERANCE, FMT, _csv, main
 from gqtlab.encodings import (
@@ -350,7 +355,7 @@ class TestGqsvtCommand:
         })
         assert main(["gqsvt", "--config", cfg]) == EXIT_OK
         dims = sorted(dim for dim, _ in squares)
-        # U (10) and the product U (20), formed by gemms.  U^dag and the
+        # U (10) and the product U (20), formed from two Grams.  U^dag and the
         # Hermitianized U inherit the check of U, each walk operator (on a
         # coordinate isometry) that of its encoding, and no circuit is
         # formed, so none is checked whole.
@@ -363,6 +368,33 @@ class TestGqsvtCommand:
         assert sorted(shape for shape, _ in columns) == [(40, 4), (40, 4),
                                                           (80, 4)]
         assert len(set(columns)) == len(columns)
+
+    def test_odd_both_shares_the_oracle_svd(self, tmp_path, capsys,
+                                            monkeypatch):
+        # One odd --route both op with the default alpha decomposes A six
+        # times: the default alpha's norm(A, 2), the dilation's SVD, one
+        # oracle SVD that both routes read, and the 2-norms of the two
+        # residuals and of the route agreement.  Each route taking its own
+        # oracle SVD made seven.
+        calls = []
+        for name in ("svd", "norm"):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                if _name == "svd" or args[1:2] == (2,) or kwargs.get("ord") == 2:
+                    calls.append((_name, np.shape(args[0])))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rng = np.random.default_rng(12)
+        A = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        cfg = write_config(tmp_path, "c.json", {
+            "matrix": matrix_to_json(A),
+            "poly": PolyCoeffs([0, 0.5, 0, -0.3]).to_json_dict(),
+            "route": "both",
+        })
+        assert main(["gqsvt", "--config", cfg]) == EXIT_OK
+        assert sorted(calls) == [("norm", (6, 4))] * 4 + [("svd", (6, 4))] * 2
 
     def test_hermitianization_checks_only_u(self, tmp_path, capsys,
                                             monkeypatch):
@@ -955,7 +987,10 @@ def test_csv_matches_csv_writer():
 
 # sha256 of (stdout, --out file) of each run, recorded before the sweep held
 # its rows as float64 and before _csv formatted whole runs of rows at once
-# (numpy 2.4, x86-64): the outputs must not change by a byte.
+# (numpy 2.4, x86-64): the outputs must not change by a byte.  The scaling
+# table's Remez designs solve dense systems whose last bits depend on the
+# BLAS thread count, so that case runs in a child process on one thread
+# (`_one_thread_main`), and its file digest is the one-thread output.
 _PINNED = {
     ("random", 64): (
         "03fb933036a2beaf005997e9a207b7006e5081d461db55ab683b7649e170ac50",
@@ -977,22 +1012,39 @@ _PINNED = {
         "3f994cfd3e9f764c7f59af6105608dc4aab0d4811fd52a9efade46dd04f6bbe4"),
     "scaling-table": (
         "4d9721148701473d573a53266d249e836e1f37dfa788798bbd4a8b11f555e67b",
-        "7671f8b6077e3d16cda1358a43cf21354c15f4656c86b90b44d9d988ebf24d2b"),
+        "0c3cce222de0e55e4b1067ff15d8856b05d13db4e01706458051d2054150e470"),
 }
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _one_thread_main(argv) -> tuple[int, bytes]:
+    """(exit code, stdout) of `main(argv)` in a child process whose BLAS
+    runs on one thread, importing the gqtlab under test."""
+    src = str(Path(gqtlab.__file__).parents[1])
+    env = dict(os.environ, **dict.fromkeys(_THREAD_VARS, "1"),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from gqtlab.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, capture_output=True, check=False)
+    return proc.returncode, proc.stdout
 
 
 @pytest.mark.parametrize("key", list(_PINNED), ids=str)
 def test_outputs_are_pinned(tmp_path, capsys, key):
     out = tmp_path / "out.csv"
     if key == "scaling-table":
-        argv = ["scaling-table"]
+        code, stdout = _one_thread_main(["scaling-table", "--out", str(out)])
+        assert code == EXIT_OK
     else:
         sampler, dmax = key
         argv = ["bounds", "--seed", "7", "--config", write_config(
             tmp_path, "b.json",
             {"sampler": sampler, "max_degree": dmax, "trials": 1000})]
-    assert main(argv + ["--out", str(out)]) == EXIT_OK
-    stdout = capsys.readouterr().out.encode()
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        stdout = capsys.readouterr().out.encode()
     assert (hashlib.sha256(stdout).hexdigest(),
             hashlib.sha256(out.read_bytes()).hexdigest()) == _PINNED[key]
 

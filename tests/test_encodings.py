@@ -638,3 +638,146 @@ class TestHermitianEncodingType:
         Pi = np.eye(4)[:, :2]
         with pytest.raises(EncodingValidationError):
             HermitianEncoding(U, Pi, 1.0)
+
+
+class TestStructuredReads:
+    """The product of an adjoint pair on a coordinate isometry is formed
+    from two Grams, the unitarity check reads the two exact 2x2-block
+    structures, and coordinate isometries are read by index; each agrees
+    with the dense product it replaces."""
+
+    CASES = ["wide", "tall", "square", "rank_deficient", "stretched"]
+
+    @staticmethod
+    def dense_defect(U):
+        return float(np.linalg.norm(U.conj().T @ U - np.eye(len(U))))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_two_gram_product_matches_the_block_product(self, case):
+        from gqtlab.encodings import _block_product
+        e = TestInheritedDefects.general(case)
+        prod = multiply(e.adjoint(), e)
+        apply, Pi_L, Pi_R = _block_product(e.U.conj().T, e.Pi_R, e.Pi_L,
+                                           e.U, e.Pi_L, e.Pi_R)
+        U_bar = apply(np.eye(len(Pi_L), dtype=complex))
+        assert type(prod) is HermitianEncoding
+        assert np.max(np.abs(prod.U - U_bar)) <= 1e-14 * prod.M
+        assert np.array_equal(prod.Pi, Pi_L) and np.array_equal(Pi_L, Pi_R)
+        assert prod.alpha == e.alpha ** 2
+        # measured at construction: the stretched U_bar carries its defect
+        assert abs(prod.defects[0] - self.dense_defect(U_bar)) <= 1e-14 * prod.M
+        if case == "stretched":
+            assert prod.defects[0] > 1e-11
+
+    def test_only_a_coordinate_adjoint_pair_skips_the_block_product(
+            self, monkeypatch):
+        from gqtlab import encodings
+        calls, real = [], encodings._block_product
+        monkeypatch.setattr(encodings, "_block_product",
+                            lambda *a: calls.append(a) or real(*a))
+        rng = np.random.default_rng(71)
+        g = dilate_general(rng.normal(size=(4, 3)), 9.0)
+        multiply(g.adjoint(), g)
+        assert calls == []
+        # the same pair seen through a rotated, non-coordinate isometry
+        Q = random_isometry(rng, g.M, g.M)
+        e = ProjectedUnitaryEncoding(Q @ g.U @ Q.conj().T, Q @ g.Pi_L,
+                                     Q @ g.Pi_R, g.alpha)
+        prod = multiply(e.adjoint(), e)
+        assert len(calls) == 1
+        U_bar, Pi_L, _ = dense_product(e.adjoint(), e)
+        assert type(prod) is HermitianEncoding
+        assert np.max(np.abs(prod.U - U_bar)) <= 1e-12
+        assert np.array_equal(prod.Pi, Pi_L)
+
+    @staticmethod
+    def structured(case):
+        """(U, structure) pairs the check reads by blocks."""
+        rng = np.random.default_rng(72)
+        g = TestInheritedDefects.general(case)
+        h = dilate_hermitian(random_hermitian(rng, 5), 9.0)
+        p = multiply(g.adjoint(), g)
+        return {"product": p.U, "product walk": walk_operator(p),
+                "hermitian": h.U, "hermitian walk": walk_operator(h)}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_structured_defect_matches_the_dense_gram(self, case):
+        from gqtlab.phases import _paired_blocks, _unitary_defect
+        for name, U in self.structured(case).items():
+            assert _paired_blocks(U) is not None, name
+            assert (abs(_unitary_defect(U) - self.dense_defect(U))
+                    <= 1e-14 * len(U)), name
+
+    @pytest.mark.parametrize("structure", ["X", "iY"])
+    @pytest.mark.parametrize("stretched", [0, 1])
+    def test_structured_defect_reads_each_block(self, structure, stretched):
+        # U built from two blocks (a, b) of which one is stretched off
+        # unitary by 1e-9, with some rows negated: the defect is that
+        # block's, as the dense Gram measures it.
+        from gqtlab.phases import _paired_blocks, _unitary_defect
+        rng = np.random.default_rng(75)
+        a, b = (random_isometry(rng, 6, 6) for _ in range(2))
+        if stretched:
+            b = b * (1 + 1e-9)
+        else:
+            a = a * (1 + 1e-9)
+        if structure == "X":
+            D, C = (a + b) / 2, (a - b) / 2
+            U = np.block([[D, C], [C, D]])
+        else:
+            B, S = (a + b) / 2, (a - b) / 2j
+            U = np.block([[B, S], [-S, B]])
+        U[[0, 4, 7, 9]] *= -1
+        assert _paired_blocks(U) is not None
+        dense = self.dense_defect(U)
+        assert dense > 1e-9
+        assert abs(_unitary_defect(U) - dense) <= 1e-14 * len(U)
+
+    @pytest.mark.parametrize("row", ["top", "bottom"])
+    def test_a_moved_entry_breaks_the_structure(self, row, monkeypatch):
+        from gqtlab import encodings
+        from gqtlab.phases import _paired_blocks, _unitary_defect
+        g = TestInheritedDefects.general("square")
+        p = multiply(g.adjoint(), g)
+        h = dilate_hermitian(random_hermitian(np.random.default_rng(73), 4),
+                             9.0)
+        for e in (p, h):
+            U = np.array(e.U)
+            U[0 if row == "top" else e.M // 2, 1] += 1e-8
+            assert _paired_blocks(U) is None
+            measured = []
+            monkeypatch.setattr(
+                encodings, "_unitary_defect",
+                lambda X: measured.append(_unitary_defect(X)) or measured[-1])
+            with pytest.raises(EncodingValidationError, match="not unitary"):
+                HermitianEncoding(U, e.Pi, e.alpha)
+            monkeypatch.undo()
+            assert measured == [self.dense_defect(U)]
+            assert measured[0] > 1e-10 * e.M
+
+    def test_coordinate_reads_equal_the_dense_products(self):
+        from gqtlab.encodings import _block, _validate_core
+        from gqtlab.phases import _column_defect
+        rng = np.random.default_rng(74)
+        g = dilate_general(rng.normal(size=(5, 3))
+                           + 1j * rng.normal(size=(5, 3)), 9.0)
+        E_L, E_R = g.Pi_L, g.Pi_R
+
+        class Operator:  # a matrix seen only through `@`
+            shape = g.U.shape
+
+            def __matmul__(self, X):
+                return g.U @ X
+
+        dense = E_L.conj().T @ (g.U @ E_R)
+        for U in (g.U, Operator()):
+            assert _block(U, E_L, E_R).tobytes() == dense.tobytes()
+        Y = g.U @ E_R
+        want = float(np.linalg.norm(Y.conj().T @ Y - E_R.conj().T @ E_R))
+        assert _column_defect(Y, E_R) == want
+        # the isometry defects of a coordinate Pi are exactly 0, as the
+        # dense Gram reads them
+        _, defects = _validate_core(g.U, E_L, E_R, 1.0, False)
+        assert defects[1:] == tuple(
+            float(np.linalg.norm(P.conj().T @ P - np.eye(P.shape[1])))
+            for P in (E_L, E_R)) == (0.0, 0.0)
