@@ -223,11 +223,46 @@ def _on_circle(a: np.ndarray, n: int) -> np.ndarray:
     return np.fft.ifft(a, n) * n
 
 
+def _parity_stride(d: int, *arrays: np.ndarray) -> int:
+    """2 when every coefficient of the other parity than d is exactly 0 in
+    each array, so that each is z^r R(z^2) with r = d mod 2; else 1.
+
+    The read is structural, as `_nonzero_blocks` reads U: a coefficient
+    under `definite_parity`'s tolerance still counts, since dropping it
+    would change P."""
+    return 1 if any(a[1 - d % 2::2].any() for a in arrays) else 2
+
+
 def _completion_defect(p: np.ndarray, q: np.ndarray) -> float:
-    """max | |P|^2 + |Q|^2 - 1 | over max(4096, 8 (d + 1)) circle points."""
-    n = 1 << (max(4096, 8 * max(len(p), len(q))) - 1).bit_length()
-    return float(np.max(np.abs(np.abs(_on_circle(p, n)) ** 2
-                               + np.abs(_on_circle(q, n)) ** 2 - 1.0)))
+    """max | |P|^2 + |Q|^2 - 1 | over max(4096, 8 (d + 1)) circle points.
+
+    For P = z^r R(z^2) and Q = z^r S(z^2) (`_parity_stride` 2) those points
+    are read through their squares w = z^2: |R|^2 + |S|^2 at half as many
+    w-points, the same values at the same tolerance."""
+    d = max(len(p), len(q)) - 1
+    n = 1 << (max(4096, 8 * (d + 1)) - 1).bit_length()
+    s = _parity_stride(d, p, q)
+    r = d % s
+    return float(np.max(np.abs(np.abs(_on_circle(p[r::s], n // s)) ** 2
+                               + np.abs(_on_circle(q[r::s], n // s)) ** 2
+                               - 1.0)))
+
+
+def _outer_completion(a: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """One grid of `complementary_polynomial` for the polynomial a: its
+    completion from an n-point circle grid and the largest coefficient of
+    G that the grid aliased past the degree of a."""
+    m = len(a) - 1
+    absp = np.abs(_on_circle(a, n))
+    if np.max(absp) >= 1.0:
+        raise CompletionError(
+            "max |P| reaches 1 on the circle; no complementary polynomial "
+            "with a finite log-modulus (scale P with rescale_to_margin)")
+    h = np.fft.fft(0.5 * np.log1p(-absp ** 2)) / n
+    h[1:n // 2] *= 2.0
+    h[n // 2 + 1:] = 0.0
+    g = np.fft.fft(np.exp(_on_circle(h, n))) / n
+    return np.conj(g[m::-1]), np.max(np.abs(g[m + 1:]))
 
 
 def complementary_polynomial(c: PolyCoeffs) -> PolyCoeffs:
@@ -242,25 +277,23 @@ def complementary_polynomial(c: PolyCoeffs) -> PolyCoeffs:
     the reversed conjugate z^d conj(G(1/conj z)): same modulus, roots inside
     the disk, the orientation layer stripping needs to reproduce P.
 
+    A P = z^r R(z^2) of `_parity_stride` 2 is completed as R on N/2 points
+    of the w = z^2 circle: the outer factor of 1 - |R(z^2)|^2 is G_R(z^2),
+    so Q = z^r S(z^2) with S the completion of R, and Q's coefficients of
+    the other parity are exactly 0.
+
     N starts at the power of two >= 16 (d + 1) and doubles while the dropped
     tail or the completion defect exceeds 1e-12.  Raises CompletionError when
     |P| reaches 1 on the grid or N passes 2^20 short of that target.
     """
     a = c.coeffs
     d = len(a) - 1
+    s = _parity_stride(d, a)
+    r = d % s
     n = 1 << (16 * (d + 1) - 1).bit_length()
     while n <= _MAX_GRID:
-        absp = np.abs(_on_circle(a, n))
-        if np.max(absp) >= 1.0:
-            raise CompletionError(
-                "max |P| reaches 1 on the circle; no complementary polynomial "
-                "with a finite log-modulus (scale P with rescale_to_margin)")
-        h = np.fft.fft(0.5 * np.log1p(-absp ** 2)) / n
-        h[1:n // 2] *= 2.0
-        h[n // 2 + 1:] = 0.0
-        g = np.fft.fft(np.exp(_on_circle(h, n))) / n
-        q = np.conj(g[d::-1])
-        tail = np.max(np.abs(g[d + 1:]))  # aliasing: exact G has degree d
+        q = np.zeros(d + 1, dtype=complex)
+        q[r::s], tail = _outer_completion(a[r::s], n // s)
         if max(tail, _completion_defect(a, q)) <= _COMPLETION_TARGET:
             return PolyCoeffs(q)
         n *= 2
@@ -292,47 +325,70 @@ def round_trip_error(ph: PhaseFactors, c: PolyCoeffs) -> float:
 
 def _strip_layers(P: np.ndarray, Q: np.ndarray) -> PhaseFactors:
     """Peel R(theta_k, phi_k, 0) diag(z, 1) off (P, Q) one degree at a time
-    (Motlagh & Wiebe, arXiv:2308.01501); P and Q are overwritten."""
+    (Motlagh & Wiebe, arXiv:2308.01501); P and Q are only read.
+
+    When P = z^r R(z^2) and Q = z^r S(z^2), r = d mod 2 (`_parity_stride`
+    2), each layer k >= 1 of the other parity than d meets q_lead = 0
+    exactly: theta = phi = 0, a shift of P and a negation of Q.  Each step
+    then strips layer k and that partner k - 1 on (R, S), with the
+    partner's negation folded into the coefficients of the new S
+    (-(a - b) is (-a) + b exactly), so the angles are those of the
+    layer-by-layer loop bit for bit, in half the steps.  Any other (P, Q)
+    runs the same loop one layer a step (stride 1).
+    """
     d = len(P) - 1
+    s = _parity_stride(d, P, Q)
     thetas = np.zeros(d + 1)
     phis = np.zeros(d + 1)
-    # A layer has theta = 0 iff |q_lead| <= 1e-14 max(|P|, |Q|).  Every
-    # layer is a 2x2 unitary on the pairs (P_j, Q_j) and then drops an end,
-    # so that max stays below 2 ||(P, Q)||_2 (~1), and it is at least
-    # |p_lead| (halved against the rounding of abs): the exact max is
-    # computed only when q_lead falls between the two tests.
-    near_zero = 1e-14 * 2.0 * math.hypot(np.linalg.norm(P), np.linalg.norm(Q))
-    # P is a view into one of two buffers (z P_{k-1} is written to the
-    # other), Q into its own; the arithmetic is that of the out-of-place
-    # recursion, scalar on the left.
-    held, spare, tmp = P, np.empty_like(P), np.empty_like(P)
-    for k in range(d, 0, -1):
-        p_lead, q_lead = P[k], Q[k]
+    # [R; S] fills columns t + 1 .. n of buf at step t (column 0 is
+    # spare).  A step writes the new R to column j from column j and the
+    # new S from column j - 1; from column t + 2 on they are the next
+    # (R, S), since R's lowest coefficient and S's leading one drop.  So
+    # the leading pair stays in column n.
+    n = (d + s) // s
+    buf = np.zeros((2, n + 1), dtype=complex)
+    buf[0, 1:], buf[1, 1:] = P[d % s::s], Q[d % s::s]
+    # window[i, j, c] = buf[j, c + i]: i = 0 feeds the new S, i = 1 the new R
+    window = np.lib.stride_tricks.as_strided(
+        buf, (2, 2, n), (buf.strides[1],) + buf.strides, writeable=False)
+    prod = np.empty((2, 2, n), dtype=complex)
+    coef = np.empty((2, 2, 1), dtype=complex)
+    # A layer has theta = 0 iff |q_lead| <= 1e-14 max(|P|, |Q|), a max that
+    # the other parity's zeros leave unchanged.  Every layer is a 2x2
+    # unitary on the pairs (P_j, Q_j) and then drops an end, so that max
+    # stays below 2 ||(P, Q)||_2 (~1), and it is at least |p_lead| (halved
+    # against the rounding of abs): the exact max is computed only when
+    # q_lead falls between the two tests.
+    near_zero = 1e-14 * 2.0 * float(np.linalg.norm(buf))
+    # A theta = 0 layer negates Q; a pair of them leaves it as it is.
+    shift_S = np.negative if s == 1 else np.positive
+    for t, k in enumerate(range(d, 0, -s)):
+        p_lead, q_lead = buf[0, n], buf[1, n]
         aq = abs(q_lead)
         if aq <= near_zero and (
                 aq <= 0.5e-14 * abs(p_lead)
-                or aq <= 1e-14 * max(np.max(np.abs(P)), np.max(np.abs(Q)))):
+                or aq <= 1e-14 * np.max(np.abs(buf[:, t + 1:]))):
             # theta = 0 layer: P_k = z P_{k-1}, Q_k = -Q_{k-1}.
             theta, phi = 0.0, 0.0
-            newP = P[1:]
-            newQ = np.negative(Q[:k], out=Q[:k])
+            shift_S(buf[1, t:n], out=buf[1, t + 1:])
         else:
-            phi = math.atan2((p_lead / q_lead).imag, (p_lead / q_lead).real)
+            ratio = p_lead / q_lead
+            phi = math.atan2(ratio.imag, ratio.real)
             theta = math.atan2(abs(q_lead), abs(p_lead))
             e = np.exp(-1j * phi)
             ct, st = math.cos(theta), math.sin(theta)
-            # coefficients of z * P_{k-1}
-            zP = np.add(np.multiply(e * ct, P, out=spare[:k + 1]),
-                        np.multiply(st, Q, out=tmp[:k + 1]), out=spare[:k + 1])
-            # degree k-1 (leading ~0)
-            newQ = np.subtract(np.multiply(e * st, P, out=tmp[:k + 1]),
-                               np.multiply(ct, Q, out=Q), out=Q)[:k]
-            held, spare = spare, held
-            newP = zP[1:]
+            # z P_{k-1} = e ct P + st Q, Q_{k-1} = e st P - ct Q, the same
+            # two products and one sum per coefficient.
+            coef[1, 0, 0], coef[1, 1, 0] = e * ct, st
+            coef[0, 0, 0], coef[0, 1, 0] = ((e * st, -ct) if s == 1
+                                            else (-(e * st), ct))
+            np.multiply(coef, window[:, :, t:], out=prod[:, :, t:])
+            np.add(prod[:, 0, t:], prod[:, 1, t:], out=buf[::-1, t + 1:])
         thetas[k], phis[k] = theta, phi
-        P, Q = newP, newQ
 
-    p0, q0 = P[0], Q[0]
+    # An odd P of stride 2 ends on layer 1, which has no partner: its z P_0
+    # is the last column's new R, and its Q_0 is 0.
+    p0, q0 = buf[0, n], (buf[1, n] if s == 1 or d % 2 == 0 else 0.0)
     thetas[0] = math.atan2(abs(q0), abs(p0))
     if abs(q0) > 1e-14:
         lam = math.atan2(q0.imag, q0.real)
@@ -361,8 +417,8 @@ def solve_phases(c: PolyCoeffs) -> PhaseFactors:
     """
     c = c.trimmed()
     d = c.degree
-    P = c.coeffs.copy()
-    Q = complementary_polynomial(PolyCoeffs(P)).coeffs.copy()
+    P = c.coeffs
+    Q = complementary_polynomial(c).coeffs
     defect = _completion_defect(P, Q)
     if not defect <= DEFECT_TOL:
         raise PhaseSynthesisError(

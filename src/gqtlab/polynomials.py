@@ -392,31 +392,40 @@ def _remez_odd(f: Callable[[np.ndarray], np.ndarray], a: float,
 
         err = wg * (_cheb_grid(coef, n) - gg)
         max_err = float(np.max(np.abs(err)))
-        # Local extrema of the error (plus the endpoints).
-        sign_change = np.diff(np.sign(np.diff(err)))
-        interior = np.nonzero(sign_change != 0)[0] + 1
-        cand = np.unique(np.concatenate(([0], interior, [len(grid) - 1])))
-        # Keep an alternating subsequence, favouring the largest |err|.
-        pts, vals = [], []
-        for i in cand:
-            if pts and np.sign(err[i]) == np.sign(vals[-1]):
-                if abs(err[i]) > abs(vals[-1]):
-                    pts[-1], vals[-1] = i, err[i]
-            else:
-                pts.append(i)
-                vals.append(err[i])
-        if len(pts) > npts:
-            # Drop smallest-amplitude endpoints until the count fits.
-            while len(pts) > npts:
-                drop = 0 if abs(vals[0]) < abs(vals[-1]) else len(pts) - 1
-                pts.pop(drop)
-                vals.pop(drop)
+        pts = _alternation(err, npts)
         if len(pts) < npts:
             break  # degenerate alternation; current solution is near-optimal
         if max_err - abs(h) <= 1e-6 * max(abs(h), 1e-300) + 1e-15:
             break
-        ref = grid[np.array(pts)]
+        ref = grid[pts]
     return coef, max_err
+
+
+def _alternation(err: np.ndarray, count: int) -> np.ndarray:
+    """The next Remez reference: grid indices of an alternating subsequence
+    of the error's local extrema and endpoints, at most `count` long (fewer
+    when the alternation degenerates).
+
+    Each run of candidates of equal `np.sign` keeps the first index of its
+    largest |err| (a NaN, equal to nothing, is a run of its own); then,
+    while more than `count` remain, the end of smaller |err| is dropped,
+    the last one on a tie."""
+    sign_change = np.diff(np.sign(np.diff(err)))
+    interior = np.nonzero(sign_change != 0)[0] + 1
+    cand = np.unique(np.concatenate(([0], interior, [len(err) - 1])))
+    sign, mag = np.sign(err[cand]), np.abs(err[cand])
+    starts = np.r_[True, sign[1:] != sign[:-1]]
+    run = np.cumsum(starts) - 1
+    peak = np.maximum.reduceat(mag, np.flatnonzero(starts))
+    at_peak = np.flatnonzero((mag == peak[run]) | np.isnan(mag))
+    pts = at_peak[np.unique(run[at_peak], return_index=True)[1]]
+    lo, hi = 0, len(pts)
+    while hi - lo > count:
+        if mag[pts[lo]] < mag[pts[hi - 1]]:
+            lo += 1
+        else:
+            hi -= 1
+    return cand[pts[lo:hi]]
 
 
 # Grid peaks of the Remez error within this fraction of the grid maximum are

@@ -4,7 +4,7 @@ Each is a dense, direct form of something the library computes another way
 (qubitized eigenpairs against `walk_operator`, the rotation-absorbed circuit
 against `gqet`, the two-register QSVT circuit against `_qsvt_circuit`, the
 Hilbert-transform theorem against `corollary_bound`, the one-block layer loop
-against `gqsp_matrix`), or
+against `gqsp_matrix`, the Remez alternation loop against `_alternation`), or
 a value the tests read that the library never needs (the encoded block, P on
 the circle, the parity halves).  Nothing in `src/` imports this module.
 """
@@ -246,3 +246,30 @@ def qsvt_equivalence_check(e, phis: np.ndarray) -> tuple[bool, float]:
     reduced = _qsvt_circuit(phis, e, np.eye(2 * M))
     residual = float(np.linalg.norm(full - E_out @ reduced, 2))
     return residual <= 1e-10, residual
+
+
+# ---------------------------------------------------------------------------
+# Remez: the alternation pick as a loop over the candidates.
+# ---------------------------------------------------------------------------
+
+def remez_alternation(err: np.ndarray, count: int) -> np.ndarray:
+    """The loop `polynomials._alternation` replaces: walk the local extrema
+    and endpoints of err, keep one point per run of equal sign (the first
+    of largest |err|), then drop the end of smaller |err| (the last one on
+    a tie) while more than `count` remain."""
+    sign_change = np.diff(np.sign(np.diff(err)))
+    interior = np.nonzero(sign_change != 0)[0] + 1
+    cand = np.unique(np.concatenate(([0], interior, [len(err) - 1])))
+    pts, vals = [], []
+    for i in cand:
+        if pts and np.sign(err[i]) == np.sign(vals[-1]):
+            if abs(err[i]) > abs(vals[-1]):
+                pts[-1], vals[-1] = i, err[i]
+        else:
+            pts.append(i)
+            vals.append(err[i])
+    while len(pts) > count:
+        drop = 0 if abs(vals[0]) < abs(vals[-1]) else len(pts) - 1
+        pts.pop(drop)
+        vals.pop(drop)
+    return np.array(pts, dtype=int)

@@ -18,7 +18,7 @@ from gqtlab import phases
 from gqtlab.cli import EXIT_INPUT, EXIT_OK, EXIT_TOLERANCE, FMT, _csv, main
 from gqtlab.encodings import (
     EncodingValidationError, dilate_general, dilate_hermitian)
-from gqtlab.polynomials import PolyCoeffs, eval_cheb
+from gqtlab.polynomials import PolyCoeffs, eval_cheb, max_abs_circle
 from gqtlab.serialization import (
     matrix_from_json, matrix_to_json, phases_from_file, phases_to_file)
 from gqtlab.transforms import (
@@ -990,7 +990,10 @@ def test_csv_matches_csv_writer():
 # (numpy 2.4, x86-64): the outputs must not change by a byte.  The scaling
 # table's Remez designs solve dense systems whose last bits depend on the
 # BLAS thread count, so that case runs in a child process on one thread
-# (`_one_thread_main`), and its file digest is the one-thread output.
+# (`_one_thread_main`), and its file digest is the one-thread output.  So do
+# the `phases` cases, recorded before definite-parity polynomials were
+# completed and stripped at half length: the inverse designs (kappa, 1e-3)
+# and a random complex polynomial of degree 64.
 _PINNED = {
     ("random", 64): (
         "03fb933036a2beaf005997e9a207b7006e5081d461db55ab683b7649e170ac50",
@@ -1013,23 +1016,54 @@ _PINNED = {
     "scaling-table": (
         "4d9721148701473d573a53266d249e836e1f37dfa788798bbd4a8b11f555e67b",
         "0c3cce222de0e55e4b1067ff15d8856b05d13db4e01706458051d2054150e470"),
+    ("phases", 10): (
+        "d8ec43418a5e7aa55d065d1e146b37d0d395b20fde192ed39a26b9546c7558f7",
+        "aa992c4abfcc1c6f3f9f8c07e3437cb2b8b45e21912b0293af7b689f45754316"),
+    ("phases", 40): (
+        "692b6b2d7d346a65092926051f152bca4521fdb54e04d688e988ee3e788b3c75",
+        "c9a61b022da68eed45d7594dff9dac1f9e1c2f4e3341141cfb69275e6f04a7a9"),
+    ("phases", 100): (
+        "20abd1fd6ce19c35daf4acda5971986c28055f562e1b5e907a2e6b63412da9d2",
+        "95b448b8854e1c3cc6bcab3aa5ee719999a96478870f66f2bed9837b39de14bd"),
+    ("phases", "random-64"): (
+        "e937085d375f08f9581f99c7d2896280bfe5370612fd3156ed2408658f670eb5",
+        "8a8e33e8319501dbe16950d00c90a0c24d51b7cee29ff98115621a1c68d9bfd7"),
 }
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _one_thread_main(argv) -> tuple[int, bytes]:
+def _one_thread_main(argv, prelude: str = "") -> tuple[int, bytes]:
     """(exit code, stdout) of `main(argv)` in a child process whose BLAS
-    runs on one thread, importing the gqtlab under test."""
+    runs on one thread, importing the gqtlab under test; the child runs the
+    statements `prelude` first."""
     src = str(Path(gqtlab.__file__).parents[1])
     env = dict(os.environ, **dict.fromkeys(_THREAD_VARS, "1"),
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from gqtlab.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", *argv],
-        env=env, capture_output=True, check=False)
+    code = "; ".join(filter(None, [
+        "import sys", "from gqtlab.cli import main", prelude,
+        "sys.exit(main(sys.argv[1:]))"]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          env=env, capture_output=True, check=False)
     return proc.returncode, proc.stdout
+
+
+def _phases_case(tmp_path, case) -> str:
+    """The prelude of a pinned `phases` run whose config is tmp_path/p.json:
+    an inverse design at (case, 1e-3), made in the child because its bits
+    depend on the thread count, or a config written here."""
+    cfg = tmp_path / "p.json"
+    if case == "random-64":
+        rng = np.random.default_rng(64)
+        c = PolyCoeffs(rng.normal(size=65) + 1j * rng.normal(size=65))
+        write_config(tmp_path, cfg.name,
+                     {"poly": c.scaled(0.9 / max_abs_circle(c)).to_json_dict()})
+        return ""
+    return ("import json; "
+            "from gqtlab.polynomials import ApproxSpec, approx_inverse; "
+            f"open({str(cfg)!r}, 'w').write(json.dumps({{'poly': "
+            f"approx_inverse(ApproxSpec({case}, 1e-3)).poly.to_json_dict()}}))")
 
 
 @pytest.mark.parametrize("key", list(_PINNED), ids=str)
@@ -1037,6 +1071,12 @@ def test_outputs_are_pinned(tmp_path, capsys, key):
     out = tmp_path / "out.csv"
     if key == "scaling-table":
         code, stdout = _one_thread_main(["scaling-table", "--out", str(out)])
+        assert code == EXIT_OK
+    elif key[0] == "phases":
+        prelude = _phases_case(tmp_path, key[1])
+        code, stdout = _one_thread_main(
+            ["phases", "--config", str(tmp_path / "p.json"),
+             "--out", str(out)], prelude)
         assert code == EXIT_OK
     else:
         sampler, dmax = key

@@ -33,6 +33,7 @@ from gqtlab.polynomials import (
     NumericalError,
     PolyCoeffs,
     approx_inverse,
+    definite_parity,
     max_abs_circle,
 )
 from reference import eval_circle, gqet_absorbed_matrix, gqsp_layers
@@ -762,3 +763,122 @@ class TestBitExactAgainstReference:
         assert ph.round_trip == phases.round_trip_error(ph, c)
         back = PhaseFactors.from_json_dict(ph.to_json_dict())
         assert back.round_trip is None and "round_trip" not in ph.to_json_dict()
+
+
+def one_parity_poly(rng, d, target=0.9):
+    """A random complex P of degree d whose coefficients of the other
+    parity are exactly 0, scaled to max |P| = target on the circle."""
+    a = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+    a[1 - d % 2::2] = 0.0
+    c = PolyCoeffs(a)
+    return c.scaled(target / max_abs_circle(c))
+
+
+def off_parity_layers(d: int) -> np.ndarray:
+    """The layers k >= 1 of the other parity than d."""
+    return np.arange(1 + d % 2, d + 1, 2)
+
+
+class TestParityStride:
+    """A P = z^r R(z^2), read by exact zeros, is completed, checked and
+    stripped as R(w), w = z^2, and gets the angles of the layer-by-layer
+    loop on the full arrays bit for bit."""
+
+    @staticmethod
+    def assert_strided_like_reference(c: PolyCoeffs) -> PhaseFactors:
+        P = c.trimmed().coeffs
+        d = len(P) - 1
+        Q = complementary_polynomial(PolyCoeffs(P)).coeffs
+        assert not Q[1 - d % 2::2].any()
+        assert phases._parity_stride(d, P, Q) == 2
+        ph = solve_phases(c)
+        ref = reference_strip(P, Q)
+        assert np.array_equal(ph.thetas, ref.thetas)
+        assert np.array_equal(ph.phis, ref.phis)
+        assert ph.lam == ref.lam
+        k = off_parity_layers(d)
+        assert not ph.thetas[k].any() and not ph.phis[k].any()
+        return ph
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 256), st.integers(0, 2 ** 31 - 1))
+    def test_angles_match_the_full_loop(self, d, seed):
+        self.assert_strided_like_reference(
+            one_parity_poly(np.random.default_rng(seed), d))
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_lowest_degrees(self, d):
+        rng = np.random.default_rng(40 + d)
+        for _ in range(20):
+            self.assert_strided_like_reference(one_parity_poly(rng, d))
+        # z and 1: a single layer of each parity.
+        self.assert_strided_like_reference(
+            PolyCoeffs(np.eye(d + 1)[d] * 0.6j))
+
+    def test_theta_zero_at_the_nonzero_positions(self):
+        # 1 - |P|^2 is a polynomial in z^8 here, so Q has no z^3, z^5 or
+        # z^7 term and those layers of P's parity have theta = 0 too.
+        a = np.zeros(10, dtype=complex)
+        a[1], a[9] = 0.4, 0.3j
+        ph = self.assert_strided_like_reference(PolyCoeffs(a))
+        assert not ph.thetas[[3, 5, 7]].any()
+        assert ph.thetas[9] != 0.0 and ph.thetas[1] != 0.0
+
+    @pytest.mark.parametrize("d", [7, 8, 55])
+    def test_one_tiny_coefficient_takes_stride_1(self, d, monkeypatch):
+        # 1e-300 of the other parity is far below definite_parity's
+        # tolerance, but it is part of P: the full-length path runs.
+        c = one_parity_poly(np.random.default_rng(50 + d), d)
+        a = c.coeffs.copy()
+        a[1 - d % 2] = 1e-300
+        c = PolyCoeffs(a)
+        assert definite_parity(c) == ("odd" if d % 2 else "even")
+        assert phases._parity_stride(d, a) == 1
+        lengths = []
+        real = phases._on_circle
+        monkeypatch.setattr(phases, "_on_circle",
+                            lambda x, n: lengths.append(n) or real(x, n))
+        Q = complementary_polynomial(c).coeffs
+        assert lengths[0] == 1 << (16 * (d + 1) - 1).bit_length()
+        ph = solve_phases(c)
+        ref = reference_strip(a, Q)
+        assert np.array_equal(ph.thetas, ref.thetas)
+        assert np.array_equal(ph.phis, ref.phis)
+        assert ph.lam == ref.lam
+
+    def test_grids_are_half_size(self, inverse_design, monkeypatch):
+        # kappa = 100, d = 553: the full-length path completes on 16384
+        # points and checks the defect on 8192; the same z-points are read
+        # as 8192 and 4096 points w = z^2.  solve_phases checks the defect
+        # once more after the completion's own check.
+        c, _ = rescale_to_margin(inverse_design(100).poly)
+        assert c.degree == 553
+        lengths = []
+        real = phases._on_circle
+        monkeypatch.setattr(phases, "_on_circle",
+                            lambda x, n: lengths.append(n) or real(x, n))
+        solve_phases(c)
+        assert lengths == [8192] * 2 + [4096] * 4
+
+    def test_one_completion_per_solve(self, inverse_design, monkeypatch):
+        calls = []
+        real = phases.complementary_polynomial
+        monkeypatch.setattr(phases, "complementary_polynomial",
+                            lambda c: calls.append(c) or real(c))
+        c, _ = rescale_to_margin(inverse_design(10).poly)
+        solve_phases(c)
+        solve_phases(scaled_random_poly(np.random.default_rng(51), 30))
+        assert len(calls) == 2
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12")
+def test_a_moved_angle_fails_the_round_trip(inverse_design):
+    # ROUND_TRIP_TOL * (d + 1) is absolute, while the kappa = 100 design's
+    # largest coefficient is 0.005: theta_276 moved by 1e-6 moves P by
+    # about 1e-6, under the tolerance of 5.5e-6, and passes.
+    c, _ = rescale_to_margin(inverse_design(100).poly)
+    ph = solve_phases(c)
+    thetas = ph.thetas.copy()
+    thetas[276] += 1e-6
+    err = phases.round_trip_error(PhaseFactors(thetas, ph.phis, ph.lam), c)
+    assert err > ROUND_TRIP_TOL * (ph.degree + 1)

@@ -24,7 +24,7 @@ from gqtlab.polynomials import (
     sqrt_substitute_even,
     sqrt_substitute_odd,
 )
-from reference import eval_circle, parity_split
+from reference import eval_circle, parity_split, remez_alternation
 
 
 def random_poly(rng, d, real=False):
@@ -670,3 +670,32 @@ def test_single_cheb_monomial_beta_is_one(n, seed):
     a = np.zeros(n + 1, dtype=complex)
     a[n] = 1.0
     assert beta(PolyCoeffs(a)) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestAlternation:
+    """The vectorised Remez alternation pick against the loop it replaced,
+    index for index."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 60))
+    def test_matches_the_loop(self, seed, size):
+        rng = np.random.default_rng(seed)
+        # Few distinct values make ties within and across runs; zeros (of
+        # both signs) make runs of sign 0, and a NaN is a run of its own.
+        err = rng.integers(-3, 4, size).astype(float)
+        err[rng.random(size) < 0.1] = -0.0
+        err[rng.random(size) < 0.1] = np.nan
+        for count in range(1, size + 2):
+            got = polynomials._alternation(err, count)
+            assert np.array_equal(got, remez_alternation(err, count))
+
+    @pytest.mark.parametrize("count", [3, 8, 20])
+    def test_smooth_errors(self, count):
+        # Equioscillating errors whose peaks tie exactly, and the same with
+        # flat tops: many candidates per run, and every drop is a tie.
+        x = np.linspace(0.0, 7 * np.pi, 2001)
+        for err in (np.sign(np.sin(x)) * np.round(np.abs(np.sin(x)), 2),
+                    np.clip(1.5 * np.cos(x), -1.0, 1.0),
+                    np.cos(x) * (1 + x) / 10):
+            got = polynomials._alternation(err, count)
+            assert np.array_equal(got, remez_alternation(err, count))
