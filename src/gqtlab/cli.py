@@ -46,7 +46,6 @@ from .polynomials import (
     max_abs_interval,
 )
 from .transforms import (
-    _oracle_svd,
     eigen_oracle,
     extract_svt,
     gqet,
@@ -98,14 +97,13 @@ def _load(cfg: dict, key: str):
         raise InputError(f"bad {noun} input: {exc}") from exc
 
 
-def _alpha(cfg: dict, A: np.ndarray) -> float:
-    """The config's alpha, else 1.2 ||A||_2, which costs a full SVD and so
-    is computed only when the config has none.  A zero A gets alpha = 1:
-    every alpha > 0 encodes it exactly."""
+def _alpha(cfg: dict, norm: float) -> float:
+    """The config's alpha, else 1.2 ||A||_2, with ||A||_2 = norm read from
+    the decomposition of A that the command's oracle runs anyway.  A zero A
+    gets alpha = 1: every alpha > 0 encodes it exactly."""
     if "alpha" in cfg:
         return _number(cfg["alpha"], "alpha")
-    norm = float(np.linalg.norm(A, 2))
-    return 1.0 if norm == 0 else 1.2 * norm
+    return 1.0 if norm == 0 else 1.2 * float(norm)
 
 
 def _tol(args, degree: int) -> float:
@@ -185,10 +183,15 @@ def cmd_scaling_table(args) -> int:
 def cmd_gqet(args) -> int:
     cfg = _load_config(args)
     A = _load(cfg, "matrix")
-    enc = dilate_hermitian(A, _alpha(cfg, A))
+    # One eigh of A gives the oracle's eigenpairs and the default alpha,
+    # 1.2 max |lambda|; the dilation keeps its own decomposition of A/alpha,
+    # and refuses an A that is not square Hermitian.
+    eig = np.linalg.eigh(A) if A.shape[0] == A.shape[1] else None
+    enc = dilate_hermitian(
+        A, _alpha(cfg, 0.0 if eig is None else np.max(np.abs(eig[0]))))
     c = _load(cfg, "poly")
     cp = gqet(enc, c)
-    oracle = eigen_oracle(A, enc.alpha, cp.poly)
+    oracle = eigen_oracle(A, enc.alpha, cp.poly, eig)
     residual = float(np.linalg.norm(extract_svt(cp) - oracle, 2))
     tol = _tol(args, cp.degree)
     report = {
@@ -211,11 +214,13 @@ def cmd_gqsvt(args) -> int:
         raise InputError(f"unknown gqsvt route {route!r}; have "
                          "'hermitianization', 'multiplication', 'both'")
     A = _load(cfg, "matrix")
-    alpha = _alpha(cfg, A)
+    # One full SVD of A gives the default alpha, 1.2 s_0, and both routes'
+    # oracles read it as the SVD (u, s/alpha, vh) of A/alpha; the
+    # dilation's own stays apart, so the oracle checks it independently.
+    u, s, vh = np.linalg.svd(A, full_matrices=True)
+    alpha = _alpha(cfg, s[0])
     enc = dilate_general(A, alpha)
-    # One SVD of A/alpha serves both routes' oracles; the dilation's own
-    # stays apart, so the oracle checks it independently.
-    svd = _oracle_svd(A, alpha)
+    svd = (u, s / alpha, vh)
     lines = []
     worst = 0.0
     blocks = {}

@@ -283,8 +283,9 @@ def complementary_polynomial(c: PolyCoeffs) -> PolyCoeffs:
     the other parity are exactly 0.
 
     N starts at the power of two >= 16 (d + 1) and doubles while the dropped
-    tail or the completion defect exceeds 1e-12.  Raises CompletionError when
-    |P| reaches 1 on the grid or N passes 2^20 short of that target.
+    tail or the completion defect exceeds 1e-12; Q holds the defect it
+    passed with as `Q.defect`.  Raises CompletionError when |P| reaches 1 on
+    the grid or N passes 2^20 short of that target.
     """
     a = c.coeffs
     d = len(a) - 1
@@ -294,8 +295,9 @@ def complementary_polynomial(c: PolyCoeffs) -> PolyCoeffs:
     while n <= _MAX_GRID:
         q = np.zeros(d + 1, dtype=complex)
         q[r::s], tail = _outer_completion(a[r::s], n // s)
-        if max(tail, _completion_defect(a, q)) <= _COMPLETION_TARGET:
-            return PolyCoeffs(q)
+        defect = _completion_defect(a, q)
+        if max(tail, defect) <= _COMPLETION_TARGET:
+            return PolyCoeffs(q, defect)
         n *= 2
     raise CompletionError(f"completion misses {_COMPLETION_TARGET:g} on "
                           f"{_MAX_GRID} circle points; max |P| is too near 1")
@@ -305,10 +307,17 @@ def rescale_to_margin(c: PolyCoeffs, margin: float = DEFAULT_MARGIN,
                       ) -> tuple[PolyCoeffs, float]:
     """Scale P to max |P| = 1 - 2 margin if above 1 - margin; (P, scale).
     The one margin rule: no other code compares a circle norm with a
-    margin.  ValueError unless 0 <= margin < 1/2."""
+    margin.  ValueError unless 0 <= margin < 1/2.
+
+    A P = z^r R(z^2) (`_parity_stride` 2) is normed as R: |P(z)| = |R(z^2)|
+    and z^2 runs over the whole circle, so the maximum is the same, on half
+    the grid."""
     if not 0.0 <= margin < 0.5:
         raise ValueError(f"margin must lie in [0, 0.5), not {margin}")
-    maxP = max_abs_circle(c)
+    a = c.coeffs
+    d = len(a) - 1
+    maxP = max_abs_circle(c if _parity_stride(d, a) == 1
+                          else PolyCoeffs(a[d % 2::2]))
     if maxP > 1.0 - margin:
         scale = (1.0 - 2.0 * margin) / maxP
         return c.scaled(scale), scale
@@ -418,8 +427,12 @@ def solve_phases(c: PolyCoeffs) -> PhaseFactors:
     c = c.trimmed()
     d = c.degree
     P = c.coeffs
-    Q = complementary_polynomial(c).coeffs
-    defect = _completion_defect(P, Q)
+    completion = complementary_polynomial(c)
+    Q = completion.coeffs
+    # The completion measured its defect on this (P, Q); a Q that holds
+    # none is measured here.
+    defect = (_completion_defect(P, Q) if completion.defect is None
+              else completion.defect)
     if not defect <= DEFECT_TOL:
         raise PhaseSynthesisError(
             f"completion defect {defect:.3e} exceeds {DEFECT_TOL:g}")
@@ -544,7 +557,9 @@ def gqsp_matrix(ph: PhaseFactors, U: np.ndarray, columns: np.ndarray,
     blocks, N = M/2, in M^2 k / 2 per layer (d M^3 for C): a J-commuting
     U on the stack turned in place by T^dag before the layers and by T
     after them (T of `_nonzero_blocks`), an off-diagonal U on the swapped
-    halves of the top half.
+    halves of the top half.  When every layer k >= 1 of the other parity
+    than d has theta = phi = 0 exactly (a definite-parity solve), those d/2
+    layers apply U and no rotation, with the same stack.
 
     U must be unitary to VALIDATION_TOL * M (ValueError otherwise: U is
     the caller's argument).  The kernel never checks C itself; on every
@@ -571,8 +586,23 @@ def gqsp_matrix(ph: PhaseFactors, U: np.ndarray, columns: np.ndarray,
     blocks, structure = _nonzero_blocks(U)
     # (ancilla, [block,] row, column): views of the C-ordered stack.
     top, bot = out.reshape((2,) + blocks.shape[:-1] + out.shape[1:])
-    operand = top[::-1] if structure == "off-diagonal" else top
     Utop, tmp = np.empty_like(top), np.empty_like(top)
+    operand, held = ((top[::-1], Utop[::-1]) if structure == "off-diagonal"
+                     else (top, Utop))
+    d = ph.degree
+    rotations = _layer_rotations(ph)
+    # A layer k >= 1 of the other parity than d (never d itself) with
+    # theta = phi = 0, as every such layer of a definite-parity solve, is U
+    # on the top half and R = diag(1, -1).  When all of them are, each runs
+    # as U alone: the product waits in Utop for layer k + 1, and the -1 on
+    # the bottom half moves to the second column of that layer's rotation.
+    # A negated factor gives the negated product exactly, so the stack is
+    # the one of rotating every layer, up to the signs of zeros.
+    paired = not (ph.thetas[1 + d % 2:d:2].any()
+                  or ph.phis[1 + d % 2:d:2].any())
+    if paired:
+        second = rotations[2 + d % 2::2, :, 1]
+        np.negative(second, out=second)
     if structure == "commuting":
         # The walk-register halves (x0, x1) of both ancilla halves, turned
         # in place by T^dag: ((x0 - i x1), (x0 + i x1)) / sqrt 2.  The loop's
@@ -582,15 +612,24 @@ def gqsp_matrix(ph: PhaseFactors, U: np.ndarray, columns: np.ndarray,
         np.add(x0, ix1, out=x1)
         x0 -= ix1
         out *= math.sqrt(0.5)
-    for k, r in enumerate(_layer_rotations(ph)):
-        if k:
-            np.matmul(blocks, operand, out=Utop)
-        else:
+    for k, r in enumerate(rotations):
+        # V is U applied to the top half; scratch is the free buffer.
+        if not k:
             Utop[...] = top
-        np.multiply(Utop, r[0, 0], out=top)
-        top += np.multiply(bot, r[0, 1], out=tmp)
+            V, scratch = Utop, tmp
+        elif paired and (d - k) % 2:
+            np.matmul(blocks, operand, out=Utop)
+            continue
+        elif paired and k > 1:
+            np.matmul(blocks, held, out=tmp)
+            V, scratch = tmp, Utop
+        else:
+            np.matmul(blocks, operand, out=Utop)
+            V, scratch = Utop, tmp
+        np.multiply(V, r[0, 0], out=top)
+        top += np.multiply(bot, r[0, 1], out=scratch)
         bot *= r[1, 1]
-        bot += np.multiply(Utop, r[1, 0], out=tmp)
+        bot += np.multiply(V, r[1, 0], out=scratch)
     if structure == "commuting":
         # and back by T: (y0 + y1, i (y0 - y1)) / sqrt 2.
         diff = np.subtract(x0, x1, out=tmp.reshape(x1.shape))

@@ -62,9 +62,16 @@ class PolyCoeffs:
 
     The one form of a polynomial argument, and the one place it is
     validated.  The coefficients must be finite (ValueError otherwise): a
-    NaN would compare below every tolerance and read as a zero coefficient."""
+    NaN would compare below every tolerance and read as a zero coefficient.
+
+    `defect` is the completion defect max | |P|^2 + |Q|^2 - 1 | that
+    `phases.complementary_polynomial` measured for this Q against its P
+    (None otherwise, `scaled` and `trimmed` too); it is neither serialised
+    nor compared."""
 
     coeffs: np.ndarray
+    defect: float | None = dataclasses.field(default=None, compare=False,
+                                             repr=False)
 
     def __post_init__(self):
         arr = np.array(self.coeffs, dtype=complex, ndmin=1)

@@ -168,10 +168,13 @@ def gqet(e: HermitianEncoding, c: PolyCoeffs) -> CircuitProduct:
         extraction={"default": (E, E)}, poly=c, phases=ph)
 
 
-def eigen_oracle(A: np.ndarray, alpha: float, c: PolyCoeffs) -> np.ndarray:
-    """Reference p(A/alpha) from a dense eigendecomposition."""
-    A = np.asarray(A, dtype=complex)
-    vals, vecs = np.linalg.eigh(A)
+def eigen_oracle(A: np.ndarray, alpha: float, c: PolyCoeffs,
+                 eig: tuple | None = None) -> np.ndarray:
+    """Reference p(A/alpha) from a dense eigendecomposition.  ``eig`` is
+    `np.linalg.eigh(A)` when the caller already holds it."""
+    if eig is None:
+        eig = np.linalg.eigh(np.asarray(A, dtype=complex))
+    vals, vecs = eig
     pv = eval_cheb(c, np.clip(vals / alpha, -1.0, 1.0))
     return (vecs * pv) @ vecs.conj().T
 
@@ -184,11 +187,15 @@ def svt_oracle(A: np.ndarray, alpha: float, c: PolyCoeffs,
     odd:  sum over singular triples of p(s_i/alpha) u_i v_i^dag  (N_L x N_R);
     even: right-singular-vector form V^dag-conjugated diagonal  (N_R x N_R),
     with p(0) on the padding entries.
-    ``svd`` is `_oracle_svd(A, alpha)` when the caller already holds it, so
-    oracles of several polynomials for one A share one decomposition.
+    ``svd`` is the full SVD (u, s, vh) of A/alpha when the caller already
+    holds it, so oracles of several polynomials for one A share one
+    decomposition.
     """
     parity = definite_parity(c)
-    u, s, vh = _oracle_svd(A, alpha) if svd is None else svd
+    if svd is None:
+        A = np.atleast_2d(np.asarray(A, dtype=complex))
+        svd = np.linalg.svd(A / alpha, full_matrices=True)
+    u, s, vh = svd
     N_L, N_R = len(u), len(vh)
     k = len(s)
     ps = eval_cheb(c, np.clip(s, -1.0, 1.0))
@@ -200,12 +207,6 @@ def svt_oracle(A: np.ndarray, alpha: float, c: PolyCoeffs,
     diag = np.full(N_R, pad, dtype=complex)
     diag[:k] = ps
     return vh.conj().T @ np.diag(diag) @ vh
-
-
-def _oracle_svd(A: np.ndarray, alpha: float) -> tuple:
-    """The full SVD (u, s, vh) of A/alpha that `svt_oracle` reads."""
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    return np.linalg.svd(A / alpha, full_matrices=True)
 
 
 def gqsvt_hermitianization(e: ProjectedUnitaryEncoding,

@@ -4,9 +4,9 @@ Each is a dense, direct form of something the library computes another way
 (qubitized eigenpairs against `walk_operator`, the rotation-absorbed circuit
 against `gqet`, the two-register QSVT circuit against `_qsvt_circuit`, the
 Hilbert-transform theorem against `corollary_bound`, the one-block layer loop
-against `gqsp_matrix`, the Remez alternation loop against `_alternation`), or
-a value the tests read that the library never needs (the encoded block, P on
-the circle, the parity halves).  Nothing in `src/` imports this module.
+and the loop that rotates every layer against `gqsp_matrix`, the Remez
+alternation loop against `_alternation`), or a value the tests read that the
+library never needs (the encoded block, P on the circle, the parity halves).  Nothing in `src/` imports this module.
 """
 
 from __future__ import annotations
@@ -19,7 +19,12 @@ import numpy as np
 
 from gqtlab.bounds import g1_constant
 from gqtlab.encodings import HermitianEncoding, hermitianize, walk_operator
-from gqtlab.phases import PhaseFactors, gqsp_matrix, rotation_matrix
+from gqtlab.phases import (
+    PhaseFactors,
+    _nonzero_blocks,
+    gqsp_matrix,
+    rotation_matrix,
+)
 from gqtlab.polynomials import PolyCoeffs, max_abs_circle
 from gqtlab.transforms import _qsvt_circuit
 
@@ -204,6 +209,41 @@ def gqsp_layers(ph: PhaseFactors, U: np.ndarray,
         top += np.multiply(bot, r[0, 1], out=tmp)
         bot *= r[1, 1]
         bot += np.multiply(Utop, r[1, 0], out=tmp)
+    return out
+
+
+def gqsp_every_layer(ph: PhaseFactors, U: np.ndarray,
+                     columns: np.ndarray) -> np.ndarray:
+    """The gqsp_matrix layer loop on the blocks of `_nonzero_blocks`, with
+    no checks, rotating every layer: the kernel skips the rotations of
+    theta = phi = 0 layers of the other parity than d and must give this
+    stack bit for bit (up to the signs of zeros)."""
+    out = np.array(columns, dtype=complex, order="C")
+    blocks, structure = _nonzero_blocks(np.asarray(U, dtype=complex))
+    top, bot = out.reshape((2,) + blocks.shape[:-1] + out.shape[1:])
+    operand = top[::-1] if structure == "off-diagonal" else top
+    Utop, tmp = np.empty_like(top), np.empty_like(top)
+    if structure == "commuting":
+        x0, x1 = out.reshape(2, 2, out.size // 4).swapaxes(0, 1)
+        ix1 = np.multiply(x1, 1j, out=tmp.reshape(x1.shape))
+        np.add(x0, ix1, out=x1)
+        x0 -= ix1
+        out *= math.sqrt(0.5)
+    for k in range(ph.degree + 1):
+        if k:
+            np.matmul(blocks, operand, out=Utop)
+        else:
+            Utop[...] = top
+        r = rotation_matrix(ph.thetas[k], ph.phis[k], 0.0 if k else ph.lam)
+        np.multiply(Utop, r[0, 0], out=top)
+        top += np.multiply(bot, r[0, 1], out=tmp)
+        bot *= r[1, 1]
+        bot += np.multiply(Utop, r[1, 0], out=tmp)
+    if structure == "commuting":
+        diff = np.subtract(x0, x1, out=tmp.reshape(x1.shape))
+        x0 += x1
+        np.multiply(diff, 1j, out=x1)
+        out *= math.sqrt(0.5)
     return out
 
 

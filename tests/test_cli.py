@@ -371,11 +371,12 @@ class TestGqsvtCommand:
 
     def test_odd_both_shares_the_oracle_svd(self, tmp_path, capsys,
                                             monkeypatch):
-        # One odd --route both op with the default alpha decomposes A six
-        # times: the default alpha's norm(A, 2), the dilation's SVD, one
-        # oracle SVD that both routes read, and the 2-norms of the two
-        # residuals and of the route agreement.  Each route taking its own
-        # oracle SVD made seven.
+        # One odd --route both op with the default alpha decomposes A five
+        # times: one SVD of A that gives the default alpha and the oracle
+        # both routes read, the dilation's SVD, and the 2-norms of the two
+        # residuals and of the route agreement.  A separate norm(A, 2) for
+        # the default alpha made six, and each route taking its own oracle
+        # SVD seven.
         calls = []
         for name in ("svd", "norm"):
             real = getattr(np.linalg, name)
@@ -394,7 +395,7 @@ class TestGqsvtCommand:
             "route": "both",
         })
         assert main(["gqsvt", "--config", cfg]) == EXIT_OK
-        assert sorted(calls) == [("norm", (6, 4))] * 4 + [("svd", (6, 4))] * 2
+        assert sorted(calls) == [("norm", (6, 4))] * 3 + [("svd", (6, 4))] * 2
 
     def test_hermitianization_checks_only_u(self, tmp_path, capsys,
                                             monkeypatch):
@@ -867,28 +868,36 @@ def test_an_integral_float_is_an_int_field(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["gqet", "gqsvt"])
 def test_given_alpha_skips_the_default_norm(tmp_path, capsys, monkeypatch,
                                             command):
-    # The default alpha = 1.2 ||A||_2 is a full SVD of A; with alpha in the
-    # config no 2-norm of A is taken.
+    # The default alpha is read from the decomposition of A that the oracle
+    # runs anyway (gqet: eigh, 1.2 max |lambda|; gqsvt: one full SVD,
+    # 1.2 s_0): no 2-norm of A is taken either way, and A is decomposed
+    # once with or without alpha in the config.
     A = np.array([[0.3, 0.1], [0.1, -0.2]])
+    calls = []
+    for name in ("norm", "svd", "eigh"):
+        real = getattr(np.linalg, name)
+
+        def counted(x, *args, _name=name, _real=real, **kwargs):
+            if (np.shape(x) == A.shape and np.array_equal(x, A)
+                    and (_name != "norm" or args[:1] == (2,)
+                         or kwargs.get("ord") == 2)):
+                calls.append(_name)
+            return _real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    oracle = "eigh" if command == "gqet" else "svd"
     cfg = write_config(tmp_path, "c.json", {
         "matrix": matrix_to_json(A), "poly": _POLY, "alpha": 2.0,
         "parity": "odd", "route": "hermitianization"})
-    real, of_A = np.linalg.norm, []
-
-    def norm(x, ord=None, *args, **kwargs):
-        if ord == 2 and np.shape(x) == A.shape and np.array_equal(x, A):
-            of_A.append(x)
-        return real(x, ord, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", norm)
     assert main([command, "--config", cfg]) == EXIT_OK
-    assert of_A == []
-    # without alpha the default is still computed, from A itself
+    assert calls == [oracle]
+    # without alpha the default is still computed, from that decomposition
+    calls.clear()
     cfg = write_config(tmp_path, "d.json", {
         "matrix": matrix_to_json(A), "poly": _POLY,
         "parity": "odd", "route": "hermitianization"})
     assert main([command, "--config", cfg]) == EXIT_OK
-    assert len(of_A) == 1
+    assert calls == [oracle]
 
 
 @pytest.mark.parametrize("command", ["phases", "gqet"])

@@ -1,3 +1,4 @@
+import collections
 import math
 import time
 
@@ -36,7 +37,12 @@ from gqtlab.polynomials import (
     definite_parity,
     max_abs_circle,
 )
-from reference import eval_circle, gqet_absorbed_matrix, gqsp_layers
+from reference import (
+    eval_circle,
+    gqet_absorbed_matrix,
+    gqsp_every_layer,
+    gqsp_layers,
+)
 
 CIRCLE_4096 = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
 
@@ -849,8 +855,8 @@ class TestParityStride:
     def test_grids_are_half_size(self, inverse_design, monkeypatch):
         # kappa = 100, d = 553: the full-length path completes on 16384
         # points and checks the defect on 8192; the same z-points are read
-        # as 8192 and 4096 points w = z^2.  solve_phases checks the defect
-        # once more after the completion's own check.
+        # as 8192 and 4096 points w = z^2.  solve_phases reads the defect
+        # the completion measured and holds, and measures it no more.
         c, _ = rescale_to_margin(inverse_design(100).poly)
         assert c.degree == 553
         lengths = []
@@ -858,7 +864,7 @@ class TestParityStride:
         monkeypatch.setattr(phases, "_on_circle",
                             lambda x, n: lengths.append(n) or real(x, n))
         solve_phases(c)
-        assert lengths == [8192] * 2 + [4096] * 4
+        assert lengths == [8192] * 2 + [4096] * 2
 
     def test_one_completion_per_solve(self, inverse_design, monkeypatch):
         calls = []
@@ -869,6 +875,218 @@ class TestParityStride:
         solve_phases(c)
         solve_phases(scaled_random_poly(np.random.default_rng(51), 30))
         assert len(calls) == 2
+
+
+SCALING_TABLE_DESIGNS = [(10, 1e-3), (10, 1e-4), (40, 1e-3), (100, 1e-3),
+                         (100, 1e-4), (200, 1e-4), (300, 1e-4)]
+
+
+class TestMarginNorm:
+    """rescale_to_margin norms a P = z^r R(z^2) as R, on half the grid:
+    the value is max_abs_circle(P) to rounding, and a P of both parities
+    is normed as itself."""
+
+    @staticmethod
+    def margin_norm(c, monkeypatch) -> tuple[np.ndarray, float]:
+        seen = []
+        real = phases.max_abs_circle
+        monkeypatch.setattr(phases, "max_abs_circle",
+                            lambda p: seen.append((p.coeffs, real(p)))
+                            or seen[-1][1])
+        rescale_to_margin(c)
+        (normed, value), = seen
+        return normed, value
+
+    def assert_normed_as_r(self, c, monkeypatch, tol):
+        a = c.coeffs
+        d = len(a) - 1
+        normed, value = self.margin_norm(c, monkeypatch)
+        assert np.array_equal(normed, a[d % 2::2])
+        assert abs(value - max_abs_circle(c)) <= tol
+
+    @pytest.mark.parametrize("kappa, eps", SCALING_TABLE_DESIGNS)
+    def test_inverse_designs(self, inverse_design, monkeypatch, kappa, eps):
+        c = inverse_design(kappa, eps).poly
+        self.assert_normed_as_r(c, monkeypatch,
+                                2 * np.spacing(max_abs_circle(c)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 600), st.integers(0, 2 ** 31 - 1))
+    def test_random_definite_parity(self, d, seed):
+        # The two sums round apart by up to 2 eps sum |a_k|: about 16 ulp
+        # at d = 571 for random coefficients, whose peak is far below
+        # sum |a_k|; the designs peak at sum |a_k| and meet 2 ulp.
+        c = one_parity_poly(np.random.default_rng(seed), d, 1.3)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.assert_normed_as_r(
+                c, monkeypatch,
+                2 * np.finfo(float).eps * np.sum(np.abs(c.coeffs)))
+
+    def test_both_parities_are_normed_whole(self, monkeypatch):
+        c = scaled_random_poly(np.random.default_rng(60), 40, 1.3)
+        normed, value = self.margin_norm(c, monkeypatch)
+        assert np.array_equal(normed, c.coeffs)
+        assert value == max_abs_circle(c)
+
+    def test_rescaled_to_the_margin(self):
+        # The scale comes from R's norm, and P lands at 1 - 2 margin.
+        c = one_parity_poly(np.random.default_rng(61), 101, 1.3)
+        scaled, scale = rescale_to_margin(c)
+        R = PolyCoeffs(c.coeffs[1::2])
+        assert scale == (1.0 - 2.0 * DEFAULT_MARGIN) / max_abs_circle(R)
+        assert abs(max_abs_circle(scaled) - (1.0 - 2.0 * DEFAULT_MARGIN)) <= 1e-15
+
+
+class TestHeldDefect:
+    """complementary_polynomial's Q holds the defect it measured, and
+    solve_phases reads it instead of measuring (P, Q) again."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_completion_holds_its_defect(self, stride):
+        rng = np.random.default_rng(70 + stride)
+        c = (scaled_random_poly(rng, 40) if stride == 1
+             else one_parity_poly(rng, 41))
+        q = complementary_polynomial(c)
+        assert phases._parity_stride(c.degree, c.coeffs) == stride
+        assert q.defect == phases._completion_defect(c.coeffs, q.coeffs)
+        assert q.defect <= 1e-12
+        # neither compared nor serialised, and a rebuilt Q holds none
+        assert q == PolyCoeffs(q.coeffs)
+        assert q.to_json_dict() == PolyCoeffs(q.coeffs).to_json_dict()
+        assert q.scaled(1.0).defect is None and q.trimmed().defect is None
+
+    @pytest.mark.parametrize("held", [True, False])
+    def test_solve_measures_only_a_q_without_one(self, monkeypatch, held):
+        c = one_parity_poly(np.random.default_rng(72), 60)
+        calls = []
+        real = phases._completion_defect
+        monkeypatch.setattr(phases, "_completion_defect",
+                            lambda p, q: calls.append(1) or real(p, q))
+        completion = phases.complementary_polynomial
+        completion(c)
+        in_completion = len(calls)
+        if not held:
+            monkeypatch.setattr(phases, "complementary_polynomial",
+                                lambda c: completion(c).scaled(1.0))
+        calls.clear()
+        ph = solve_phases(c)
+        assert len(calls) == in_completion + (0 if held else 1)
+        assert phases.round_trip_error(ph, c) == ph.round_trip
+
+    def test_a_held_defect_over_tolerance_raises(self, monkeypatch):
+        # The held value is the one judged: the same Q holding a defect
+        # above DEFECT_TOL is refused.
+        real = phases.complementary_polynomial
+        monkeypatch.setattr(phases, "complementary_polynomial",
+                            lambda c: PolyCoeffs(real(c).coeffs, 2e-9))
+        with pytest.raises(PhaseSynthesisError, match="completion defect"):
+            solve_phases(one_parity_poly(np.random.default_rng(73), 30))
+
+
+def paired_angles(rng, d):
+    """Random angles with theta = phi = 0 on every layer k >= 1 of the
+    other parity than d, as a definite-parity solve gives."""
+    ph = random_angles(rng, d)
+    thetas, phis = ph.thetas.copy(), ph.phis.copy()
+    thetas[off_parity_layers(d)] = phis[off_parity_layers(d)] = 0.0
+    return PhaseFactors(thetas, phis, ph.lam)
+
+
+class TestPairedLayers:
+    """When every layer k >= 1 of the other parity than d has
+    theta = phi = 0, gqsp_matrix applies U and no rotation on those layers
+    and gives the stack of the loop that rotates every layer bit for bit,
+    on each structure of U."""
+
+    N = 6
+    BUILDS = [off_diagonal, j_commuting, unstructured]
+
+    def stack(self, rng, k):
+        M = 2 * self.N
+        if k == 2 * M:
+            return np.eye(2 * M)
+        return rng.normal(size=(2 * M, k)) + 1j * rng.normal(size=(2 * M, k))
+
+    @staticmethod
+    def count_calls(monkeypatch) -> collections.Counter:
+        """Counts of the kernel's np.multiply and np.matmul calls: a
+        rotated layer makes three multiplies, and each layer k >= 1 one
+        matmul."""
+        calls = collections.Counter()
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def multiply(*args, **kwargs):
+                calls["multiply"] += 1
+                return np.multiply(*args, **kwargs)
+
+            @staticmethod
+            def matmul(*args, **kwargs):
+                calls["matmul"] += 1
+                return np.matmul(*args, **kwargs)
+
+        monkeypatch.setattr(phases, "np", Numpy())
+        return calls
+
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize("d", [2, 3, 8, 9, 54, 55])
+    @pytest.mark.parametrize("k", [1, 4 * N])
+    def test_solved_phases(self, build, d, k):
+        rng = np.random.default_rng(500 + 3 * d + k)
+        U = build(rng, self.N)
+        ph = solve_phases(one_parity_poly(rng, d))
+        assert not ph.thetas[off_parity_layers(d)].any()
+        assert not ph.phis[off_parity_layers(d)].any()
+        E = self.stack(rng, k)
+        assert np.array_equal(gqsp_matrix(ph, U, E), gqsp_every_layer(ph, U, E))
+
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize("d", [0, 1, 2, 5, 6, 64, 65])
+    def test_random_paired_angles(self, build, d):
+        rng = np.random.default_rng(600 + d)
+        U = build(rng, self.N)
+        ph, E = paired_angles(rng, d), self.stack(rng, self.N)
+        assert np.array_equal(gqsp_matrix(ph, U, E), gqsp_every_layer(ph, U, E))
+
+    @pytest.mark.parametrize("d", [8, 9])
+    def test_only_the_rotations_are_skipped(self, monkeypatch, d):
+        # d + 1 - d // 2 layers are rotated, and every layer k >= 1 still
+        # applies U once.
+        rng = np.random.default_rng(700 + d)
+        U = unstructured(rng, self.N)
+        ph, E = paired_angles(rng, d), self.stack(rng, 2)
+        calls = self.count_calls(monkeypatch)
+        gqsp_matrix(ph, U, E)
+        assert calls == {"multiply": 3 * (d + 1 - d // 2), "matmul": d}
+
+    @pytest.mark.parametrize("entry", ["theta", "phi"])
+    @pytest.mark.parametrize("d", [8, 9])
+    @pytest.mark.parametrize("angle", [1e-300, np.spacing(math.pi)])
+    def test_one_tiny_angle_takes_the_full_loop(self, monkeypatch, entry, d,
+                                                angle):
+        # One layer of the other parity off zero: every layer is rotated.
+        # PhaseFactors maps an angle under half an ulp of pi to 0, so
+        # 1e-300 is set on the frozen angles directly; spacing(pi) is the
+        # least angle that passes through the constructor.
+        rng = np.random.default_rng(800 + d)
+        U = off_diagonal(rng, self.N)
+        ph, E = paired_angles(rng, d), self.stack(rng, 3)
+        angles = (ph.thetas if entry == "theta" else ph.phis).copy()
+        angles[off_parity_layers(d)[-1]] = angle
+        if angle < np.spacing(math.pi):
+            object.__setattr__(ph, entry + "s", angles)
+        elif entry == "theta":
+            ph = PhaseFactors(angles, ph.phis, ph.lam)
+        else:
+            ph = PhaseFactors(ph.thetas, angles, ph.lam)
+        assert (ph.thetas if entry == "theta" else ph.phis).any()
+        want = gqsp_every_layer(ph, U, E)
+        calls = self.count_calls(monkeypatch)
+        assert np.array_equal(gqsp_matrix(ph, U, E), want)
+        assert calls == {"multiply": 3 * (d + 1), "matmul": d}
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 12")
