@@ -58,26 +58,29 @@ class BoundReport:
         return max((r[5] for r in self.rows), default=0.0)
 
 
-# Sweep sampling: the sampler yields one 1-D coefficient row per trial,
-# normally float64.  The rows are grouped by circle grid, and each FFT block
-# of one grid is a float64 2-D array built straight from its rows and padded
-# only to its own longest row, so the per-row checks (finite coefficients,
-# real coefficients, trimmed degree) and both maxima are row reductions of
-# it, and the bound is a table lookup per distinct degree.  A complex row is
-# accepted when each imaginary part is at most 1e-12 of the row's largest
-# |a|, and then its real part is used; a non-finite row is refused.  A row
-# of len coefficients gets G = max(64, 16 * 2^ceil(log2(len - 1))) circle
-# points, at least 16 per period of its top harmonic (the density 4096
-# points give degree 256), and G >= len, so no row is cropped.  A
-# vectorized parabolic refinement then reads the peak.  Stated accuracy,
-# measured on random rows of degree 1 to 2400 against a 2^20-point scan:
-# both maxima within 1e-2 relative (worst seen 8.6e-3 for max |Re P|, 1.5e-3
-# for max |P|).  The coefficients are real, so P(e^{-it}) = conj P(e^{it})
-# and the half circle t in [0, pi] (one rfft per row) holds both maxima; the
-# parabola at t = 0 and t = pi reads the mirrored neighbour by index.  A
-# block holds at most 64 * 4096 points, or one row.  The corollary bound
-# exceeds the true maximum by a large factor, so grid resolution is not the
-# binding accuracy constraint here.
+# Sweep sampling: the sampler is called once per sweep and returns every
+# trial's row as one ragged batch, an integer array of row lengths and one
+# 1-D array of the rows' coefficients end to end, normally float64.  The rows
+# are grouped by circle grid, and each FFT block of one grid is a 2-D array
+# read straight from the batch by index arithmetic, with no object per row,
+# and padded only to the block's own longest row, so the per-row checks
+# (finite coefficients, real coefficients, trimmed degree) and both maxima
+# are row reductions of it, and the bound is a table lookup per distinct
+# degree.  A complex row is accepted when each imaginary part is at most
+# 1e-12 of the row's largest |a|, and then its real part is used; a
+# non-finite row is refused.  A row of len coefficients gets
+# G = max(64, 16 * 2^ceil(log2(len - 1))) circle points, at least 16 per
+# period of its top harmonic (the density 4096 points give degree 256), and
+# G >= len, so no row is cropped.  A vectorized parabolic refinement then
+# reads the peak.  Stated
+# accuracy, measured on random rows of degree 1 to 2400 against a 2^20-point
+# scan: both maxima within 1e-2 relative (worst seen 8.6e-3 for max |Re P|,
+# 1.5e-3 for max |P|).  The coefficients are real, so P(e^{-it}) = conj
+# P(e^{it}) and the half circle t in [0, pi] (one rfft per row) holds both
+# maxima; the parabola at t = 0 and t = pi reads the mirrored neighbour by
+# index.  A block holds at most 64 * 4096 points, or one row.  The corollary
+# bound exceeds the true maximum by a large factor, so grid resolution is not
+# the binding accuracy constraint here.
 _SWEEP_DENSITY = 16
 _SWEEP_BLOCK_POINTS = 64 * 4096
 
@@ -109,13 +112,19 @@ def _parabolic_peak(y: np.ndarray) -> np.ndarray:
     return np.where(denom < 0, np.maximum(peak, y0), y0)
 
 
-def verify_beta_bound(sampler: Callable[[np.random.Generator], np.ndarray],
-                      trials: int, seed: int = 0) -> BoundReport:
+def verify_beta_bound(
+        sampler: Callable[[np.random.Generator, int],
+                          tuple[np.ndarray, np.ndarray]],
+        trials: int, seed: int = 0) -> BoundReport:
     """Check max|P| <= the real-form corollary bound with M = max|Re P| over
     random samples.
 
-    The sampler yields one row per trial: the coefficients a_0..a_d of a
-    real polynomial as a non-empty 1-D array, normally float64.  A row with
+    The sampler is called once, as sampler(rng, trials), and returns the
+    rows of all the trials as a ragged batch (lengths, coeffs): an integer
+    array of `trials` row lengths, each at least 1, and one 1-D array of
+    sum(lengths) entries holding the coefficients a_0..a_d of each real
+    polynomial end to end, normally float64.  A batch of another shape
+    raises ValueError, and so does an empty row ("non-empty").  A row with
     a non-finite coefficient raises ValueError ("finite"); a complex row is
     read as its real part when every imaginary part is at most 1e-12 of the
     row's largest |a|, and raises ValueError otherwise.  Complex polynomials
@@ -123,11 +132,20 @@ def verify_beta_bound(sampler: Callable[[np.random.Generator], np.ndarray],
     Rows with M <= 0 are skipped.
     """
     rng = np.random.default_rng(seed)
-    # One sampler call per trial keeps each sampler's RNG stream.
-    parts = [sampler(rng) for _ in range(trials)]
-    lengths = np.fromiter(map(len, parts), dtype=np.intp, count=trials)
+    lengths, coeffs = map(np.asarray, sampler(rng, trials))
+    if lengths.shape != (trials,) or lengths.dtype.kind not in "iu":
+        raise ValueError(f"the sampler must return {trials} integer row "
+                         f"lengths, not an array of shape {lengths.shape} "
+                         f"and dtype {lengths.dtype}")
     if np.any(lengths < 1):
         raise ValueError("coefficient vector must be 1-D and non-empty")
+    lengths = lengths.astype(np.intp, copy=False)
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if trials else 0
+    if coeffs.shape != (total,):
+        raise ValueError(f"the row lengths sum to {total}, but the "
+                         f"coefficients have shape {coeffs.shape}")
+    offsets = ends - lengths
     grid = _sweep_grid(lengths)
     N = np.empty(trials, dtype=np.intp)
     M = np.empty(trials)
@@ -138,9 +156,13 @@ def verify_beta_bound(sampler: Callable[[np.random.Generator], np.ndarray],
         for s in range(0, len(group), step):
             r = group[s:s + step]
             width = int(lengths[r].max())
-            flat = np.concatenate([parts[i] for i in r.tolist()])
-            block = np.zeros((len(r), width), np.result_type(flat, float))
-            block[np.arange(width) < lengths[r, None]] = flat
+            cols = np.arange(width)
+            # Row i reads the batch from its offset on; what it reads past
+            # its own length (the next rows, or the last entry repeated by
+            # the clip) is padding and set to zero.
+            block = coeffs.take(offsets[r, None] + cols, mode="clip")
+            block = block.astype(np.result_type(block, float), copy=False)
+            block[cols >= lengths[r, None]] = 0
             mag = np.abs(block)
             scale = mag.max(axis=1)
             # The largest |a| of a float row is finite exactly when the row

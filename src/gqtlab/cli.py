@@ -256,27 +256,43 @@ def cmd_gqsvt(args) -> int:
     return EXIT_OK if worst <= tol else EXIT_TOLERANCE
 
 
-# Each sampler draws one float64 coefficient row per call.
+# Each sampler draws a whole sweep as the ragged float64 batch that
+# verify_beta_bound reads: every trial's degree in one rng.integers call,
+# then every coefficient in one rng.normal call, so a seed reproduces its
+# batch.
 _SAMPLERS = {
-    "random": lambda dmax: lambda rng: rng.normal(
-        size=int(rng.integers(1, dmax + 1)) + 1),
-    "mod4": lambda dmax: lambda rng: _mod4_sample(rng, dmax),
-    "chebyshev": lambda dmax: lambda rng: _cheb_monomial_sample(rng, dmax),
+    "random": lambda dmax: functools.partial(_random_batch, dmax=dmax),
+    "mod4": lambda dmax: functools.partial(_mod4_batch, dmax=dmax),
+    "chebyshev": lambda dmax: functools.partial(_cheb_monomial_batch,
+                                                dmax=dmax),
 }
 
 
-def _mod4_sample(rng, dmax):
-    d = int(rng.integers(0, (dmax - 1) // 4 + 1)) * 4 + 1  # 1 <= d <= dmax
-    a = np.zeros(d + 1)
-    a[1::4] = rng.normal(size=len(a[1::4]))
-    return a
+def _random_batch(rng, trials, dmax):
+    """Degree uniform on 1..dmax, with N(0, 1) coefficients."""
+    lengths = rng.integers(1, dmax + 1, size=trials) + 1
+    return lengths, rng.normal(size=int(lengths.sum()))
 
 
-def _cheb_monomial_sample(rng, dmax):
-    n = int(rng.integers(0, dmax + 1))
-    a = np.zeros(n + 1)
-    a[n] = 1.0
-    return a
+def _mod4_batch(rng, trials, dmax):
+    """Degree 4k + 1 <= dmax, with N(0, 1) on the slots = 1 mod 4 and zeros
+    elsewhere."""
+    k = rng.integers(0, (dmax - 1) // 4 + 1, size=trials)
+    lengths = 4 * k + 2
+    # Draw t, the j-th of row i, sits at row i's offset 4 (t - j) - 2 i
+    # plus its slot 4 j + 1.
+    row = np.repeat(np.arange(trials), k + 1)
+    coeffs = np.zeros(int(lengths.sum()))
+    coeffs[4 * np.arange(len(row)) - 2 * row + 1] = rng.normal(size=len(row))
+    return lengths, coeffs
+
+
+def _cheb_monomial_batch(rng, trials, dmax):
+    """The monomial e_n, with n uniform on 0..dmax."""
+    lengths = rng.integers(0, dmax + 1, size=trials) + 1
+    coeffs = np.zeros(int(lengths.sum()))
+    coeffs[np.cumsum(lengths) - 1] = 1.0
+    return lengths, coeffs
 
 
 def cmd_bounds(args) -> int:

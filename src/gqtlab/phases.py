@@ -65,8 +65,11 @@ class CompletionError(PhaseSynthesisError):
 
 
 def _canonical(angle):
-    """Map angles to (-pi, pi]; only an angle landing exactly on -pi moves,
-    to +pi, which leaves e^{i angle} unchanged."""
+    """Map angles to (-pi, pi] as mod(a + pi, 2 pi) - pi, read as +pi where
+    that gives -pi.  Adding pi rounds every angle to the floats near a + pi,
+    spaced 4.4e-16 for |a| < 0.86 and at most 8.9e-16, so an angle keeps
+    only its absolute accuracy, and any |a| < 2.2e-16 reads 0; e^{i angle}
+    moves by at most that rounding."""
     a = np.mod(np.asarray(angle, dtype=float) + math.pi, 2.0 * math.pi) - math.pi
     return np.where(a == -math.pi, math.pi, a)
 

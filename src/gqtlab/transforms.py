@@ -345,25 +345,3 @@ def simulate_postselect(cp: CircuitProduct, input: np.ndarray | None = None,
     ny = np.linalg.norm(y)
     return PostselectOutcome(conditioned=y / ny, stage_probs=tuple(probs))
 
-
-def _qsvt_circuit(phis: np.ndarray, e: ProjectedUnitaryEncoding,
-                  columns: np.ndarray) -> np.ndarray:
-    """The alternating-phase circuit H prod_i (U_i G_i Rz(phi_i) G_i) H on
-    flag (x) system, applied to a 2M x k column stack.
-
-    U_i runs U, U^dag, U, ... and G_i is the flag X controlled by
-    Pi_R Pi_R^dag, Pi_L Pi_L^dag, ...  G Rz(phi) G is Rz(-phi) on the
-    projector's range and Rz(phi) off it, so a layer is a phase on each flag
-    half, a rank-N correction through the isometry, and U_i applied to both
-    halves at once: the stack is kept as one M x 2k block [top, bot].
-    """
-    M = e.M
-    X = np.asarray(columns, dtype=complex)
-    k = X.shape[1]
-    Y = np.hstack([X[:M] + X[M:], X[:M] - X[M:]]) / math.sqrt(2.0)
-    layers = ((e.U, e.Pi_R), (e.U.conj().T, e.Pi_L))
-    for i, phi in enumerate(phis):
-        U, Pi = layers[i % 2]
-        r = np.repeat([np.exp(-0.5j * phi), np.exp(0.5j * phi)], k)
-        Y = U @ (Y * r + Pi @ ((Pi.conj().T @ Y) * (r.conj() - r)))
-    return np.vstack([Y[:, :k] + Y[:, k:], Y[:, :k] - Y[:, k:]]) / math.sqrt(2.0)

@@ -2,7 +2,7 @@
 
 Each is a dense, direct form of something the library computes another way
 (qubitized eigenpairs against `walk_operator`, the rotation-absorbed circuit
-against `gqet`, the two-register QSVT circuit against `_qsvt_circuit`, the
+against `gqet`, the two-register QSVT circuit against `qsvt_circuit`, the
 Hilbert-transform theorem against `corollary_bound`, the one-block layer loop
 and the loop that rotates every layer against `gqsp_matrix`, the Remez
 alternation loop against `_alternation`), or a value the tests read that the
@@ -18,7 +18,12 @@ import warnings
 import numpy as np
 
 from gqtlab.bounds import g1_constant
-from gqtlab.encodings import HermitianEncoding, hermitianize, walk_operator
+from gqtlab.encodings import (
+    HermitianEncoding,
+    ProjectedUnitaryEncoding,
+    hermitianize,
+    walk_operator,
+)
 from gqtlab.phases import (
     PhaseFactors,
     _nonzero_blocks,
@@ -26,7 +31,6 @@ from gqtlab.phases import (
     rotation_matrix,
 )
 from gqtlab.polynomials import PolyCoeffs, max_abs_circle
-from gqtlab.transforms import _qsvt_circuit
 
 
 def encoded_matrix(e) -> np.ndarray:
@@ -263,10 +267,33 @@ def gqet_absorbed_matrix(e: HermitianEncoding,
                        -W, np.eye(2 * len(W)))
 
 
+def qsvt_circuit(phis: np.ndarray, e: ProjectedUnitaryEncoding,
+                 columns: np.ndarray) -> np.ndarray:
+    """The alternating-phase circuit H prod_i (U_i G_i Rz(phi_i) G_i) H on
+    flag (x) system, applied to a 2M x k column stack.
+
+    U_i runs U, U^dag, U, ... and G_i is the flag X controlled by
+    Pi_R Pi_R^dag, Pi_L Pi_L^dag, ...  G Rz(phi) G is Rz(-phi) on the
+    projector's range and Rz(phi) off it, so a layer is a phase on each flag
+    half, a rank-N correction through the isometry, and U_i applied to both
+    halves at once: the stack is kept as one M x 2k block [top, bot].
+    """
+    M = e.M
+    X = np.asarray(columns, dtype=complex)
+    k = X.shape[1]
+    Y = np.hstack([X[:M] + X[M:], X[:M] - X[M:]]) / math.sqrt(2.0)
+    layers = ((e.U, e.Pi_R), (e.U.conj().T, e.Pi_L))
+    for i, phi in enumerate(phis):
+        U, Pi = layers[i % 2]
+        r = np.repeat([np.exp(-0.5j * phi), np.exp(0.5j * phi)], k)
+        Y = U @ (Y * r + Pi @ ((Pi.conj().T @ Y) * (r.conj() - r)))
+    return np.vstack([Y[:, :k] + Y[:, k:], Y[:, :k] - Y[:, k:]]) / math.sqrt(2.0)
+
+
 def qsvt_equivalence_check(e, phis: np.ndarray) -> tuple[bool, float]:
     """Alternating-U/U^dag circuit vs its two-register Hermitianized form.
 
-    The Hermitianized circuit is `_qsvt_circuit` run on `hermitianize(e)`,
+    The Hermitianized circuit is `qsvt_circuit` run on `hermitianize(e)`,
     on flag (x) direction (x) system: U_bar = [[0, U], [U^dag, 0]] toggles
     the direction qubit, so with it initialized to |1> the phase rotations
     controlled by Pi_bar Pi_bar^dag see Pi_R and Pi_L alternately and the
@@ -282,8 +309,8 @@ def qsvt_equivalence_check(e, phis: np.ndarray) -> tuple[bool, float]:
     track_out = track_in if len(phis) % 2 == 0 else np.eye(2 * M)[:, :M]
     E_in = np.kron(np.eye(2), track_in)
     E_out = np.kron(np.eye(2), track_out)
-    full = _qsvt_circuit(phis, hermitianize(e), E_in)
-    reduced = _qsvt_circuit(phis, e, np.eye(2 * M))
+    full = qsvt_circuit(phis, hermitianize(e), E_in)
+    reduced = qsvt_circuit(phis, e, np.eye(2 * M))
     residual = float(np.linalg.norm(full - E_out @ reduced, 2))
     return residual <= 1e-10, residual
 

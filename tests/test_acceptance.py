@@ -293,15 +293,16 @@ def test_criterion_8_measure_early_invariance():
 
 
 def test_criterion_9_bound_suite():
-    def random_real(rng):
-        d = int(rng.integers(1, 65))
-        return rng.normal(size=d + 1)
+    def random_real(rng, trials):
+        lengths = rng.integers(1, 65, size=trials) + 1
+        return lengths, rng.normal(size=lengths.sum())
 
-    def mod4(rng):
-        d = int(rng.integers(1, 17)) * 4 + 1
-        a = np.zeros(d + 1)
-        a[1::4] = rng.normal(size=len(a[1::4]))
-        return a
+    def mod4(rng, trials):
+        # Rows of degree 4k + 1, k = 1..16, each cut from a row of 66 slots.
+        lengths = 4 * rng.integers(1, 17, size=trials) + 2
+        a = np.zeros((trials, 66))
+        a[:, 1::4] = rng.normal(size=(trials, 17))
+        return lengths, a[np.arange(66) < lengths[:, None]]
 
     rep = verify_beta_bound(random_real, 10 ** 4, seed=109)
     rep4 = verify_beta_bound(mod4, 500, seed=110)

@@ -100,23 +100,29 @@ class TestCorollaryBound:
             corollary_bound(1, math.nan)
 
 
-def cheb_monomial_sampler(rng):
-    n = int(rng.integers(1, 65))
-    a = np.zeros(n + 1)
-    a[n] = 1.0
-    return a
+def cheb_monomial_sampler(rng, trials):
+    lengths = rng.integers(1, 65, size=trials) + 1
+    coeffs = np.zeros(lengths.sum())
+    coeffs[np.cumsum(lengths) - 1] = 1.0
+    return lengths, coeffs
 
 
-def random_real_sampler(rng):
-    d = int(rng.integers(1, 65))
-    return rng.normal(size=d + 1)
+def random_real_sampler(rng, trials):
+    lengths = rng.integers(1, 65, size=trials) + 1
+    return lengths, rng.normal(size=lengths.sum())
 
 
-def mod4_sampler(rng):
-    d = int(rng.integers(1, 33))
-    a = np.zeros(4 * d + 2)
-    a[1::4] = rng.normal(size=len(a[1::4]))
-    return a
+def mod4_sampler(rng, trials):
+    # Rows of degree 4d + 1, d = 1..32, each cut from a row of 130 slots.
+    lengths = 4 * rng.integers(1, 33, size=trials) + 2
+    a = np.zeros((trials, 130))
+    a[:, 1::4] = rng.normal(size=(trials, 33))
+    return lengths, a[np.arange(130) < lengths[:, None]]
+
+
+def batch_rows(lengths, coeffs):
+    """The rows of a ragged batch, as views of its coefficient array."""
+    return np.split(np.asarray(coeffs), np.cumsum(lengths)[:-1])
 
 
 class TestVerifyBetaBound:
@@ -137,9 +143,9 @@ class TestVerifyBetaBound:
         assert max(r[3] for r in rep.rows) <= 2 + 1e-6
 
     def test_rejects_complex_sampler(self):
-        def bad(rng):
-            return np.array([1.0, 1j])
-        with pytest.raises(ValueError):
+        def bad(rng, trials):
+            return np.full(trials, 2), np.tile([1.0, 1j], trials)
+        with pytest.raises(ValueError, match="real coefficients"):
             verify_beta_bound(bad, 2)
 
 
@@ -179,10 +185,11 @@ def padded_circle_max(coeffs, lengths=None, grid=row_grid):
 
 
 def per_row_verify_beta_bound(sampler, trials, seed=0):
-    """Reference for `verify_beta_bound`: the same sweep, row by row, with a
-    PolyCoeffs, a circle scan and a corollary_bound per row."""
+    """Reference for `verify_beta_bound`: the same sweep, walking the same
+    batch row by row, with a PolyCoeffs, a circle scan and a corollary_bound
+    per row."""
     rng = np.random.default_rng(seed)
-    polys = [PolyCoeffs(sampler(rng)) for _ in range(trials)]
+    polys = [PolyCoeffs(row) for row in batch_rows(*sampler(rng, trials))]
     rows = []
     violations = 0
     for p in polys:
@@ -213,10 +220,14 @@ def assert_same_report(got, want):
 
 
 def listed_sampler(polys):
-    """A sampler yielding the given coefficient lists in turn, each as a
-    1-D array of the dtype numpy gives it."""
-    it = iter(polys)
-    return lambda rng: np.asarray(next(it))
+    """A sampler returning the given coefficient lists as one batch, the
+    rows end to end in the dtype numpy gives their concatenation."""
+    rows = [np.asarray(p) for p in polys]
+
+    def sampler(rng, trials):
+        assert trials == len(rows)
+        return np.array([len(r) for r in rows]), np.concatenate(rows)
+    return sampler
 
 
 def sweep_maxima(rows):
@@ -404,8 +415,7 @@ class TestDegreeAdaptedGrid:
     def test_degree_2400_against_max_abs_circle(self):
         sampler = _SAMPLERS["random"](2400)
         rep = verify_beta_bound(sampler, 20, seed=3)
-        rng = np.random.default_rng(3)
-        polys = [sampler(rng) for _ in range(20)]
+        polys = batch_rows(*sampler(np.random.default_rng(3), 20))
         assert max(len(p) - 1 for p in polys) > 2048
         for p, row in zip(polys, rep.rows):
             assert row[0] == len(p) - 1
@@ -416,12 +426,12 @@ class TestDegreeAdaptedGrid:
         # 100 rows of degree 5000 get 131072 points each: one FFT of the
         # whole batch would hold over 100 MB, while blocks of 64 * 4096
         # points hold what a block of 64 rows of degree 256 holds.  The
-        # rows are drawn first, so only the sweep's buffers count.
-        batch = np.random.default_rng(10).normal(size=(100, 5001))
-        polys = iter(list(batch))
+        # batch is drawn first, so only the sweep's buffers count.
+        lengths = np.full(100, 5001)
+        coeffs = np.random.default_rng(10).normal(size=100 * 5001)
         tracemalloc.start()
         try:
-            verify_beta_bound(lambda rng: next(polys), len(batch))
+            verify_beta_bound(lambda rng, trials: (lengths, coeffs), 100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -439,6 +449,78 @@ class TestDegreeAdaptedGrid:
         finally:
             tracemalloc.stop()
         assert peak < 18e6
+
+
+class TestCliSamplers:
+    # The degrees each sampler draws at a max_degree, as the README states.
+    DEGREES = {
+        "random": lambda dmax: set(range(1, dmax + 1)),
+        "mod4": lambda dmax: set(range(1, dmax + 1, 4)),
+        "chebyshev": lambda dmax: set(range(dmax + 1)),
+    }
+
+    @staticmethod
+    def draw(name, dmax, trials, seed=0):
+        lengths, coeffs = _SAMPLERS[name](dmax)(np.random.default_rng(seed),
+                                                trials)
+        assert lengths.shape == (trials,) and lengths.dtype.kind == "i"
+        assert coeffs.dtype == np.float64
+        assert coeffs.shape == (lengths.sum(),)
+        return lengths, coeffs
+
+    @pytest.mark.parametrize("name", sorted(_SAMPLERS))
+    @pytest.mark.parametrize("dmax", [1, 2, 3, 4, 5, 64])
+    def test_every_degree_is_drawn(self, name, dmax):
+        # 4000 trials reach both end degrees: 1 and max_degree (random),
+        # 1 and the largest 4k + 1 (mod4), 0 and max_degree (chebyshev).
+        lengths, _ = self.draw(name, dmax, 4000)
+        assert set((lengths - 1).tolist()) == self.DEGREES[name](dmax)
+
+    def test_mod4_rows_hold_only_the_slots_one_mod_four(self):
+        lengths, coeffs = self.draw("mod4", 64, 500)
+        for row in batch_rows(lengths, coeffs):
+            slots = np.arange(len(row)) % 4 == 1
+            assert len(row) % 4 == 2
+            assert np.all(row[~slots] == 0.0) and np.all(row[slots] != 0.0)
+
+    def test_chebyshev_rows_are_monomials(self):
+        lengths, coeffs = self.draw("chebyshev", 64, 500)
+        for row in batch_rows(lengths, coeffs):
+            assert row[-1] == 1.0 and not np.any(row[:-1])
+
+    def test_random_rows_are_standard_normal(self):
+        _, coeffs = self.draw("random", 64, 1000)
+        assert np.all(coeffs != 0.0)
+        assert abs(coeffs.mean()) < 0.02 and abs(coeffs.std() - 1) < 0.02
+
+    @pytest.mark.parametrize("name", sorted(_SAMPLERS))
+    def test_a_seed_reproduces_its_batch(self, name):
+        batches = [self.draw(name, 64, 300, seed) for seed in (5, 5, 6)]
+        same, again, other = ([a.tobytes() for a in b] for b in batches)
+        assert same == again and same != other
+
+
+class TestMalformedBatch:
+    @pytest.mark.parametrize("lengths, coeffs, match", [
+        ([2, 1], [1.0, 0.5, 0.2], "3 integer row lengths"),      # too few
+        ([2, 1, 1, 1], [1.0, 0.5, 0.2, 0.1, 0.3], "3 integer row lengths"),
+        ([2.0, 1.0, 1.0], [1.0, 0.5, 0.2, 0.1], "integer row lengths"),
+        ([[2, 1, 1]], [1.0, 0.5, 0.2, 0.1], "integer row lengths"),
+        ([2, 1, 1], [1.0, 0.5, 0.2], "sum to 4"),                 # short
+        ([2, 1, 1], [1.0, 0.5, 0.2, 0.1, 0.3], "sum to 4"),       # long
+        ([2, 1, 1], [[1.0, 0.5], [0.2, 0.1]], "sum to 4"),        # 2-D
+        ([2, 0, 2], [1.0, 0.5, 0.2, 0.1], "non-empty"),
+        ([2, -1, 3], [1.0, 0.5, 0.2, 0.1], "non-empty"),
+    ])
+    def test_raises(self, lengths, coeffs, match):
+        batch = (np.asarray(lengths), np.asarray(coeffs))
+        with pytest.raises(ValueError, match=match):
+            verify_beta_bound(lambda rng, trials: batch, 3)
+
+    def test_zero_trials(self):
+        empty = (np.zeros(0, dtype=int), np.zeros(0))
+        rep = verify_beta_bound(lambda rng, trials: empty, 0)
+        assert rep.rows == () and rep.violations == 0
 
 
 class TestBernstein:

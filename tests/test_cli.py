@@ -994,28 +994,35 @@ def test_csv_matches_csv_writer():
     assert _csv([], header) == ",".join(header) + "\n"
 
 
-# sha256 of (stdout, --out file) of each run, recorded before the sweep held
-# its rows as float64 and before _csv formatted whole runs of rows at once
-# (numpy 2.4, x86-64): the outputs must not change by a byte.  The scaling
-# table's Remez designs solve dense systems whose last bits depend on the
-# BLAS thread count, so that case runs in a child process on one thread
-# (`_one_thread_main`), and its file digest is the one-thread output.  So do
-# the `phases` cases, recorded before definite-parity polynomials were
-# completed and stripped at half length: the inverse designs (kappa, 1e-3)
-# and a random complex polynomial of degree 64.
+# sha256 of (stdout, --out file) of each run (numpy 2.4, x86-64): the
+# outputs must not change by a byte.  The `bounds` files of the `random` and
+# `mod4` samplers were recorded when the samplers began to draw each sweep
+# as one batch (all the degrees, then all the coefficients), which gave each
+# seed new rows from the same distributions; `chebyshev` draws its degrees
+# only, and numpy's `integers` gives the same stream in one call as one at a
+# time, so its files kept their digests.  Every `bounds` stdout is the one
+# recorded before the sweep held its rows as float64 and before _csv
+# formatted whole runs of rows at once: max_ratio is set by the degree-1
+# rows.  The scaling table's Remez designs solve dense systems whose last
+# bits depend on the BLAS thread count, so that case runs in a child
+# process on one thread (`_one_thread_main`), and its file digest is the
+# one-thread output.  So do the `phases` cases, recorded before
+# definite-parity polynomials were completed and stripped at half length:
+# the inverse designs (kappa, 1e-3) and a random complex polynomial of
+# degree 64.
 _PINNED = {
     ("random", 64): (
         "03fb933036a2beaf005997e9a207b7006e5081d461db55ab683b7649e170ac50",
-        "4707dbbcf4ed6c1054b5f294f90424d99ac8855c3a5ac5b571736c1d76f17eca"),
+        "aa8e91b1021ddf824e3791d5f691598faaa94809f9712b158f3406df530fa7a3"),
     ("random", 256): (
         "03fb933036a2beaf005997e9a207b7006e5081d461db55ab683b7649e170ac50",
-        "7a43bd38e8799b926c951833d0006e2086d2b85a5209898d831ab84b58e6f091"),
+        "1b69dffcf2d84c953a355495fe9011852d6ecad111a9c84b13ce209ef6c7eb9b"),
     ("mod4", 64): (
         "c82519c95b9f1bd5c4ec8cf8c43321b094b41e8ad37c3ab264441de99dd61b63",
-        "3f30ccd737d40c66d02cf64ac3877fb7ee6147b022f8dc058508545fa504765f"),
+        "0c10b77ce324c64d76c3fd8cb83bfa31a41f6dbb811b7053f47dc31691fe46cd"),
     ("mod4", 256): (
         "c82519c95b9f1bd5c4ec8cf8c43321b094b41e8ad37c3ab264441de99dd61b63",
-        "6ff7a501646f2d6e012a76670f0ee906983605ffec92c0729af98432ee4bd74b"),
+        "4ab3715cecc3697267738ba55364a00847472d7bd5e598cad31ea939d46bfd02"),
     ("chebyshev", 64): (
         "fa07caea4830bd32e417481e5d0d50cb2f5b4f95ad30033526e3fe10bb5480ea",
         "22ee57f4772cdff9d80a77d2fff97a80ca0b1f0a7996f53a1654800f258b8393"),
@@ -1109,9 +1116,10 @@ def test_bounds_checks_each_sampled_row(tmp_path, capsys, monkeypatch, rows,
     # A row that is not finite, or complex beyond 1e-12 of its largest
     # |a|, is an input error; an imaginary part under that is dropped.
     from gqtlab import cli
-    it = iter(rows)
+    batch = (np.array([len(r) for r in rows]),
+             np.concatenate([np.asarray(r) for r in rows]))
     monkeypatch.setitem(cli._SAMPLERS, "random",
-                        lambda dmax: lambda rng: np.asarray(next(it)))
+                        lambda dmax: lambda rng, trials: batch)
     cfg = write_config(tmp_path, "b.json", {"trials": len(rows)})
     code = main(["bounds", "--config", cfg])
     captured = capsys.readouterr()

