@@ -10,7 +10,9 @@ confirming that sampled polynomials never violate it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import os
 from typing import Callable
 
 import numpy as np
@@ -78,11 +80,22 @@ class BoundReport:
 # 1.5e-3 for max |P|).  The coefficients are real, so P(e^{-it}) = conj
 # P(e^{it}) and the half circle t in [0, pi] (one rfft per row) holds both
 # maxima; the parabola at t = 0 and t = pi reads the mirrored neighbour by
-# index.  A block holds at most 64 * 4096 points, or one row.  The corollary
-# bound exceeds the true maximum by a large factor, so grid resolution is not
-# the binding accuracy constraint here.
+# index.  The corollary bound exceeds the true maximum by a large factor, so
+# grid resolution is not the binding accuracy constraint here.
+#
+# The blocks are independent, and numpy's take, rfft, abs and argmax release
+# the GIL, so they run on a thread pool made for the sweep.  W is the number
+# of CPUs the process may run on, at most 8.  The rows of grid G go through
+# k = min(W, 64 * 4096 / G) threads (at least 1) in blocks of at most
+# 64 * 4096 / k points, or one row, so the k blocks in flight hold at most
+# 64 * 4096 points, or one row, as one block does on one CPU.  Each block
+# writes only its own rows of the output, and the blocks are read back in
+# order (grid groups ascending, then rows in batch order), so a failing row
+# raises what the serial loop raises and every value is the same for every
+# W.  With W = 1 no pool is made.
 _SWEEP_DENSITY = 16
 _SWEEP_BLOCK_POINTS = 64 * 4096
+_SWEEP_MAX_WORKERS = 8
 
 
 def _sweep_grid(lengths: np.ndarray) -> np.ndarray:
@@ -112,6 +125,69 @@ def _parabolic_peak(y: np.ndarray) -> np.ndarray:
     return np.where(denom < 0, np.maximum(peak, y0), y0)
 
 
+def _sweep_workers() -> int:
+    """Worker threads of a sweep: the CPUs this process may run on, at most
+    _SWEEP_MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _SWEEP_MAX_WORKERS)
+
+
+def _sweep_runs(grid: np.ndarray, workers: int) -> list:
+    """The FFT blocks of a sweep in order, as runs (k, [(G, rows), ...]) of
+    blocks that go through k threads at once: each grid's rows in batch
+    order, k = min(workers, _SWEEP_BLOCK_POINTS / G) or 1, and at most
+    _SWEEP_BLOCK_POINTS / k points or one row a block."""
+    runs = []
+    for g in np.unique(grid).tolist():
+        k = min(workers, max(_SWEEP_BLOCK_POINTS // g, 1))
+        group = np.flatnonzero(grid == g)
+        step = max(_SWEEP_BLOCK_POINTS // k // g, 1)
+        blocks = [(g, group[s:s + step]) for s in range(0, len(group), step)]
+        if runs and runs[-1][0] == k:
+            runs[-1][1].extend(blocks)
+        else:
+            runs.append((k, blocks))
+    return runs
+
+
+def _sweep_block(coeffs: np.ndarray, lengths: np.ndarray,
+                 offsets: np.ndarray, out: tuple, part: tuple) -> None:
+    """Check the rows r of one block part = (G, r) and write their trimmed
+    degree, max |Re P| and max |P| to rows r of out = (N, M, max_abs)."""
+    g, r = part
+    N, M, max_abs = out
+    width = int(lengths[r].max())
+    cols = np.arange(width)
+    # Row i reads the batch from its offset on; what it reads past its own
+    # length (the next rows, or the last entry repeated by the clip) is
+    # padding and set to zero.
+    block = coeffs.take(offsets[r, None] + cols, mode="clip")
+    block = block.astype(np.result_type(block, float), copy=False)
+    block[cols >= lengths[r, None]] = 0
+    mag = np.abs(block)
+    scale = mag.max(axis=1)
+    # The largest |a| of a float row is finite exactly when the row is; NaN
+    # compares below every tolerance and would read as zero.
+    if not np.isfinite(scale).all():
+        raise ValueError("coefficients must be finite")
+    if block.dtype.kind == "c":
+        if np.any(np.abs(block.imag).max(axis=1)
+                  > 1e-12 * np.maximum(scale, 1e-300)):
+            raise ValueError("sampler must yield real coefficients")
+        block = block.real
+    # PolyCoeffs.trimmed().degree: the index of the last entry of a row above
+    # ZERO_TOL * scale, or 0 when none is (scale == 0).
+    last = width - 1 - np.argmax(mag[:, ::-1] > ZERO_TOL * scale[:, None],
+                                 axis=1)
+    N[r] = np.maximum(np.where(scale > 0, last, 0), 1)
+    vals = np.fft.rfft(block, g, axis=1)
+    max_abs[r] = _parabolic_peak(np.abs(vals))
+    M[r] = _parabolic_peak(np.abs(vals.real))
+
+
 def verify_beta_bound(
         sampler: Callable[[np.random.Generator, int],
                           tuple[np.ndarray, np.ndarray]],
@@ -130,6 +206,10 @@ def verify_beta_bound(
     row's largest |a|, and raises ValueError otherwise.  Complex polynomials
     are covered by splitting into real and imaginary parts before sampling.
     Rows with M <= 0 are skipped.
+
+    The rows go through the FFT in blocks, which run on one thread per CPU
+    the process may use (at most 8), with no pool on one CPU.  The report,
+    and the error a failing row raises, are the same on any CPU count.
     """
     rng = np.random.default_rng(seed)
     lengths, coeffs = map(np.asarray, sampler(rng, trials))
@@ -150,38 +230,19 @@ def verify_beta_bound(
     N = np.empty(trials, dtype=np.intp)
     M = np.empty(trials)
     max_abs = np.empty(trials)
-    for g in np.unique(grid).tolist():
-        group = np.flatnonzero(grid == g)
-        step = max(_SWEEP_BLOCK_POINTS // g, 1)
-        for s in range(0, len(group), step):
-            r = group[s:s + step]
-            width = int(lengths[r].max())
-            cols = np.arange(width)
-            # Row i reads the batch from its offset on; what it reads past
-            # its own length (the next rows, or the last entry repeated by
-            # the clip) is padding and set to zero.
-            block = coeffs.take(offsets[r, None] + cols, mode="clip")
-            block = block.astype(np.result_type(block, float), copy=False)
-            block[cols >= lengths[r, None]] = 0
-            mag = np.abs(block)
-            scale = mag.max(axis=1)
-            # The largest |a| of a float row is finite exactly when the row
-            # is; NaN compares below every tolerance and would read as zero.
-            if not np.isfinite(scale).all():
-                raise ValueError("coefficients must be finite")
-            if block.dtype.kind == "c":
-                if np.any(np.abs(block.imag).max(axis=1)
-                          > 1e-12 * np.maximum(scale, 1e-300)):
-                    raise ValueError("sampler must yield real coefficients")
-                block = block.real
-            # PolyCoeffs.trimmed().degree: the index of the last entry of a
-            # row above ZERO_TOL * scale, or 0 when none is (scale == 0).
-            last = width - 1 - np.argmax(
-                mag[:, ::-1] > ZERO_TOL * scale[:, None], axis=1)
-            N[r] = np.maximum(np.where(scale > 0, last, 0), 1)
-            vals = np.fft.rfft(block, g, axis=1)
-            max_abs[r] = _parabolic_peak(np.abs(vals))
-            M[r] = _parabolic_peak(np.abs(vals.real))
+    sweep = functools.partial(_sweep_block, coeffs, lengths, offsets,
+                              (N, M, max_abs))
+    for k, blocks in _sweep_runs(grid, _sweep_workers()):
+        if k == 1 or len(blocks) == 1:
+            for block in blocks:
+                sweep(block)
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(k) as pool:
+                # map yields in block order: the first failing block raises,
+                # and the blocks not yet started are cancelled.
+                for _ in pool.map(sweep, blocks):
+                    pass
 
     keep = ~(M <= 0)  # a NaN M is kept, so the check below rejects it
     N, M, max_abs = N[keep], M[keep], max_abs[keep]

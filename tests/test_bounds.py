@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import mpmath
@@ -424,9 +428,10 @@ class TestDegreeAdaptedGrid:
 
     def test_memory_of_high_degree_rows(self):
         # 100 rows of degree 5000 get 131072 points each: one FFT of the
-        # whole batch would hold over 100 MB, while blocks of 64 * 4096
-        # points hold what a block of 64 rows of degree 256 holds.  The
-        # batch is drawn first, so only the sweep's buffers count.
+        # whole batch would hold over 100 MB, while the blocks in flight
+        # hold at most 64 * 4096 points on any number of CPUs, what a block
+        # of 64 rows of degree 256 holds.  The batch is drawn first, so only
+        # the sweep's buffers count.
         lengths = np.full(100, 5001)
         coeffs = np.random.default_rng(10).normal(size=100 * 5001)
         tracemalloc.start()
@@ -449,6 +454,143 @@ class TestDegreeAdaptedGrid:
         finally:
             tracemalloc.stop()
         assert peak < 18e6
+
+
+WORKER_COUNTS = [1, 2, 3, 8]
+
+
+def set_workers(monkeypatch, workers):
+    """Run the sweeps' FFT blocks on `workers` threads, whatever the CPUs."""
+    monkeypatch.setattr(bounds, "_sweep_workers", lambda: workers)
+
+
+class TestWorkerCount:
+    """The report, the error, the memory and the threads of a sweep do not
+    depend on the number of CPUs its FFT blocks run on."""
+
+    @staticmethod
+    def reports(monkeypatch, sampler, trials, seed=0):
+        for workers in WORKER_COUNTS:
+            set_workers(monkeypatch, workers)
+            yield verify_beta_bound(sampler, trials, seed)
+
+    @pytest.mark.parametrize("name", sorted(_SAMPLERS))
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_cli_samplers(self, monkeypatch, name, seed):
+        for dmax, trials in ((64, 300), (300, 100)):
+            sampler = _SAMPLERS[name](dmax)
+            want = per_row_verify_beta_bound(sampler, trials, seed)
+            for got in self.reports(monkeypatch, sampler, trials, seed):
+                assert_same_report(got, want)
+
+    def test_edge_rows(self, monkeypatch):
+        rows = TestBatchedSweepEqualsPerRow.EDGE_ROWS
+        want = per_row_verify_beta_bound(listed_sampler(rows), len(rows))
+        for got in self.reports(monkeypatch, listed_sampler(rows), len(rows)):
+            assert_same_report(got, want)
+
+    def test_rows_longer_than_a_block_share(self, monkeypatch):
+        # Rows of 4100 to 5001 coefficients get 131072 points, more than
+        # 64 * 4096 / W for W > 2 and all of it for W = 2: on more than one
+        # thread every block holds one row.
+        rng = np.random.default_rng(32)
+        rows = [rng.normal(size=n) for n in (4100, 5001, 4500, 4800, 5001)]
+        grid = bounds._sweep_grid(np.array([len(r) for r in rows]))
+        for workers in WORKER_COUNTS[1:]:
+            (k, blocks), = bounds._sweep_runs(grid, workers)
+            assert k == 2 and all(len(r) == 1 for _, r in blocks)
+        want = per_row_verify_beta_bound(listed_sampler(rows), len(rows))
+        for got in self.reports(monkeypatch, listed_sampler(rows), len(rows)):
+            assert_same_report(got, want)
+
+    @pytest.mark.parametrize("first, match", [("nan", "finite"),
+                                              ("complex", "real coeff")])
+    def test_the_first_failing_block_raises(self, monkeypatch, first, match):
+        # A bad row in the first grid group (G = 64) and one of the other
+        # kind in the last (G = 8192), with several blocks between them.
+        rng = np.random.default_rng(33)
+        rows = [rng.normal(size=n) for n in rng.integers(2, 300, size=400)]
+        bad = {"nan": [1.0, np.nan], "complex": [1.0, 1j]}
+        rows[5] = np.array([0.5, 0.2] + bad[first])
+        rows[7] = np.array([0.5] * 298 + bad[
+            "complex" if first == "nan" else "nan"])
+        grid = bounds._sweep_grid(np.array([len(r) for r in rows]))
+        assert grid[5] == grid.min() and grid[7] == grid.max()
+        assert len(bounds._sweep_runs(grid, 2)[0][1]) > 2
+        for workers in WORKER_COUNTS:
+            set_workers(monkeypatch, workers)
+            with pytest.raises(ValueError, match=match):
+                verify_beta_bound(listed_sampler(rows), len(rows))
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_blocks(self, workers):
+        # Every row once, grid groups ascending and rows in batch order; k
+        # blocks in flight hold at most 64 * 4096 points, or one row; and
+        # on one CPU the blocks are those of the serial sweep.
+        lengths = np.random.default_rng(34).integers(1, 20000, size=3000)
+        grid = bounds._sweep_grid(lengths)
+        runs = bounds._sweep_runs(grid, workers)
+        order = np.concatenate([r for _, blocks in runs for _, r in blocks])
+        assert np.array_equal(order, np.argsort(grid, kind="stable"))
+        share = bounds._SWEEP_BLOCK_POINTS // workers
+        for k, blocks in runs:
+            for g, r in blocks:
+                assert np.all(grid[r] == g)
+                assert k * g * len(r) <= max(bounds._SWEEP_BLOCK_POINTS, g)
+                assert k == (workers if g <= share else
+                             max(bounds._SWEEP_BLOCK_POINTS // g, 1))
+        if workers == 1:
+            assert len(runs) == 1
+            for g, r in runs[0][1]:
+                assert len(r) <= max(bounds._SWEEP_BLOCK_POINTS // g, 1)
+
+    @pytest.mark.parametrize("cls, name", [
+        (TestHalfCircleSweep, "test_memory_of_the_benchmark_bound_sweep"),
+        (TestDegreeAdaptedGrid, "test_memory_of_high_degree_rows"),
+        (TestDegreeAdaptedGrid, "test_memory_at_the_top_paper_degree"),
+    ], ids=lambda v: getattr(v, "__name__", v))
+    def test_memory_on_eight_workers(self, monkeypatch, cls, name):
+        # The memory tests above, with their bounds, on eight threads.
+        set_workers(monkeypatch, 8)
+        getattr(cls(), name)()
+
+    @staticmethod
+    def sweep_threads(monkeypatch, workers):
+        """The threads the blocks of a 500-row sweep run on."""
+        threads = set()
+        block = bounds._sweep_block
+
+        def recorded(*args):
+            threads.add(threading.current_thread())
+            block(*args)
+        monkeypatch.setattr(bounds, "_sweep_block", recorded)
+        set_workers(monkeypatch, workers)
+        verify_beta_bound(_SAMPLERS["random"](256), 500, seed=2)
+        return threads
+
+    def test_no_thread_outlives_the_sweep(self, monkeypatch):
+        before = threading.active_count()
+        threads = self.sweep_threads(monkeypatch, 2)
+        assert threads and threading.main_thread() not in threads
+        assert threading.active_count() == before
+
+    def test_no_pool_on_one_cpu(self, monkeypatch):
+        threads = self.sweep_threads(monkeypatch, 1)
+        assert threads == {threading.main_thread()}
+
+    def test_worker_count(self):
+        workers = bounds._sweep_workers()
+        assert 1 <= workers <= 8
+        if hasattr(os, "sched_getaffinity"):
+            assert workers == min(len(os.sched_getaffinity(0)), 8)
+
+    def test_the_cli_starts_without_concurrent_futures(self):
+        src = os.path.dirname(os.path.dirname(bounds.__file__))
+        code = ("import sys, gqtlab.cli; "
+                "sys.exit('concurrent.futures' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0
 
 
 class TestCliSamplers:
