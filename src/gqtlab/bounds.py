@@ -12,11 +12,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import os
 from typing import Callable
 
 import numpy as np
 
+from . import polynomials
 from .polynomials import ZERO_TOL
 
 __all__ = [
@@ -85,7 +85,8 @@ class BoundReport:
 #
 # The blocks are independent, and numpy's take, rfft, abs and argmax release
 # the GIL, so they run on a thread pool made for the sweep.  W is the number
-# of CPUs the process may run on, at most 8.  The rows of grid G go through
+# of CPUs the process may run on, at most 8 (`polynomials._workers`, the rule
+# the circuit kernel also uses).  The rows of grid G go through
 # k = min(W, 64 * 4096 / G) threads (at least 1) in blocks of at most
 # 64 * 4096 / k points, or one row, so the k blocks in flight hold at most
 # 64 * 4096 points, or one row, as one block does on one CPU.  Each block
@@ -95,7 +96,6 @@ class BoundReport:
 # W.  With W = 1 no pool is made.
 _SWEEP_DENSITY = 16
 _SWEEP_BLOCK_POINTS = 64 * 4096
-_SWEEP_MAX_WORKERS = 8
 
 
 def _sweep_grid(lengths: np.ndarray) -> np.ndarray:
@@ -123,16 +123,6 @@ def _parabolic_peak(y: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         peak = y0 - 0.125 * (yp - ym) ** 2 / np.where(denom == 0, 1.0, denom)
     return np.where(denom < 0, np.maximum(peak, y0), y0)
-
-
-def _sweep_workers() -> int:
-    """Worker threads of a sweep: the CPUs this process may run on, at most
-    _SWEEP_MAX_WORKERS."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, _SWEEP_MAX_WORKERS)
 
 
 def _sweep_runs(grid: np.ndarray, workers: int) -> list:
@@ -232,17 +222,8 @@ def verify_beta_bound(
     max_abs = np.empty(trials)
     sweep = functools.partial(_sweep_block, coeffs, lengths, offsets,
                               (N, M, max_abs))
-    for k, blocks in _sweep_runs(grid, _sweep_workers()):
-        if k == 1 or len(blocks) == 1:
-            for block in blocks:
-                sweep(block)
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(k) as pool:
-                # map yields in block order: the first failing block raises,
-                # and the blocks not yet started are cancelled.
-                for _ in pool.map(sweep, blocks):
-                    pass
+    for k, blocks in _sweep_runs(grid, polynomials._workers()):
+        polynomials._run_parts(sweep, blocks, k)
 
     keep = ~(M <= 0)  # a NaN M is kept, so the check below rejects it
     N, M, max_abs = N[keep], M[keep], max_abs[keep]

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import serialization as ser
-from .serialization import _number
 from .encodings import dilate_general, dilate_hermitian
 from .phases import (
     DEFAULT_MARGIN,
@@ -40,6 +39,7 @@ from .polynomials import (
     ApproximationError,
     NumericalError,
     PolyCoeffs,
+    _number,
     approx_inverse,
     definite_parity,
     max_abs_circle,

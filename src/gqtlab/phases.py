@@ -18,11 +18,15 @@ gives the explicit unitary).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import os
 
 import numpy as np
 
-from .polynomials import NumericalError, PolyCoeffs, max_abs_circle
+from . import polynomials
+from .polynomials import (NumericalError, PolyCoeffs, _number, _numbers,
+                          max_abs_circle)
 
 __all__ = [
     "PhaseFactors",
@@ -127,10 +131,11 @@ class PhaseFactors:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PhaseFactors":
-        ph = cls(np.asarray(d["thetas"]), np.asarray(d["phis"]), d["lambda"])
+        ph = cls(_numbers(d["thetas"], "thetas"), _numbers(d["phis"], "phis"),
+                 _number(d["lambda"], "lambda"))
         # Older files also store the degree; a file comes from outside the
         # program, so a degree that disagrees with the angles is refused.
-        if "degree" in d and int(d["degree"]) != ph.degree:
+        if "degree" in d and _number(d["degree"], "degree", int) != ph.degree:
             raise ValueError("degree field inconsistent with angle count")
         return ph
 
@@ -546,6 +551,71 @@ def _nonzero_blocks(U: np.ndarray) -> tuple[np.ndarray, str | None]:
     return U, None
 
 
+# The columns of a stack do not interact, so `gqsp_matrix` may cut its stack
+# into column chunks and push each through every layer on a thread of its
+# own, with no barrier between layers; numpy releases the GIL inside each
+# GEMM and each entry-wise rotation.  The split pays only when each thread's
+# GEMMs are large, so a push runs on min(W, P / _SPLIT_PRODUCT,
+# k / _SPLIT_COLUMNS) threads (one when that is below 2), where P = (U's
+# block entries) * k is the push's complex multiply-adds per layer, k its
+# columns and W the CPUs the process may use (`polynomials._workers`).
+# Medians of interleaved pushes on a 2-CPU machine with one BLAS thread,
+# 2 threads against 1:
+#   J-commuting, N = 128, k = 128, d = 64 (2 * 2^20 per thread):
+#       43 -> 24 ms; at k = 96 (1.5 * 2^20): x0.78 to x0.84
+#   J-commuting, N = 128, k = 64 (2^20):  x0.95 to x1.05
+#   J-commuting, N = 64, k = 96 (0.38 * 2^20):  x1.04 (GIL hand-offs
+#       between many small numpy calls)
+#   off-diagonal, N = 160, k = 64 (1.56 * 2^20, 32 columns per thread):
+#       x1.12, and a general M = 320 U at k = 64: x1.06 (each chunk's GEMM
+#       packs U's blocks again, so narrow chunks repeat that work); at
+#       k = 96 (48 columns per thread):  x0.79
+# A multi-threaded BLAS already spreads each GEMM over the CPUs, and threads
+# that each call it contend for them: with two BLAS threads the gqet
+# 128 x 128, d = 64 command took 96 ms split against 70 ms serial (median
+# wall times), so the kernel splits only under a one-thread BLAS.  Chunks
+# start at multiples of 8 columns and none is one column: then each chunk's
+# GEMMs give the bits of the whole stack's, and the stack does not depend on
+# W.  A cut off a multiple of 8 (65 columns as 33 + 32) or a 1-column chunk
+# moved last bits.
+_SPLIT_PRODUCT = 1 << 20
+_SPLIT_COLUMNS = 48
+# The BLAS reads its thread count from the first of these that is set, and
+# uses every CPU when none is.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _serial_blas() -> bool:
+    """Whether the BLAS runs each call on one thread, by the first of its
+    thread-count variables that is set."""
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value:
+            return value == "1"
+    return False
+
+
+def _kernel_threads(product: int, k: int) -> int:
+    """Threads of a push of k columns with `product` complex multiply-adds
+    per layer, by the rule above."""
+    threads = min(product // _SPLIT_PRODUCT, k // _SPLIT_COLUMNS)
+    if threads < 2 or not _serial_blas():
+        return 1
+    return min(polynomials._workers(), threads)
+
+
+def _column_chunks(k: int, threads: int) -> list:
+    """Slices of range(k), in order and covering each column once, for at
+    most `threads` threads: every chunk starts at a multiple of 8 and none
+    is one column.  One thread gets the whole stack."""
+    step = 8 * max(1, -(-k // (8 * threads)))
+    starts = list(range(0, k, step)) or [0]
+    if len(starts) > 1 and k - starts[-1] == 1:
+        starts.pop()  # join a 1-column last chunk to the one before
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [k])]
+
+
 def gqsp_matrix(ph: PhaseFactors, U: np.ndarray, columns: np.ndarray,
                 defect: float | None = None) -> np.ndarray:
     """C applied to a 2M x k column stack, where C is the 2M x 2M circuit
@@ -563,6 +633,15 @@ def gqsp_matrix(ph: PhaseFactors, U: np.ndarray, columns: np.ndarray,
     halves of the top half.  When every layer k >= 1 of the other parity
     than d has theta = phi = 0 exactly (a definite-parity solve), those d/2
     layers apply U and no rotation, with the same stack.
+
+    Under a one-thread BLAS, a stack with large enough GEMMs is cut into
+    column chunks, each pushed through every layer on a thread of its own
+    (`_kernel_threads`: at least 2^20 multiply-adds a layer and 48 columns
+    per thread, at most one thread per CPU).  Chunks start at multiples of
+    8 columns, so the bytes of the stack do not depend on the CPU count.
+    They do depend on the BLAS thread count, as they did before the split:
+    of 120 serial stacks, 64 differed in their last bits between one and
+    two OpenBLAS threads.
 
     U must be unitary to VALIDATION_TOL * M (ValueError otherwise: U is
     the caller's argument).  The kernel never checks C itself; on every
@@ -582,16 +661,10 @@ def gqsp_matrix(ph: PhaseFactors, U: np.ndarray, columns: np.ndarray,
         raise NumericalError(
             f"{ph.degree} layers of unitarity defect {defect:.3e} "
             f"exceed {VALIDATION_TOL:g} * {2 * M}")
-    # C order, so that the reshapes below are views of the stack.
-    out = np.array(columns, dtype=complex, order="C")
-    if out.ndim != 2 or out.shape[0] != 2 * M:
+    columns = np.asarray(columns)
+    if columns.ndim != 2 or columns.shape[0] != 2 * M:
         raise ValueError(f"columns must have {2 * M} rows")
     blocks, structure = _nonzero_blocks(U)
-    # (ancilla, [block,] row, column): views of the C-ordered stack.
-    top, bot = out.reshape((2,) + blocks.shape[:-1] + out.shape[1:])
-    Utop, tmp = np.empty_like(top), np.empty_like(top)
-    operand, held = ((top[::-1], Utop[::-1]) if structure == "off-diagonal"
-                     else (top, Utop))
     d = ph.degree
     rotations = _layer_rotations(ph)
     # A layer k >= 1 of the other parity than d (never d itself) with
@@ -606,15 +679,50 @@ def gqsp_matrix(ph: PhaseFactors, U: np.ndarray, columns: np.ndarray,
     if paired:
         second = rotations[2 + d % 2::2, :, 1]
         np.negative(second, out=second)
+    k = columns.shape[1]
+    threads = _kernel_threads(blocks.size * k, k)
+    # Every buffer is made here, on the calling thread: a worker thread that
+    # allocated would get a malloc arena of its own, whose freed pages stay
+    # resident (about 2 MB more peak RSS at M = 256, k = 128).
+    chunks, buffers = [], []
+    for cols in _column_chunks(k, threads):
+        # A C-ordered copy, so that the reshapes of `_push_columns` are
+        # views: on strided column views of the whole stack a matmul took
+        # 314 against 231 us and an entry-wise multiply 33 against 10 us
+        # (a 2 x 128 x 64 chunk, one BLAS thread).
+        chunks.append(np.array(columns[:, cols], dtype=complex, order="C"))
+        buffers.append(np.empty((2, M * chunks[-1].shape[1]), dtype=complex))
+    push = functools.partial(_push_columns, blocks, structure, rotations,
+                             paired)
+    polynomials._run_parts(push, list(zip(chunks, buffers)), threads)
+    del buffers  # freed before the join, so the peak is the serial one's
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
+
+
+def _push_columns(blocks: np.ndarray, structure: str | None,
+                  rotations: np.ndarray, paired: bool, part: tuple) -> None:
+    """The layer loop of `gqsp_matrix` on one chunk of the stack, in place:
+    part = (out, buffers) is the C-ordered chunk and two buffers of its
+    top half's size, `blocks` and `structure` are those of
+    `_nonzero_blocks`, and `rotations` the d + 1 layers' (with the folded
+    signs when `paired`)."""
+    out, buffers = part
+    # (ancilla, [block,] row, column): views of the chunk.
+    stack = out.reshape((2,) + blocks.shape[:-1] + out.shape[1:])
+    top, bot = stack
+    Utop, tmp = buffers.reshape((2,) + top.shape)
+    operand, held = ((top[::-1], Utop[::-1]) if structure == "off-diagonal"
+                     else (top, Utop))
+    d = len(rotations) - 1
     if structure == "commuting":
         # The walk-register halves (x0, x1) of both ancilla halves, turned
         # in place by T^dag: ((x0 - i x1), (x0 + i x1)) / sqrt 2.  The loop's
-        # scratch buffer holds i x1, so no stack-sized temporary is made.
-        x0, x1 = out.reshape(2, 2, out.size // 4).swapaxes(0, 1)
+        # scratch buffer holds i x1, so no chunk-sized temporary is made.
+        x0, x1 = stack.swapaxes(0, 1)
         ix1 = np.multiply(x1, 1j, out=tmp.reshape(x1.shape))
         np.add(x0, ix1, out=x1)
         x0 -= ix1
-        out *= math.sqrt(0.5)
+        stack *= math.sqrt(0.5)
     for k, r in enumerate(rotations):
         # V is U applied to the top half; scratch is the free buffer.
         if not k:
@@ -638,5 +746,4 @@ def gqsp_matrix(ph: PhaseFactors, U: np.ndarray, columns: np.ndarray,
         diff = np.subtract(x0, x1, out=tmp.reshape(x1.shape))
         x0 += x1
         np.multiply(diff, 1j, out=x1)
-        out *= math.sqrt(0.5)
-    return out
+        stack *= math.sqrt(0.5)

@@ -11,7 +11,9 @@ phase-factor sequence exists.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import os
 from typing import Callable
 
 import numpy as np
@@ -54,6 +56,84 @@ class NumericalError(RuntimeError):
 
 class ApproximationError(NumericalError):
     """Target accuracy unreachable within the degree cap."""
+
+
+# The one worker rule of the stages that split their work over threads (the
+# bound sweep's FFT blocks and the circuit kernel's column chunks): the CPUs
+# this process may run on, at most 8.  There is no setting for it; tests
+# monkeypatch `_workers`, which the stages read at each call.
+_MAX_WORKERS = 8
+
+
+def _workers() -> int:
+    """Threads a split stage may run on: the CPUs this process may run on,
+    at most _MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
+def _run_parts(fn: Callable, parts: list, threads: int) -> list:
+    """[fn(part) for part in parts], on `threads` threads.  With one thread
+    or one part the parts run in order on the calling thread and no pool is
+    made.  Otherwise a pool lives for this call only, so no idle thread
+    outlives it, and `concurrent.futures` is imported only then (it costs a
+    few milliseconds of every CLI start).  The results are read in part
+    order: the first failing part raises, and the parts not yet started
+    are cancelled."""
+    if threads == 1 or len(parts) == 1:
+        return [fn(part) for part in parts]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(fn, parts))
+
+
+def _number(value, name: str, kind=float):
+    """A scalar JSON field converted by `kind`.  It must be a JSON number,
+    not a string or a boolean, and for an int field an integral one (1e3
+    reads as 1000); ValueError otherwise."""
+    if kind is int:
+        ok = isinstance(value, int) or (isinstance(value, float)
+                                        and value.is_integer())
+    else:
+        ok = isinstance(value, (int, float))
+    if isinstance(value, bool) or not ok:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {noun}, not {value!r}")
+    try:
+        return kind(value)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ValueError(f"{name} must be within the float range") from exc
+
+
+def _numbers(value, name: str, pairs: bool = False) -> np.ndarray:
+    """A JSON array of numbers as a 1-D float array, or with `pairs` an
+    array of [re, im] number pairs as an (n, 2) one.  Each entry follows
+    the rule of `_number`: a JSON number, not a boolean (np.asarray reads
+    true and false beside numbers as 1 and 0), a string or null;
+    ValueError otherwise.  A row that is not a list fails the length or
+    the type scan.  The scans and `fromiter` together cost less than
+    np.asarray of the nested lists (2.2 ms against 2.5 ms for the pairs of
+    a 128 x 128 matrix)."""
+    noun = "[re, im] number pairs" if pairs else "numbers"
+    try:
+        ok = type(value) is list and (not pairs
+                                      or set(map(len, value)) <= {2})
+    except TypeError:  # a row with no length
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a list of {noun}")
+    items = list(itertools.chain.from_iterable(value)) if pairs else value
+    if set(map(type, items)) - {int, float}:
+        bad = next(x for x in items if type(x) not in (int, float))
+        raise ValueError(f"{name} must hold numbers only, not {bad!r}")
+    try:
+        data = np.fromiter(items, float, len(items))
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ValueError(f"{name} must be within the float range") from exc
+    return data.reshape(-1, 2) if pairs else data
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,11 +198,8 @@ class PolyCoeffs:
     def from_json_dict(cls, d: dict) -> "PolyCoeffs":
         if d.get("basis", "chebyshev-monomial-dual") != "chebyshev-monomial-dual":
             raise ValueError(f"unknown basis {d.get('basis')!r}")
-        pairs = np.asarray(d["coeffs"])
-        if (pairs.dtype.kind not in "iuf" or pairs.ndim != 2
-                or pairs.shape[1] != 2):
-            raise ValueError("coeffs must be a list of [re, im] number pairs")
-        return cls(pairs.astype(float).view(complex)[:, 0])
+        return cls(_numbers(d["coeffs"], "coeffs", pairs=True)
+                   .view(complex)[:, 0])
 
 
 @dataclasses.dataclass(frozen=True)

@@ -6,7 +6,11 @@ Schemas:
                 (the degree is len(thetas) - 1; an older file's "degree"
                 key is read only to be checked against it)
     matrix      {"rows": R, "cols": C, "data": [[re, im], ...]} row-major,
-                R and C positive integers by the rule of `_number`
+                R and C positive integers by the rule of
+                `polynomials._number`
+
+Every number in an array (data, coeffs, thetas, phis) is a JSON number by
+the same rule (`polynomials._numbers`): a boolean is not read as 1 or 0.
 
 A polynomial or a matrix is read from a decoded JSON object
 (`PolyCoeffs.from_json_dict`, `matrix_from_json`), never from a path;
@@ -21,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .phases import PhaseFactors
+from .polynomials import _number, _numbers
 
 __all__ = [
     "matrix_to_json",
@@ -39,38 +44,19 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
-def _number(value, name: str, kind=float):
-    """A scalar JSON field converted by `kind`.  It must be a JSON number,
-    not a string or a boolean, and for an int field an integral one (1e3
-    reads as 1000); ValueError otherwise."""
-    if kind is int:
-        ok = isinstance(value, int) or (isinstance(value, float)
-                                        and value.is_integer())
-    else:
-        ok = isinstance(value, (int, float))
-    if isinstance(value, bool) or not ok:
-        noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"{name} must be {noun}, not {value!r}")
-    try:
-        return kind(value)
-    except OverflowError as exc:  # a JSON integer beyond the float range
-        raise ValueError(f"{name} must be within the float range") from exc
-
-
 def matrix_from_json(d: dict) -> np.ndarray:
     rows = _number(d["rows"], "rows", int)
     cols = _number(d["cols"], "cols", int)
     for name, n in (("rows", rows), ("cols", cols)):
         if n < 1:
             raise ValueError(f"{name} must be at least 1, not {n}")
-    data = np.asarray(d["data"])
-    if data.dtype.kind not in "iuf" or data.shape != (rows * cols, 2):
+    data = _numbers(d["data"], "matrix data", pairs=True)
+    if len(data) != rows * cols:
         raise ValueError(f"matrix data must be rows*cols = {rows * cols} "
-                         f"[re, im] number pairs, got {data.dtype} "
-                         f"of shape {data.shape}")
+                         f"[re, im] number pairs, not {len(data)}")
     if not np.isfinite(data).all():
         raise ValueError("matrix data must be finite")
-    return data.astype(float).view(complex).reshape(rows, cols)
+    return data.view(complex).reshape(rows, cols)
 
 
 def phases_from_file(path: str | Path) -> PhaseFactors:

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gqtlab import bounds
+from gqtlab import bounds, polynomials
 from gqtlab.bounds import corollary_bound, g1_constant, verify_beta_bound
 from gqtlab.cli import _SAMPLERS
 from gqtlab.polynomials import PolyCoeffs, max_abs_circle
@@ -461,7 +461,7 @@ WORKER_COUNTS = [1, 2, 3, 8]
 
 def set_workers(monkeypatch, workers):
     """Run the sweeps' FFT blocks on `workers` threads, whatever the CPUs."""
-    monkeypatch.setattr(bounds, "_sweep_workers", lambda: workers)
+    monkeypatch.setattr(polynomials, "_workers", lambda: workers)
 
 
 class TestWorkerCount:
@@ -579,7 +579,7 @@ class TestWorkerCount:
         assert threads == {threading.main_thread()}
 
     def test_worker_count(self):
-        workers = bounds._sweep_workers()
+        workers = polynomials._workers()
         assert 1 <= workers <= 8
         if hasattr(os, "sched_getaffinity"):
             assert workers == min(len(os.sched_getaffinity(0)), 8)

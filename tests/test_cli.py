@@ -19,6 +19,7 @@ from gqtlab.cli import EXIT_INPUT, EXIT_OK, EXIT_TOLERANCE, FMT, _csv, main
 from gqtlab.encodings import (
     EncodingValidationError, dilate_general, dilate_hermitian)
 from gqtlab.polynomials import PolyCoeffs, eval_cheb, max_abs_circle
+from gqtlab.phases import PhaseFactors
 from gqtlab.serialization import (
     matrix_from_json, matrix_to_json, phases_from_file, phases_to_file)
 from gqtlab.transforms import (
@@ -220,6 +221,96 @@ def test_json_decoding_is_exact():
     c = PolyCoeffs(M[0])
     back = PolyCoeffs.from_json_dict(json.loads(json.dumps(c.to_json_dict())))
     assert np.array_equal(back.coeffs, c.coeffs)
+
+
+# Each array reader with an entry that is not a JSON number, as the
+# reader's name, the field it reads and the decoded object around it.
+_READERS = {
+    "matrix": (matrix_from_json, "matrix data",
+               lambda v: {"rows": 1, "cols": 2, "data": v}),
+    "poly": (PolyCoeffs.from_json_dict, "coeffs", lambda v: {"coeffs": v}),
+    "thetas": (PhaseFactors.from_json_dict, "thetas",
+               lambda v: {"thetas": sum(v, []), "phis": [0.0] * 4,
+                          "lambda": 0.0}),
+    "phis": (PhaseFactors.from_json_dict, "phis",
+             lambda v: {"thetas": [0.0] * 4, "phis": sum(v, []),
+                        "lambda": 0.0}),
+}
+
+
+class TestJsonNumberArrays:
+    """The array readers take JSON numbers only, by the rule the scalar
+    fields follow: np.asarray would read a boolean beside numbers as 1 or
+    0 and hand back a value the file does not hold."""
+
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    @pytest.mark.parametrize("bad", [True, False, None, "0.5"])
+    def test_a_non_number_is_refused(self, reader, bad):
+        read, field, wrap = _READERS[reader]
+        with pytest.raises(ValueError,
+                           match=f"^{field} must hold numbers only, not "):
+            read(wrap([[bad, 0.5], [1.0, 0.25]]))
+        with pytest.raises(ValueError, match=f"not {bad!r}$"):
+            read(wrap([[1.0, 0.5], [0.25, bad]]))
+
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    def test_numbers_read_as_before(self, reader):
+        # Integers, floats and their mix read as np.asarray read them.
+        read, _, wrap = _READERS[reader]
+        got = read(wrap([[1, 0.5], [-2, 3]]))
+        if reader == "matrix":
+            assert np.array_equal(got, [[1 + 0.5j, -2 + 3j]])
+        elif reader == "poly":
+            assert np.array_equal(got.coeffs, [1 + 0.5j, -2 + 3j])
+        else:
+            angles = got.thetas if reader == "thetas" else got.phis
+            assert np.array_equal(angles, [1.0, 0.5, -2.0, 3.0])
+
+    def test_the_reported_cases(self):
+        with pytest.raises(ValueError, match="not True$"):
+            matrix_from_json({"rows": 1, "cols": 2,
+                              "data": [[True, 0.5], [1.0, False]]})
+        with pytest.raises(ValueError, match="not True$"):
+            PolyCoeffs.from_json_dict({"coeffs": [[True, 0.5], [0.1, 0.0]]})
+        with pytest.raises(ValueError, match="not True$"):
+            PhaseFactors.from_json_dict(
+                {"thetas": [True, 0.1], "phis": [0.0, 0.0], "lambda": 0.0})
+        angles = {"thetas": [0.2, 0.1], "phis": [0.0, 0.0], "lambda": 0.0}
+        with pytest.raises(ValueError, match="lambda must be a number"):
+            PhaseFactors.from_json_dict({**angles, "lambda": True})
+        # An older file's degree follows the integer rule.
+        assert PhaseFactors.from_json_dict({**angles, "degree": 1.0})
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            PhaseFactors.from_json_dict({**angles, "degree": True})
+
+    @pytest.mark.parametrize("value, match", [
+        (5, "must be a list of"),
+        ([0.5, 0.0], "must be a list of"),              # not pairs
+        ([[0.5, 0.0], [0.5]], "must be a list of"),     # a short pair
+        ([[0.5, 0.0, 1.0]], "must be a list of"),       # a triple
+        ([[0.5, [0.0]]], "must hold numbers only"),
+        ([[10 ** 400, 0.0]], "must be within the float range"),
+    ])
+    def test_shape_and_range(self, value, match):
+        with pytest.raises(ValueError, match=match):
+            PolyCoeffs.from_json_dict({"coeffs": value})
+
+    def test_a_boolean_in_a_config_is_an_input_error(self, tmp_path,
+                                                     capsys):
+        cfg = {"matrix": {"rows": 1, "cols": 1, "data": [[True, 0.0]]},
+               "poly": _POLY}
+        argv = ["gqet", "--config", write_config(tmp_path, "c.json", cfg)]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "input error: bad matrix input: matrix data must hold numbers "
+            "only, not True\n")
+
+    def test_a_boolean_in_a_phase_file_is_refused(self, tmp_path):
+        path = tmp_path / "angles.json"
+        path.write_text(json.dumps({"thetas": [0.5, False],
+                                    "phis": [0.0, 0.0], "lambda": 0.0}))
+        with pytest.raises(ValueError, match="thetas must hold numbers"):
+            phases_from_file(path)
 
 
 class TestGqsvtCommand:

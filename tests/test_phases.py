@@ -1,5 +1,6 @@
 import collections
 import math
+import threading
 import time
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from numpy.polynomial import chebyshev
 from hypothesis import given, settings, strategies as st
 
-from gqtlab import phases
+from gqtlab import phases, polynomials
 from gqtlab.encodings import (
     HermitianEncoding,
     dilate_general,
@@ -1087,6 +1088,165 @@ class TestPairedLayers:
         calls = self.count_calls(monkeypatch)
         assert np.array_equal(gqsp_matrix(ph, U, E), want)
         assert calls == {"multiply": 3 * (d + 1), "matmul": d}
+
+
+WORKER_COUNTS = [1, 2, 3, 8]
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """set(workers, bar=True): the kernel runs on `workers` threads under a
+    one-thread BLAS, whatever the CPUs and the environment; with bar=False
+    every stack of two columns or more splits, however small."""
+
+    def set_split(workers, bar=True):
+        monkeypatch.setattr(polynomials, "_workers", lambda: workers)
+        monkeypatch.setattr(phases, "_serial_blas", lambda: True)
+        if not bar:
+            monkeypatch.setattr(phases, "_SPLIT_PRODUCT", 1)
+            monkeypatch.setattr(phases, "_SPLIT_COLUMNS", 1)
+    return set_split
+
+
+@pytest.fixture
+def push_threads(monkeypatch):
+    """The set of threads the kernel's column chunks run on."""
+    threads = set()
+    push = phases._push_columns
+
+    def recorded(*args):
+        threads.add(threading.current_thread())
+        push(*args)
+    monkeypatch.setattr(phases, "_push_columns", recorded)
+    return threads
+
+
+class TestKernelWorkers:
+    """gqsp_matrix cuts a large stack into column chunks and pushes each on
+    a thread of its own; the stack is the serial one bit for bit on any
+    worker count."""
+
+    N = 6
+
+    def case(self, build, paired, k, seed=0):
+        rng = np.random.default_rng(900 + 10 * k + seed)
+        U = build(rng, self.N)
+        ph = (paired_angles if paired else random_angles)(rng, 5)
+        X = (rng.normal(size=(4 * self.N, k))
+             + 1j * rng.normal(size=(4 * self.N, k)))
+        return ph, U, X
+
+    @pytest.mark.parametrize("build", [j_commuting, off_diagonal,
+                                       unstructured])
+    @pytest.mark.parametrize("paired", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 9, 63, 64, 65, 129, 257])
+    def test_stack_is_the_serial_one(self, split, build, paired, k):
+        ph, U, X = self.case(build, paired, k)
+        want = gqsp_every_layer(ph, U, X)
+        split(1, bar=False)
+        serial = gqsp_matrix(ph, U, X)
+        assert np.array_equal(serial, want)
+        for workers in WORKER_COUNTS[1:]:
+            split(workers, bar=False)
+            got = gqsp_matrix(ph, U, X)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, serial)
+
+    @pytest.mark.parametrize("k", [129, 257])
+    def test_stack_at_the_bar(self, split, k):
+        # A J-commuting U of N = 128 pushes 2 * 128^2 * k multiply-adds a
+        # layer, enough for k / 48 threads at the fitted bar.
+        rng = np.random.default_rng(950 + k)
+        U = j_commuting(rng, 128)
+        ph = random_angles(rng, 3)
+        X = rng.normal(size=(512, k)) + 1j * rng.normal(size=(512, k))
+        split(1)
+        serial = gqsp_matrix(ph, U, X)
+        assert np.array_equal(serial, gqsp_every_layer(ph, U, X))
+        for workers in WORKER_COUNTS[1:]:
+            split(workers)
+            assert phases._kernel_threads(2 * 128 ** 2 * k, k) > 1
+            assert np.array_equal(gqsp_matrix(ph, U, X), serial)
+
+    @pytest.mark.parametrize("threads", range(1, 9))
+    def test_chunk_plan(self, threads):
+        for k in range(0, 300):
+            chunks = phases._column_chunks(k, threads)
+            assert 1 <= len(chunks) <= threads
+            assert [c.start for c in chunks[1:]] == [c.stop
+                                                     for c in chunks[:-1]]
+            assert chunks[0].start == 0 and chunks[-1].stop == k
+            assert all(c.start % 8 == 0 for c in chunks)
+            if len(chunks) > 1:
+                assert all(c.stop - c.start > 1 for c in chunks)
+        assert phases._column_chunks(128, 2) == [slice(0, 64),
+                                                 slice(64, 128)]
+        assert phases._column_chunks(65, 2) == [slice(0, 40), slice(40, 65)]
+
+    @pytest.mark.parametrize("build, N, k", [
+        (j_commuting, 64, 64),      # gqet on 64 x 64
+        (off_diagonal, 80, 32),     # hermitianization of 48 x 32
+        (unstructured, 80, 32),     # multiplication of 48 x 32
+        (off_diagonal, 160, 64),    # hermitianization of 96 x 64
+        (unstructured, 160, 64),    # multiplication of 96 x 64
+        (off_diagonal, 14, 6),      # inversion on 8 x 6
+    ])
+    def test_stacks_under_the_bar_run_serially(self, split, push_threads,
+                                               build, N, k):
+        # Every circuit op of the benchmark but gqet on 128 x 128 stays on
+        # the calling thread, with no pool, on any worker count.
+        U = build(np.random.default_rng(960 + N), N)
+        blocks, _ = phases._nonzero_blocks(U)
+        X = np.eye(4 * N)[:, :k]
+        for workers in WORKER_COUNTS:
+            split(workers)
+            assert phases._kernel_threads(blocks.size * k, k) == 1
+            gqsp_matrix(random_angles(np.random.default_rng(0), 3), U, X)
+        assert push_threads == {threading.main_thread()}
+
+    def test_gqet_on_128_splits(self, split):
+        split(8)
+        assert phases._kernel_threads(2 * 128 ** 2 * 128, 128) == 2
+
+    def test_no_split_under_a_threaded_blas(self, monkeypatch):
+        monkeypatch.setattr(polynomials, "_workers", lambda: 8)
+        for var in phases._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        product = 2 * 128 ** 2 * 256
+        assert phases._kernel_threads(product, 256) == 1  # every CPU
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert phases._kernel_threads(product, 256) == 5
+        # The BLAS reads OPENBLAS_NUM_THREADS first.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert phases._kernel_threads(product, 256) == 1
+
+    def test_no_thread_outlives_the_push(self, split, push_threads):
+        split(2, bar=False)
+        before = threading.active_count()
+        ph, U, X = self.case(j_commuting, False, 64)
+        gqsp_matrix(ph, U, X)
+        # Two pool threads; one of them may take both chunks.
+        assert push_threads and threading.main_thread() not in push_threads
+        assert threading.active_count() == before
+
+    def test_one_worker_makes_no_pool(self, split, push_threads):
+        split(1, bar=False)
+        ph, U, X = self.case(unstructured, True, 257)
+        gqsp_matrix(ph, U, X)
+        assert push_threads == {threading.main_thread()}
+
+    def test_checks_come_before_any_pool(self, split, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("a pool was made")
+        split(8, bar=False)
+        monkeypatch.setattr(polynomials, "_run_parts", no_pool)
+        ph, U, X = self.case(unstructured, False, 64)
+        with pytest.raises(ValueError, match="not unitary"):
+            gqsp_matrix(ph, 1.01 * U, X)
+        # A defect within the U check, but over d layers past the product's.
+        M = len(U)
+        with pytest.raises(NumericalError, match="layers of unitarity"):
+            gqsp_matrix(ph, U, X, defect=0.9 * phases.VALIDATION_TOL * M)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 12")
